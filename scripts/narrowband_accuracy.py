@@ -10,15 +10,17 @@ Usage: python scripts/narrowband_accuracy.py [--ratios 0.03,0.01,0.003] [--n 64]
 """
 
 import argparse
-import math
 import sys
-
-import numpy as np
 
 sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1] / "src"))
 
 from photonamp.amplitudes import gaussian_wavepacket
-from photonamp.fields import NarrowbandSpec, SpatialGrid, field_expectation_grid, narrowband_grid
+from photonamp.fields import (
+    NarrowbandSpec,
+    SpatialGrid,
+    field_expectation_grid,
+    narrowband_relative_l2,
+)
 
 
 def main():
@@ -35,12 +37,7 @@ def main():
         psi = gaussian_wavepacket([0, 0, kappa], sigma, 1)
         spec = NarrowbandSpec(kappa, sigma)
         grid = SpatialGrid.centered(args.extent * spec.sigma_x, args.n)
-        exact = field_expectation_grid(psi, grid, 0.0)
-        closed = narrowband_grid(spec, grid, 0.0)
-        rel = math.sqrt(
-            float(np.sum((exact.E - closed.E) ** 2 + (exact.B - closed.B) ** 2))
-            / float(np.sum(closed.E**2 + closed.B**2))
-        )
+        rel = narrowband_relative_l2(field_expectation_grid(psi, grid, 0.0), spec)
         print(f"{ratio:14.4f} {rel:12.5f} {rel / ratio:11.3f}")
 
 

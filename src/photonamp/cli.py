@@ -155,7 +155,10 @@ def _cmd_fields(args) -> int:
     kappa = args.kappa_ev
     sigma = args.sigma_ratio * kappa
     spec = NarrowbandSpec(kappa, sigma)
-    grid = SpatialGrid.centered(args.extent * spec.sigma_x, args.n)
+    # the packet moves along +z at the speed of light; keep it on the grid
+    grid = SpatialGrid.centered(
+        args.extent * spec.sigma_x, args.n, center=(0.0, 0.0, args.time)
+    )
     try:
         if args.mode == "narrowband":
             ftg = narrowband_grid(spec, grid, args.time)

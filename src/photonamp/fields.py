@@ -17,9 +17,16 @@ where G is the unit-norm Gaussian envelope of width sigma_x = 1/(2 sigma_k)
 translating at the speed of light. Narrowband evaluation is exact to first
 order in sigma_k/kappa and valid for |t| well inside (kappa/sigma_k) sigma_x.
 
-Grid fills exploit the tensor-product structure of both the Gauss-Legendre
-momentum box and the Cartesian spatial grid, reducing the Fourier sum to
-three small tensor contractions per field component.
+Every field observable starts from one set of x-independent node
+coefficients: per momentum node, the six components of the antisymmetric
+coefficient (or, for the potential, the polarization vector itself) weighted
+by the amplitude and the quadrature. Pointwise functions accept one spacetime
+point or an array of them and evaluate all points as phase-matrix products
+against those coefficients. Grid fills exploit the tensor-product structure
+of both the Gauss-Legendre momentum box and the Cartesian spatial grid,
+reducing the Fourier sum to three small tensor contractions per field
+component. The narrowband conservation integrals factorize over the three
+axes and are summed in separable form.
 
 Everything is in natural units; only ``localization_scale`` and the CLI
 convert to laboratory units via hbar*c.
@@ -166,85 +173,132 @@ class NarrowbandSpec:
 #: the box by 1.5 restores the same tail suppression for field quadratures.
 FIELD_BOX_SCALE = 1.5
 
+#: Spacetime points per phase block. On the default 48^3 field box an
+#: (8, N) complex phase block takes about 14 MB.
+POINT_BLOCK = 8
 
-def _node_data(psi: HelicityAmplitude):
+#: (mu, nu) index pairs of the six independent components of an antisymmetric
+#: tensor, in the order S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}.
+_MU = np.array([0, 0, 0, 2, 3, 1])
+_NU = np.array([1, 2, 3, 3, 1, 2])
+
+
+def _node_coefficients(
+    psi: HelicityAmplitude, gauge=None, tensor: bool = True, t: float = 0.0
+):
+    """x-independent node coefficients of the positive-frequency momentum integral.
+
+    Returns ``(box, pts, omega, C)`` on the field box. Row n of ``C`` holds
+    PREFACTOR w_n / sqrt(omega_n) e^{-i omega_n t} sum_lam psi_lam(k_n) times,
+    with ``tensor``, the six components (S^{01}, S^{02}, S^{03}, S^{23},
+    S^{31}, S^{12}) of k^mu eps^nu - k^nu eps^mu, or otherwise the four
+    components of eps^mu. ``gauge`` shifts every eps by gauge(k) k before
+    either is formed.
+    """
     box = BoxQuadrature(
         psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
     )
     pts = box.points()
-    w = box.weights()
     omega = np.linalg.norm(pts, axis=-1)
-    return box, pts, w, omega
+    base = PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
+    k4 = four_momentum(pts)
+    C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
+    for lam in HELICITIES:
+        if psi.component(lam) is None:
+            continue
+        eps4 = np.zeros((len(pts), 4), dtype=complex)
+        eps4[:, 1:] = polarization_spatial(pts, lam)
+        if gauge is not None:
+            eps4 = eps4 + np.asarray(gauge(pts), dtype=complex)[:, None] * k4
+        c = base * psi.evaluate(lam, pts)
+        if tensor:
+            # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps
+            for i in range(3):
+                C[:, i] += c * omega * eps4[:, 1 + i] - c * pts[:, i] * eps4[:, 0]
+            C[:, 3:] += c[:, None] * np.cross(pts, eps4[:, 1:])
+        else:
+            C += c[:, None] * eps4
+    return box, pts, omega, C
+
+
+def _sum_over_nodes(pts, omega, C, x) -> np.ndarray:
+    """sum_n exp(-i(omega_n t - k_n.x)) C_n at every spacetime point of ``x``.
+
+    ``x`` has shape (4,) or (..., 4); the result has shape (..., C.shape[1]).
+    Points go through in blocks of POINT_BLOCK, one phase-matrix product each.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (4,):
+        raise ValueError(f"spacetime points need a last axis of length 4, got {x.shape}")
+    flat = x.reshape(-1, 4)
+    out = np.empty((len(flat), C.shape[1]), dtype=complex)
+    for start in range(0, len(flat), POINT_BLOCK):
+        xb = flat[start : start + POINT_BLOCK]
+        arg = (
+            xb[:, 0:1] * omega
+            - xb[:, 1:2] * pts[:, 0]
+            - xb[:, 2:3] * pts[:, 1]
+            - xb[:, 3:4] * pts[:, 2]
+        )
+        phase = np.exp(-1j * arg)
+        if len(xb) == 1:
+            # a one-row product would take the matrix-vector kernel, which sums
+            # the nodes in another order than the blocked one
+            phase = np.vstack([phase, np.zeros_like(phase)])
+        out[start : start + len(xb)] = (phase @ C)[: len(xb)]
+    return out.reshape(x.shape[:-1] + (C.shape[1],))
 
 
 def positive_frequency_field(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
     """Complex positive-frequency tensor F^{(+)mu nu}(x); its term + c.c. is <F>.
 
+    ``x`` is one spacetime point (4,) or an array of them (..., 4); the result
+    has shape (..., 4, 4). The node coefficients are built once per call.
+
     ``gauge``: optional callable f(kpts) -> complex (N,) shifting every
     polarization vector by f(k) k; observables built from the antisymmetric
     coefficient are unchanged by it.
     """
-    x = np.asarray(x, dtype=float).reshape(4)
-    _, pts, w, omega = _node_data(psi)
-    phase = np.exp(-1j * (omega * x[0] - pts @ x[1:]))
-    base = PREFACTOR * w / np.sqrt(omega) * phase
-    k4 = four_momentum(pts)
-    S = np.zeros((4, 4), dtype=complex)
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
-        vals = psi.evaluate(lam, pts)
-        eps4 = np.zeros((len(pts), 4), dtype=complex)
-        eps4[:, 1:] = polarization_spatial(pts, lam)
-        if gauge is not None:
-            eps4 = eps4 + np.asarray(gauge(pts), dtype=complex)[:, None] * k4
-        c = base * vals
-        A = np.einsum("n,nu,nv->uv", c, k4, eps4)
-        S += A - A.T
+    _, pts, omega, C = _node_coefficients(psi, gauge)
+    comps = _sum_over_nodes(pts, omega, C, x)
+    S = np.zeros(comps.shape[:-1] + (4, 4), dtype=complex)
+    S[..., _MU, _NU] = comps
+    S[..., _NU, _MU] = -comps
     return S
 
 
 def field_expectation_exact(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
-    """Real antisymmetric <F^{mu nu}> at the spacetime point ``x``."""
+    """Real antisymmetric <F^{mu nu}> at the spacetime point(s) ``x``, shape (..., 4, 4)."""
     return 2.0 * positive_frequency_field(psi, x, gauge).real
 
 
 def sipe_wavefunction(psi: HelicityAmplitude, x) -> np.ndarray:
-    """Gauge-invariant 3-vector sqrt(2) F^{(+)0i}(x) = -sqrt(2) E^{(+)i}(x)."""
+    """Gauge-invariant 3-vector sqrt(2) F^{(+)0i}(x) = -sqrt(2) E^{(+)i}(x), shape (..., 3)."""
     S = positive_frequency_field(psi, x)
-    return math.sqrt(2.0) * S[0, 1:]
+    return math.sqrt(2.0) * S[..., 0, 1:]
 
 
-def bb_density(psi: HelicityAmplitude, x) -> float:
-    """Nonnegative energy-density-like scalar |E^{(+)}|^2 + |B^{(+)}|^2."""
+def bb_density(psi: HelicityAmplitude, x):
+    """Nonnegative energy-density-like scalar |E^{(+)}|^2 + |B^{(+)}|^2.
+
+    A float for one point (4,), an array of shape (...) for points (..., 4).
+    """
     S = positive_frequency_field(psi, x)
-    Ep = -S[0, 1:]
-    Bp = -np.array([S[2, 3], S[3, 1], S[1, 2]])
-    return float(np.sum(np.abs(Ep) ** 2) + np.sum(np.abs(Bp) ** 2))
+    Ep = -S[..., 0, 1:]
+    Bp = -S[..., _MU[3:], _NU[3:]]
+    rho = np.sum(np.abs(Ep) ** 2, axis=-1) + np.sum(np.abs(Bp) ** 2, axis=-1)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def vector_potential(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
     """Complex 4-potential (twice the positive-frequency part; real part physical).
 
-    In the canonical gauge the time component vanishes. Gauge shifts move the
-    potential but not the reconstructed field strengths.
+    ``x`` is (4,) or (..., 4); the result has shape (..., 4). In the canonical
+    gauge the time component vanishes. Gauge shifts move the potential but not
+    the reconstructed field strengths.
     """
-    x = np.asarray(x, dtype=float).reshape(4)
-    _, pts, w, omega = _node_data(psi)
-    phase = np.exp(-1j * (omega * x[0] - pts @ x[1:]))
-    base = PREFACTOR * w / np.sqrt(omega) * phase
-    k4 = four_momentum(pts)
-    A_plus = np.zeros(4, dtype=complex)
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
-        vals = psi.evaluate(lam, pts)
-        eps4 = np.zeros((len(pts), 4), dtype=complex)
-        eps4[:, 1:] = polarization_spatial(pts, lam)
-        if gauge is not None:
-            eps4 = eps4 + np.asarray(gauge(pts), dtype=complex)[:, None] * k4
-        A_plus += 1j * ((base * vals) @ eps4)
-    return 2.0 * A_plus
+    _, pts, omega, C = _node_coefficients(psi, gauge, tensor=False)
+    return 2j * _sum_over_nodes(pts, omega, C, x)
 
 
 # -- tensor-product grid fills -------------------------------------------------
@@ -261,27 +315,14 @@ def positive_frequency_grid(
     psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each."""
-    box, pts, w, omega = _node_data(psi)
+    box, _, _, C = _node_coefficients(psi, t=t)
     nq = box.npts
-    base = PREFACTOR * w / np.sqrt(omega) * np.exp(-1j * omega * t)
-    comps = [np.zeros(len(pts), dtype=complex) for _ in range(6)]
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
-        c = base * psi.evaluate(lam, pts)
-        eps = polarization_spatial(pts, lam)
-        cross = np.cross(pts, eps)
-        for i in range(3):
-            comps[i] += c * omega * eps[:, i]  # S^{0i}
-            comps[3 + i] += c * cross[:, i]  # S^{23}, S^{31}, S^{12}
     kx, ky, kz = box.axes()
     gx, gy, gz = grid.axes()
     Ax = np.exp(1j * np.outer(kx, gx))
     Ay = np.exp(1j * np.outer(ky, gy))
     Az = np.exp(1j * np.outer(kz, gz))
-    fields = [
-        _contract(comp.reshape(nq, nq, nq), Ax, Ay, Az) for comp in comps
-    ]
+    fields = [_contract(C[:, i].reshape(nq, nq, nq), Ax, Ay, Az) for i in range(6)]
     Ep = -np.stack(fields[:3], axis=-1)
     Bp = -np.stack(fields[3:], axis=-1)
     return Ep, Bp
@@ -356,6 +397,22 @@ def narrowband_grid(
     return FieldTensorGrid(grid, t, E, B, spec.kappa)
 
 
+def narrowband_relative_l2(
+    exact: FieldTensorGrid, spec: NarrowbandSpec, phase_offset: float = 0.0
+) -> float:
+    """Relative L2 difference of grid fields from the closed form on the same grid.
+
+    sqrt(sum |E - E_nb|^2 + |B - B_nb|^2) / sqrt(sum |E_nb|^2 + |B_nb|^2), with
+    the closed form sampled at the grid's time; it should scale linearly with
+    sigma_k / kappa.
+    """
+    closed = narrowband_grid(spec, exact.grid, exact.t, phase_offset)
+    return math.sqrt(
+        float(np.sum((exact.E - closed.E) ** 2 + (exact.B - closed.B) ** 2))
+        / float(np.sum(closed.E**2 + closed.B**2))
+    )
+
+
 # -- grid integrals --------------------------------------------------------------
 
 
@@ -389,39 +446,24 @@ def energy_momentum_integrals(ftg: FieldTensorGrid) -> np.ndarray:
 def narrowband_energy_momentum(
     spec: NarrowbandSpec, grid: SpatialGrid, t: float = 0.0
 ) -> np.ndarray:
-    """Streamed (slab by slab) version of the conservation integrals.
+    """Conservation integrals of the narrowband fields, without materializing them.
 
-    Identical mathematics to building the full FieldTensorGrid and calling
-    :func:`energy_momentum_integrals`, but never materializes the fields;
-    use for carrier-resolving grids too large for memory.
+    The same trapezoid sum as building the full FieldTensorGrid and calling
+    :func:`energy_momentum_integrals`, evaluated in separable form. The
+    narrowband E and B are transverse, perpendicular and of equal size
+    sqrt(kappa) G, so u = S_z = kappa G^2 and S_x = S_y = 0. G^2 factorizes
+    over x, y and z - t, so the sum over n^3 cells is kappa (2 pi sigma_x^2)^{-3/2}
+    times a product of three one-axis sums of w_a exp(-g_a^2 / (2 sigma_x^2)).
     """
     _require_carrier_resolved(grid, spec.kappa)
     _warn_if_spreading(spec, t)
-    gx, gy, gz = grid.axes()
-    wx, wy, wz = grid.trapezoid_weights()
-    wxy = np.outer(wx, wy)
-    # Transverse Gaussian factor is z-independent; only the z-envelope, carrier
-    # phase and weights change per slab.
     sx2 = spec.sigma_x**2
-    norm = (2.0 * math.pi * sx2) ** -0.75
-    gauss_x = np.exp(-(gx**2) / (4.0 * sx2))
-    gauss_y = np.exp(-(gy**2) / (4.0 * sx2))
-    trans = norm * np.outer(gauss_x, gauss_y)
-    root = math.sqrt(spec.kappa)
-    energy = 0.0
-    momentum = np.zeros(3)
-    for iz, z in enumerate(gz):
-        G = trans * math.exp(-((z - t) ** 2) / (4.0 * sx2))
-        chi = spec.kappa * (z - t)
-        c, s = math.cos(chi), math.sin(chi)
-        Ex, Ey = root * G * c, -root * G * s
-        Bx, By = root * G * s, root * G * c
-        u = 0.5 * (Ex * Ex + Ey * Ey + Bx * Bx + By * By)
-        # E and B are transverse, so the Poynting flux is purely along z
-        sz = Ex * By - Ey * Bx
-        energy += wz[iz] * float(np.sum(u * wxy))
-        momentum[2] += wz[iz] * float(np.sum(sz * wxy))
-    return np.array([energy, *momentum])
+    axis_sums = [
+        float(np.sum(w * np.exp(-((g - shift) ** 2) / (2.0 * sx2))))
+        for g, w, shift in zip(grid.axes(), grid.trapezoid_weights(), (0.0, 0.0, t))
+    ]
+    flux = spec.kappa * (2.0 * math.pi * sx2) ** -1.5 * math.prod(axis_sums)
+    return np.array([flux, 0.0, 0.0, flux])
 
 
 def energy_expectation(psi: HelicityAmplitude) -> float:
@@ -464,14 +506,9 @@ def maxwell_residual(psi: HelicityAmplitude, x, h: float) -> tuple[float, float]
     fields give O(h^2) values that quarter when h halves.
     """
     x = np.asarray(x, dtype=float).reshape(4)
-    dF = np.zeros((4, 4, 4))
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        dF[mu] = (
-            field_expectation_exact(psi, x + step)
-            - field_expectation_exact(psi, x - step)
-        ) / (2.0 * h)
+    steps = h * np.eye(4)
+    F = field_expectation_exact(psi, np.concatenate([x + steps, x - steps]))
+    dF = (F[:4] - F[4:]) / (2.0 * h)
     scale = float(np.max(np.abs(dF)))
     if scale == 0.0:
         return 0.0, 0.0

@@ -167,6 +167,20 @@ def test_fields_exact_mode_agrees_with_narrowband_summary(tmp_path, capsys):
     assert diff / kappa <= 2 * ratio
 
 
+def test_fields_grid_follows_the_packet_in_time(tmp_path, capsys):
+    # the packet travels along +z, so a grid left at the origin loses it
+    energies = {}
+    for time in (0.0, 10.0):
+        code, payload = run_cli(
+            capsys, "fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08",
+            "--mode", "exact", "--time", str(time), "--n", "66", "--extent", "4",
+            "--out", str(tmp_path / f"t{time}.csv"), "--no-timestamp",
+        )
+        assert code == 0
+        energies[time] = payload["energy_over_kappa"]
+    assert energies[10.0] == pytest.approx(energies[0.0], abs=1e-2)
+
+
 def test_fields_under_resolved_exits_one(tmp_path, capsys):
     out = tmp_path / "fields.csv"
     code = main(

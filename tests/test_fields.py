@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from photonamp.amplitudes import HelicityAmplitude, gaussian_wavepacket
 from photonamp.fields import (
     HBARC_EV_UM,
+    POINT_BLOCK,
     FieldTensorGrid,
     NarrowbandSpec,
     NarrowbandValidityWarning,
@@ -193,6 +194,33 @@ class TestConservationIntegrals:
         ftg = FieldTensorGrid(grid, 0.0, np.zeros(shape), np.zeros(shape))
         assert_allclose(energy_momentum_integrals(ftg), np.zeros(4), atol=0)
 
+    @staticmethod
+    def _resolved_grid(spec, center=(0.0, 0.0, 0.0)):
+        limit = (2 * math.pi / KAPPA) / 8
+        n = math.ceil(12 * spec.sigma_x / limit) + 1
+        return SpatialGrid.centered(6 * spec.sigma_x, n, center=center)
+
+    def test_separable_matches_materialized_at_later_time(self):
+        spec = NarrowbandSpec(KAPPA, 0.1)
+        grid = self._resolved_grid(spec)
+        t = 4.0
+        separable = narrowband_energy_momentum(spec, grid, t)
+        materialized = energy_momentum_integrals(narrowband_grid(spec, grid, t))
+        assert_allclose(separable, materialized, rtol=1e-12, atol=1e-12)
+
+    def test_separable_matches_materialized_off_origin(self):
+        spec = NarrowbandSpec(KAPPA, 0.1)
+        grid = self._resolved_grid(spec, center=(1.5, -2.0, 3.0))
+        separable = narrowband_energy_momentum(spec, grid)
+        materialized = energy_momentum_integrals(narrowband_grid(spec, grid))
+        assert_allclose(separable, materialized, rtol=1e-12, atol=1e-12)
+
+    def test_late_time_integral_warns(self):
+        spec = NarrowbandSpec(KAPPA, 0.1)
+        grid = self._resolved_grid(spec)
+        with pytest.warns(NarrowbandValidityWarning):
+            narrowband_energy_momentum(spec, grid, 0.5 * spec.spreading_window)
+
     def test_unresolved_carrier_rejected(self):
         spec = NarrowbandSpec(KAPPA, 0.05)
         grid = SpatialGrid.centered(6 * spec.sigma_x, 16)
@@ -256,6 +284,56 @@ class TestPositiveFrequency:
                 packet, x, gauge=lambda pts: c * np.linalg.norm(pts, axis=-1)
             )
             assert np.max(np.abs(gauged - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+class TestBatchedPoints:
+    @staticmethod
+    def _points(shape, seed=3):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=2.0, size=shape + (4,))
+        x[..., 0] = rng.uniform(-1.0, 1.0, size=shape)
+        return x
+
+    def test_shape_contract(self, packet):
+        assert positive_frequency_field(packet, [0.1, 0.2, 0.3, 0.4]).shape == (4, 4)
+        for shape in [(5,), (2, 3)]:
+            x = self._points(shape)
+            assert positive_frequency_field(packet, x).shape == shape + (4, 4)
+            assert field_expectation_exact(packet, x).shape == shape + (4, 4)
+            assert sipe_wavefunction(packet, x).shape == shape + (3,)
+            assert bb_density(packet, x).shape == shape
+            assert vector_potential(packet, x).shape == shape + (4,)
+        assert isinstance(bb_density(packet, [0.0, 0, 0, 0]), float)
+
+    def test_block_edges_match_single_points(self, packet):
+        x = self._points((2 * POINT_BLOCK + 3,))
+        batched = positive_frequency_field(packet, x)
+        single = np.array([positive_frequency_field(packet, xi) for xi in x])
+        scale = np.max(np.abs(single))
+        assert np.max(np.abs(batched - single)) <= 1e-15 * scale
+
+    def test_derived_observables_match_single_points(self, packet):
+        x = self._points((4,), seed=5)
+        rho = bb_density(packet, x)
+        sipe = sipe_wavefunction(packet, x)
+        A = vector_potential(packet, x)
+        sipe_scale, A_scale = np.max(np.abs(sipe)), np.max(np.abs(A))
+        for i, xi in enumerate(x):
+            assert rho[i] == pytest.approx(bb_density(packet, xi), rel=1e-13)
+            assert np.max(np.abs(sipe[i] - sipe_wavefunction(packet, xi))) <= 1e-15 * sipe_scale
+            assert np.max(np.abs(A[i] - vector_potential(packet, xi))) <= 1e-15 * A_scale
+
+    def test_gauge_shift_invisible_on_a_batch(self, packet):
+        x = self._points((POINT_BLOCK + 1,), seed=7)
+        base = positive_frequency_field(packet, x)
+        gauged = positive_frequency_field(
+            packet, x, gauge=lambda pts: (0.4 - 1.1j) * np.linalg.norm(pts, axis=-1)
+        )
+        assert np.max(np.abs(gauged - base)) <= 1e-12 * np.max(np.abs(base))
+
+    def test_rejects_points_without_four_components(self, packet):
+        with pytest.raises(ValueError):
+            positive_frequency_field(packet, np.zeros((2, 3)))
 
 
 class TestVectorPotential:
