@@ -12,12 +12,16 @@ Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. Angles are
 radians; energies cross the boundary in eV (natural units inside). JSON
 output carries ``"schema": 1`` and, unless ``--no-timestamp`` is given, a
 ``generated_at`` field (excluded so reports can be compared byte for byte).
+
+The ``fields`` CSV has the header ``x,y,z,Ex,Ey,Ez,Bx,By,Bz`` and one line per
+grid node, z fastest, ending in ``\r\n``. Each value is the shortest ``repr``
+of its float, so it parses back to the identical float64. ``--units ev-um``
+scales the coordinates only; E and B stay in natural units.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -68,6 +72,20 @@ def _parse_vec(text: str, n: int) -> list[float]:
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers")
     return parts
+
+
+def _grid_points(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError("a grid needs at least 2 points per axis")
+    return n
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError("must be positive")
+    return value
 
 
 def _cmd_verify(args) -> int:
@@ -151,6 +169,25 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+def _write_fields_csv(path, grid, ftg, scale: float) -> None:
+    """One line per grid node, z fastest; every value is its shortest ``repr``.
+
+    Coordinate text is formatted once per axis, and the E/B values one
+    (ix, iy) row of cells at a time, so no full-size copy of the grid is made.
+    """
+    gx, gy, gz = ([repr(v) for v in (axis * scale).tolist()] for axis in grid.axes())
+    line = "%r,%r,%r,%r,%r,%r\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write("x,y,z,Ex,Ey,Ez,Bx,By,Bz\r\n")
+        for ix, x in enumerate(gx):
+            for iy, y in enumerate(gy):
+                row = np.concatenate((ftg.E[ix, iy], ftg.B[ix, iy]), axis=1).tolist()
+                head = f"{x},{y},"
+                handle.writelines(
+                    f"{head}{z}," + line % tuple(v) for z, v in zip(gz, row)
+                )
+
+
 def _cmd_fields(args) -> int:
     kappa = args.kappa_ev
     sigma = args.sigma_ratio * kappa
@@ -170,23 +207,11 @@ def _cmd_fields(args) -> int:
         print(f"grid too coarse: {exc}", file=sys.stderr)
         return 1
 
-    scale = HBARC_EV_UM if args.units == "ev-um" else 1.0
-    gx, gy, gz = grid.axes()
-    with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "y", "z", "Ex", "Ey", "Ez", "Bx", "By", "Bz"])
-        for ix in range(grid.npts):
-            for iy in range(grid.npts):
-                for iz in range(grid.npts):
-                    writer.writerow(
-                        [
-                            repr(float(gx[ix] * scale)),
-                            repr(float(gy[iy] * scale)),
-                            repr(float(gz[iz] * scale)),
-                            *[repr(float(v)) for v in ftg.E[ix, iy, iz]],
-                            *[repr(float(v)) for v in ftg.B[ix, iy, iz]],
-                        ]
-                    )
+    try:
+        _write_fields_csv(args.out, grid, ftg, HBARC_EV_UM if args.units == "ev-um" else 1.0)
+    except OSError as exc:
+        print(f"cannot write CSV: {exc}", file=sys.stderr)
+        return 2
     _emit(
         {
             "schema": 1,
@@ -268,9 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fields", help="sample E/B on a grid and integrate", parents=[common])
     p.add_argument("--kappa-ev", type=float, required=True)
     p.add_argument("--sigma-ratio", type=float, required=True)
-    p.add_argument("--n", type=int, required=True, help="grid points per axis")
+    p.add_argument("--n", type=_grid_points, required=True, help="grid points per axis (>= 2)")
     p.add_argument(
-        "--extent", type=float, default=6.0, help="half-extent in units of sigma_x"
+        "--extent", type=_positive, default=6.0, help="half-extent in units of sigma_x"
     )
     p.add_argument("--time", type=float, default=0.0)
     p.add_argument("--mode", default="narrowband", choices=("exact", "narrowband"))

@@ -88,6 +88,8 @@ class SpatialGrid:
     def centered(cls, halfwidth, npts: int, center=(0.0, 0.0, 0.0)) -> "SpatialGrid":
         halfwidth = np.broadcast_to(np.asarray(halfwidth, dtype=float), (3,)).copy()
         center = np.asarray(center, dtype=float).reshape(3)
+        if npts < 2:
+            raise ValueError("grid spacing must be positive and npts >= 2")
         spacing = 2.0 * halfwidth / (npts - 1)
         return cls(center - halfwidth, spacing, npts)
 

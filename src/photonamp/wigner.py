@@ -27,7 +27,6 @@ import numpy as np
 
 from .lorentz import (
     AxisAngle,
-    four_momentum,
     is_proper_orthochronous,
     is_rotation,
     lorentz_inverse,
@@ -173,10 +172,3 @@ def wigner_phase_boost_closed(zeta, k) -> complex:
     if abs(raw) <= _DEGENERATE_TOL:
         raise ValueError("undefined half-phase")
     return raw / abs(raw)
-
-
-def boost_of_momentum(Lambda, kvec) -> np.ndarray:
-    """Spatial part of Lambda applied to on-shell momenta of shape (..., 3)."""
-    Lambda = np.asarray(Lambda, dtype=float)
-    k4 = four_momentum(kvec)
-    return (k4 @ Lambda.T)[..., 1:]

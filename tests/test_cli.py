@@ -1,10 +1,20 @@
+import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from photonamp.amplitudes import gaussian_wavepacket
 from photonamp.cli import main
+from photonamp.fields import (
+    HBARC_EV_UM,
+    NarrowbandSpec,
+    SpatialGrid,
+    field_expectation_grid,
+    narrowband_grid,
+)
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +199,81 @@ def test_fields_under_resolved_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "n >=" in capsys.readouterr().err
+
+
+def reference_fields_csv(path, grid, ftg, scale):
+    """The per-cell ``csv.writer`` loop the CLI's writer must match byte for byte."""
+    gx, gy, gz = grid.axes()
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["x", "y", "z", "Ex", "Ey", "Ez", "Bx", "By", "Bz"])
+        for ix in range(grid.npts):
+            for iy in range(grid.npts):
+                for iz in range(grid.npts):
+                    writer.writerow(
+                        [
+                            repr(float(gx[ix] * scale)),
+                            repr(float(gy[iy] * scale)),
+                            repr(float(gz[iz] * scale)),
+                            *[repr(float(v)) for v in ftg.E[ix, iy, iz]],
+                            *[repr(float(v)) for v in ftg.B[ix, iy, iz]],
+                        ]
+                    )
+
+
+@pytest.mark.parametrize("units", ["natural", "ev-um"])
+@pytest.mark.parametrize("mode", ["exact", "narrowband"])
+def test_fields_csv_bytes_match_the_per_cell_writer(tmp_path, capsys, mode, units):
+    kappa, ratio, extent, n = 3.3, 0.08, 1.5, 26
+    out = tmp_path / "fields.csv"
+    code, _ = run_cli(
+        capsys, "fields", "--kappa-ev", str(kappa), "--sigma-ratio", str(ratio),
+        "--n", str(n), "--extent", str(extent), "--mode", mode, "--units", units,
+        "--out", str(out), "--no-timestamp",
+    )
+    assert code == 0
+
+    spec = NarrowbandSpec(kappa, ratio * kappa)
+    grid = SpatialGrid.centered(extent * spec.sigma_x, n)
+    if mode == "narrowband":
+        ftg = narrowband_grid(spec, grid, 0.0)
+    else:
+        psi = gaussian_wavepacket([0.0, 0.0, kappa], spec.sigma_k, 1)
+        ftg = field_expectation_grid(psi, grid, 0.0)
+    scale = HBARC_EV_UM if units == "ev-um" else 1.0
+    reference = tmp_path / "reference.csv"
+    reference_fields_csv(reference, grid, ftg, scale)
+    assert out.read_bytes() == reference.read_bytes()
+
+    table = np.loadtxt(out, delimiter=",", skiprows=1)
+    coords = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+    assert np.array_equal(table[:, :3], coords * scale)
+    assert np.array_equal(table[:, 3:6], ftg.E.reshape(-1, 3))
+    assert np.array_equal(table[:, 6:], ftg.B.reshape(-1, 3))
+
+
+def test_fields_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "fields.csv"
+    code = main(
+        ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "26",
+         "--extent", "1.5", "--out", str(out)]
+    )
+    assert code == 2
+    assert "cannot write CSV" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [["--n", "1"], ["--n", "0"], ["--n", "-3"],
+                                 ["--extent", "0"], ["--extent", "-1"]])
+def test_fields_bad_grid_size_is_a_usage_error(tmp_path, capsys, bad):
+    argv = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "26",
+            "--out", str(tmp_path / "fields.csv"), *bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+    assert excinfo.value.code == 2
+    assert not (tmp_path / "fields.csv").exists()
 
 
 def test_verify_suite_report(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,12 @@ class TestConservationIntegrals:
         streamed = narrowband_energy_momentum(spec, grid)
         materialized = energy_momentum_integrals(narrowband_grid(spec, grid))
         assert_allclose(streamed, materialized, rtol=1e-12, atol=1e-12)
+
+    def test_one_point_grid_is_refused_before_dividing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="npts >= 2"):
+                SpatialGrid.centered(1.0, 1)
 
     def test_zero_field_integrates_to_zero(self):
         grid = SpatialGrid.centered(1.0, 8)
