@@ -31,7 +31,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lorentz import AxisAngle, boost_matrix, four_momentum, rapidity_from_beta, rotation3
+from .lorentz import (
+    AxisAngle,
+    azimuth_phase,
+    boost_matrix,
+    four_momentum,
+    rapidity_from_beta,
+    rotation3,
+)
 from .quadrature import BoxQuadrature, mapped_box, union_box
 from .wigner import boost_half_phase, rotation_half_phase
 
@@ -79,12 +86,9 @@ def op_from_json(obj: dict) -> TransformOp:
 
 
 def _phase_2phi(k: np.ndarray) -> np.ndarray:
-    """e^{2 i phi_k} with the azimuth fixed to zero on the polar axis."""
-    kx, ky = k[..., 0], k[..., 1]
-    perp = np.hypot(kx, ky)
-    u = np.where(perp > 0.0, kx + 1j * ky, 1.0)
-    u = u / np.abs(u)
-    return u * u
+    """e^{2 i phi_k}, with ``azimuth_phase``'s convention on the polar axis."""
+    eiphi = azimuth_phase(k)
+    return eiphi * eiphi
 
 
 class HelicityAmplitude:

@@ -23,6 +23,10 @@ import numpy as np
 from .lorentz import (
     AxisAngle,
     Z_HAT,
+    _atan2,
+    _require,
+    _tan,
+    _unstack,
     boost_matrix,
     rotation_matrix,
     rotation_z,
@@ -32,74 +36,71 @@ K0_NULL = np.array([1.0, 0.0, 0.0, 1.0])  # reference null direction (kappa = 1)
 _Z_MINUS_NULL = np.array([1.0, 0.0, 0.0, -1.0])
 
 
-def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not 0.0 < theta < math.pi:
-        raise ValueError("degenerate isoenergetic direction")
+def _check_theta(theta) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    _require((0.0 < theta) & (theta < math.pi), "degenerate isoenergetic direction")
     return theta
 
 
-def isoenergetic_velocity(theta: float, phi: float) -> np.ndarray:
+def isoenergetic_velocity(theta, phi) -> np.ndarray:
     """Boost velocity along the direction (theta, phi) that preserves the energy of k0.
 
     The signed speed is -2 cos(theta)/(1 + cos^2 theta): negative for
     theta < pi/2, zero in the transverse plane, and approaching light speed
     at the poles (which are rejected).
     """
-    theta = _check_theta(theta)
-    c = math.cos(theta)
+    theta, phi = np.broadcast_arrays(_check_theta(theta), np.asarray(phi, dtype=float))
+    c, s = np.cos(theta), np.sin(theta)
     speed = -2.0 * c / (1.0 + c * c)
-    direction = np.array(
-        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), c]
-    )
-    return speed * direction
+    direction = np.stack([s * np.cos(phi), s * np.sin(phi), c], axis=-1)
+    return speed[..., None] * direction
 
 
-def final_polar_angle(theta: float) -> float:
+def final_polar_angle(theta):
     """Signed polar angle, in (-pi, pi), of k0's momentum after the isoenergetic boost."""
-    theta = _check_theta(theta)
-    return 2.0 * theta - math.pi
+    return _unstack(2.0 * _check_theta(theta) - math.pi)
 
 
-def alpha_from_angles(theta: float, phi: float) -> np.ndarray:
+def alpha_from_angles(theta, phi) -> np.ndarray:
     """Abelian parameter alpha = -2 cot(theta) (cos phi, sin phi) of the boost-rotation."""
     theta = _check_theta(theta)
-    scale = -2.0 / math.tan(theta)
-    return scale * np.array([math.cos(phi), math.sin(phi)])
+    phi = np.asarray(phi, dtype=float)
+    scale = -2.0 / _tan(theta)
+    return scale[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
 def ibr_matrix(alpha) -> np.ndarray:
     """Closed-form matrix of the isoenergetic boost-rotation with parameter ``alpha``.
 
     Quadratic in alpha and exactly fixes (kappa, 0, 0, kappa) for every kappa.
+    Takes ``(..., 2)`` and returns ``(..., 4, 4)``.
     """
-    ax, ay = float(alpha[0]), float(alpha[1])
-    a2 = ax * ax + ay * ay
-    return np.array(
-        [
-            [1.0 + 0.5 * a2, ax, ay, -0.5 * a2],
-            [ax, 1.0, 0.0, -ax],
-            [ay, 0.0, 1.0, -ay],
-            [0.5 * a2, ax, ay, 1.0 - 0.5 * a2],
-        ]
-    )
+    alpha = np.asarray(alpha, dtype=float)
+    ax, ay = alpha[..., 0], alpha[..., 1]
+    half = 0.5 * (ax * ax + ay * ay)
+    one, zero = np.ones_like(ax), np.zeros_like(ax)
+    entries = [
+        one + half, ax, ay, -half,
+        ax, one, zero, -ax,
+        ay, zero, one, -ay,
+        half, ax, ay, one - half,
+    ]
+    return np.stack(entries, axis=-1).reshape(ax.shape + (4, 4))
 
 
-def ibr_physical_factors(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+def ibr_physical_factors(theta, phi) -> tuple[np.ndarray, np.ndarray]:
     """(rotation, boost) pair whose product equals ``ibr_matrix(alpha_from_angles(...))``.
 
     The boost is the isoenergetic boost; the rotation turns the boosted
     momentum (at signed polar angle ``final_polar_angle(theta)``, azimuth phi)
     back to +z. Its axis is the in-plane normal z_hat x u1 with angle
     -final_polar_angle; this orientation is fixed by requiring the product to
-    fix k0.
+    fix k0. Angles of shape ``(...)`` give two ``(..., 4, 4)`` stacks.
     """
-    theta = _check_theta(theta)
+    theta, phi = np.broadcast_arrays(_check_theta(theta), np.asarray(phi, dtype=float))
     boost = boost_matrix(isoenergetic_velocity(theta, phi))
-    psi0 = final_polar_angle(theta)
-    u1 = np.array([math.cos(phi), math.sin(phi), 0.0])
-    axis = np.cross(Z_HAT, u1)
-    rot = rotation_matrix(AxisAngle(axis, -psi0))
+    u1 = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
+    rot = rotation_matrix(AxisAngle(np.cross(Z_HAT, u1), -final_polar_angle(theta)))
     return rot, boost
 
 
@@ -120,27 +121,28 @@ def decompose_little_group(M, tol: float = 1e-10) -> LittleGroupElement:
     The abelian parameter is read off from the action on the opposite null
     direction (1,0,0,-1), which z-rotations leave invariant; gamma then comes
     from the x-y block of the rotation remainder. Raises ValueError when M
-    does not fix k0 or does not reconstruct.
+    does not fix k0 or does not reconstruct. A stack ``(..., 4, 4)`` gives
+    gamma ``(...)`` and alpha ``(..., 2)``.
     """
     M = np.asarray(M, dtype=float)
-    if float(np.max(np.abs(M @ K0_NULL - K0_NULL))) > tol:
-        raise ValueError("not a little-group element of k0")
+    _require(
+        np.max(np.abs(M @ K0_NULL - K0_NULL), axis=-1) <= tol,
+        "not a little-group element of k0",
+    )
     image = M @ _Z_MINUS_NULL
     # In the factorization ibr(alpha') R_z(gamma), the opposite null direction
     # picks out alpha' directly: image = (1+|a|^2, 2ax, 2ay, |a|^2-1).
-    alpha_rot = 0.5 * image[1:3]
+    alpha_rot = 0.5 * image[..., 1:3]
     remainder = ibr_matrix(-alpha_rot) @ M
-    gamma = math.atan2(remainder[2, 1], remainder[1, 1])
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    alpha = np.array(
-        [
-            cg * alpha_rot[0] + sg * alpha_rot[1],
-            -sg * alpha_rot[0] + cg * alpha_rot[1],
-        ]
+    gamma = _atan2(remainder[..., 2, 1], remainder[..., 1, 1])
+    cg, sg = np.cos(gamma), np.sin(gamma)
+    ax, ay = alpha_rot[..., 0], alpha_rot[..., 1]
+    alpha = np.stack([cg * ax + sg * ay, -sg * ax + cg * ay], axis=-1)
+    element = LittleGroupElement(_unstack(gamma), alpha)
+    _require(
+        np.max(np.abs(element.matrix() - M), axis=(-2, -1)) <= max(tol, 1e-8),
+        "matrix does not factor as R_z(gamma) * ibr(alpha)",
     )
-    element = LittleGroupElement(gamma, alpha)
-    if float(np.max(np.abs(element.matrix() - M))) > max(tol, 1e-8):
-        raise ValueError("matrix does not factor as R_z(gamma) * ibr(alpha)")
     return element
 
 

@@ -8,8 +8,28 @@ Conventions used throughout the package:
 * natural units (hbar = c = 1), so momenta carry energy units and positions
   inverse-energy units.
 
-Four-vectors are plain ``numpy`` arrays of shape ``(4,)`` (or ``(..., 4)``
-where broadcasting is supported); Lorentz matrices are ``(4, 4)`` arrays.
+Four-vectors are plain ``numpy`` arrays of shape ``(4,)``; Lorentz matrices
+are ``(4, 4)`` arrays.
+
+Stacks. Every function here also takes a stack of inputs and broadcasts over
+its leading axes:
+
+* ``AxisAngle`` (axis ``(..., 3)``, angle ``(...)``), ``rotation3``
+  (``(..., 3, 3)`` out), ``rotation_matrix``, ``su2_matrix``
+  (``(..., 2, 2)`` out), ``rotation_z`` / ``rotation_y`` (angle ``(...)``);
+* ``boost_matrix``, ``rapidity_from_beta``, ``beta_from_rapidity``
+  (``(..., 3)`` in);
+* ``polar_azimuth``, ``azimuth_phase``, ``standard_rotation`` (``(..., 3)``
+  in), ``standard_boost_z`` (energy ``(...)``), ``standard_lorentz``,
+  ``is_lightlike``, ``require_lightlike`` and ``four_momentum``
+  (``(..., 4)`` or ``(..., 3)`` in);
+* ``metric_residual``, ``lorentz_inverse``, ``is_rotation`` and
+  ``is_proper_orthochronous`` (``(..., 4, 4)`` in).
+
+Matrices come out as ``(..., 4, 4)``, and scalars per row as ``(...)``. A
+single input gives a ``(4, 4)`` array, or a Python ``float`` or ``bool``; a
+stack gives, row by row, what the single calls give. Bad input raises
+``ValueError``; for a stack, the message ends with the first bad row.
 """
 
 from __future__ import annotations
@@ -30,6 +50,83 @@ _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+# -- stack helpers ----------------------------------------------------------
+
+
+def _per_element(func, nin: int = 1):
+    """The Python scalar function ``func`` applied to each element, as a float array.
+
+    numpy's SIMD kernels for acos, atan2, the hyperbolic functions, tan, pow
+    and complex abs can differ from the C library in the last bit. Going
+    through the scalar function keeps a stack bit for bit equal to the single
+    calls it stands for, and a single call equal to plain Python arithmetic.
+    """
+    ufunc = np.frompyfunc(func, nin, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
+
+
+_acos = _per_element(math.acos)
+_atan2 = _per_element(math.atan2, 2)
+_atanh = _per_element(math.atanh)
+_tanh = _per_element(math.tanh)
+_cosh = _per_element(math.cosh)
+_sinh = _per_element(math.sinh)
+_tan = _per_element(math.tan)
+_pow = _per_element(math.pow, 2)
+_cabs = _per_element(abs)
+
+
+def _unstack(x):
+    """A 0-d result as a Python scalar; a stack as it is."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
+def _require(ok, message) -> None:
+    """Raise ValueError unless ``ok`` holds everywhere.
+
+    ``message`` is the text, or a function of the first bad index that
+    returns it; a stack's message ends with that row.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    if ok.all():
+        return
+    at = np.unravel_index(np.argmin(ok), ok.shape)
+    text = message(at) if callable(message) else message
+    if ok.ndim:
+        row = int(at[0]) if ok.ndim == 1 else tuple(int(i) for i in at)
+        text = f"{text} (row {row})"
+    raise ValueError(text)
+
+
+def _dot(a, b) -> np.ndarray:
+    """Inner product over the last axis, as ``a @ b`` computes it for one pair."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.asarray((a[..., None, :] @ b[..., :, None])[..., 0, 0])
+
+
+def _norm(v) -> np.ndarray:
+    """Euclidean norm over the last axis, with ``np.linalg.norm``'s bits for one vector."""
+    return np.sqrt(_dot(v, v))
+
+
+def _apply(M, v) -> np.ndarray:
+    """Matrix-vector product ``M @ v`` over a stack of matrices and vectors."""
+    return (M @ np.asarray(v)[..., None])[..., 0]
+
+
+def _identity(shape) -> np.ndarray:
+    """A writable stack of 4x4 identities."""
+    return np.broadcast_to(np.eye(4), tuple(shape) + (4, 4)).copy()
+
+
+def _transpose(L) -> np.ndarray:
+    return np.swapaxes(L, -1, -2)
+
+
+# -- four-vectors -----------------------------------------------------------
+
+
 def minkowski(a, b):
     """Minkowski product a.b with signature (+,-,-,-); broadcasts over leading axes."""
     a = np.asarray(a)
@@ -44,25 +141,32 @@ def four_momentum(kvec) -> np.ndarray:
     return np.concatenate([omega[..., None], k], axis=-1)
 
 
-def is_lightlike(k, tol: float = 1e-9) -> bool:
+def is_lightlike(k, tol: float = 1e-9):
     k = np.asarray(k, dtype=float)
-    if k.shape != (4,) or k[0] <= 0.0:
+    if k.ndim == 0 or k.shape[-1] != 4:
         return False
-    return abs(minkowski(k, k)) <= tol * k[0] ** 2
+    energy = k[..., 0]
+    return _unstack((energy > 0.0) & (np.abs(minkowski(k, k)) <= tol * energy**2))
 
 
 def require_lightlike(k, tol: float = 1e-9) -> np.ndarray:
     k = np.asarray(k, dtype=float)
-    if not is_lightlike(k, tol):
-        raise ValueError(f"momentum {k!r} is not lightlike with positive energy")
+    _require(
+        is_lightlike(k, tol),
+        lambda at: f"momentum {k[at]!r} is not lightlike with positive energy",
+    )
     return k
+
+
+# -- rotations and boosts ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class AxisAngle:
     """Rotation by ``angle`` (radians) about the unit 3-vector ``axis``.
 
-    The axis is normalized on construction; a zero axis is rejected.
+    The axis is normalized on construction; a zero axis is rejected. A stack
+    pairs axes ``(..., 3)`` with angles ``(...)``.
     """
 
     axis: np.ndarray
@@ -70,91 +174,106 @@ class AxisAngle:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float)
-        n = np.linalg.norm(axis)
-        if axis.shape != (3,) or n < 1e-12:
+        if axis.ndim == 0 or axis.shape[-1] != 3:
             raise ValueError("rotation axis must be a nonzero 3-vector")
-        object.__setattr__(self, "axis", axis / n)
-        object.__setattr__(self, "angle", float(self.angle))
+        n = _norm(axis)
+        _require(n >= 1e-12, "rotation axis must be a nonzero 3-vector")
+        object.__setattr__(self, "axis", axis / n[..., None])
+        object.__setattr__(self, "angle", _unstack(np.asarray(self.angle, dtype=float)))
 
 
 def rotation3(r: AxisAngle) -> np.ndarray:
     """Active 3x3 rotation matrix (right-hand rule) for an axis-angle pair."""
     n = r.axis
-    c, s = math.cos(r.angle), math.sin(r.angle)
-    cross = np.array(
-        [
-            [0.0, -n[2], n[1]],
-            [n[2], 0.0, -n[0]],
-            [-n[1], n[0], 0.0],
-        ]
-    )
-    return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(n, n)
+    angle = np.asarray(r.angle)
+    c, s = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    zero = np.zeros_like(x)
+    cross = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
+    cross = cross.reshape(n.shape[:-1] + (3, 3))
+    return c * np.eye(3) + s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
 
 
 def rotation_matrix(r: AxisAngle) -> np.ndarray:
     """4x4 spatial rotation: trivial time row/column, rotation3 block."""
-    out = np.eye(4)
-    out[1:, 1:] = rotation3(r)
+    R3 = rotation3(r)
+    out = _identity(R3.shape[:-2])
+    out[..., 1:, 1:] = R3
     return out
 
 
-def rotation_z(angle: float) -> np.ndarray:
+def rotation_z(angle) -> np.ndarray:
     return rotation_matrix(AxisAngle(Z_HAT, angle))
 
 
-def rotation_y(angle: float) -> np.ndarray:
+def rotation_y(angle) -> np.ndarray:
     return rotation_matrix(AxisAngle(Y_HAT, angle))
 
 
 def boost_matrix(beta) -> np.ndarray:
     """Active boost by 3-velocity ``beta``; maps (m,0,0,0) to m*(gamma, gamma*beta).
 
-    Raises ValueError for superluminal speeds.
+    Raises ValueError for superluminal speeds; a zero velocity gives the
+    identity.
     """
     beta = np.asarray(beta, dtype=float)
-    b2 = float(beta @ beta)
-    if b2 >= 1.0:
-        raise ValueError("superluminal boost")
-    if b2 == 0.0:
-        return np.eye(4)
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    out = np.eye(4)
-    out[0, 0] = gamma
-    out[0, 1:] = gamma * beta
-    out[1:, 0] = gamma * beta
-    out[1:, 1:] += (gamma - 1.0) / b2 * np.outer(beta, beta)
-    return out
+    b2 = _dot(beta, beta)
+    _require(b2 < 1.0, "superluminal boost")
+    rest = b2 == 0.0
+    gamma = 1.0 / np.sqrt(1.0 - b2)
+    out = _identity(b2.shape)
+    out[..., 0, 0] = gamma
+    out[..., 0, 1:] = out[..., 1:, 0] = gamma[..., None] * beta
+    scale = (gamma - 1.0) / np.where(rest, 1.0, b2)
+    out[..., 1:, 1:] += scale[..., None, None] * (beta[..., :, None] * beta[..., None, :])
+    return np.where(rest[..., None, None], np.eye(4), out)
 
 
 def rapidity_from_beta(beta) -> np.ndarray:
     """Rapidity 3-vector zeta = atanh(|beta|) * beta_hat."""
     beta = np.asarray(beta, dtype=float)
-    b = np.linalg.norm(beta)
-    if b >= 1.0:
-        raise ValueError("superluminal boost")
-    if b == 0.0:
-        return np.zeros(3)
-    return math.atanh(b) * beta / b
+    b = _norm(beta)
+    _require(b < 1.0, "superluminal boost")
+    rest = (b == 0.0)[..., None]
+    return np.where(rest, 0.0, _atanh(b)[..., None] * beta / np.where(rest, 1.0, b[..., None]))
 
 
 def beta_from_rapidity(zeta) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
-    z = np.linalg.norm(zeta)
-    if z == 0.0:
-        return np.zeros(3)
-    return math.tanh(z) * zeta / z
+    z = _norm(zeta)
+    rest = (z == 0.0)[..., None]
+    return np.where(rest, 0.0, _tanh(z)[..., None] * zeta / np.where(rest, 1.0, z[..., None]))
 
 
-def polar_azimuth(v) -> tuple[float, float]:
+# -- the canonical frame of a lightlike momentum ----------------------------
+
+
+def _on_polar_axis(v) -> np.ndarray:
+    """The package's one on-axis test: the azimuth is fixed to zero where
+    kx = ky = 0, and nowhere else, however small the transverse part."""
+    return (v[..., 0] == 0.0) & (v[..., 1] == 0.0)
+
+
+def polar_azimuth(v):
     """Spherical angles (theta, phi) of a nonzero 3-vector; phi := 0 on the z-axis."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    theta = math.acos(max(-1.0, min(1.0, v[2] / n)))
-    if abs(v[0]) == 0.0 and abs(v[1]) == 0.0:
-        return theta, 0.0
-    return theta, math.atan2(v[1], v[0])
+    n = _norm(v)
+    _require(n != 0.0, "zero vector has no direction")
+    theta = _acos(np.clip(v[..., 2] / n, -1.0, 1.0))
+    phi = np.where(_on_polar_axis(v), 0.0, _atan2(v[..., 1], v[..., 0]))
+    return _unstack(theta), _unstack(phi)
+
+
+def azimuth_phase(v) -> np.ndarray:
+    """e^{i phi} of 3-vectors of shape (..., 3), with ``polar_azimuth``'s convention.
+
+    The closed forms (half-angle phases, polarization vectors, parity and
+    time-reversal phases) take the azimuth from here, so they fix it on the
+    polar axis exactly where ``standard_rotation`` does.
+    """
+    v = np.asarray(v, dtype=float)
+    u = np.where(_on_polar_axis(v), 1.0, v[..., 0] + 1j * v[..., 1])
+    return u / np.abs(u)
 
 
 def standard_rotation(k_hat) -> np.ndarray:
@@ -164,23 +283,24 @@ def standard_rotation(k_hat) -> np.ndarray:
     (north) or a rotation about y by pi (south).
     """
     k_hat = np.asarray(k_hat, dtype=float)
-    n = np.linalg.norm(k_hat)
-    if n == 0.0:
-        raise ValueError("direction must be a nonzero 3-vector")
-    theta, phi = polar_azimuth(k_hat / n)
+    n = _norm(k_hat)
+    _require(n != 0.0, "direction must be a nonzero 3-vector")
+    theta, phi = polar_azimuth(k_hat / n[..., None])
     return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
 
 
-def standard_boost_z(omega: float, kappa_ref: float) -> np.ndarray:
+def standard_boost_z(omega, kappa_ref: float) -> np.ndarray:
     """z-boost carrying the reference null energy ``kappa_ref`` to ``omega``.
 
     The boost speed is (omega^2 - kappa^2)/(omega^2 + kappa^2), negative when
     de-boosting to lower energy.
     """
-    if omega <= 0.0 or kappa_ref <= 0.0:
-        raise ValueError("energies must be positive")
-    beta_z = (omega**2 - kappa_ref**2) / (omega**2 + kappa_ref**2)
-    return boost_matrix(np.array([0.0, 0.0, beta_z]))
+    omega = np.asarray(omega, dtype=float)
+    _require((omega > 0.0) & (kappa_ref > 0.0), "energies must be positive")
+    omega2 = _pow(omega, 2.0)
+    beta = np.zeros(omega.shape + (3,))
+    beta[..., 2] = (omega2 - kappa_ref**2) / (omega2 + kappa_ref**2)
+    return boost_matrix(beta)
 
 
 def standard_lorentz(k, kappa_ref: float) -> np.ndarray:
@@ -189,15 +309,16 @@ def standard_lorentz(k, kappa_ref: float) -> np.ndarray:
     Composition: z-boost to energy k^0, then the standard rotation into k_hat.
     """
     k = require_lightlike(k)
-    return standard_rotation(k[1:]) @ standard_boost_z(k[0], kappa_ref)
+    return standard_rotation(k[..., 1:]) @ standard_boost_z(k[..., 0], kappa_ref)
 
 
 def su2_matrix(r: AxisAngle) -> np.ndarray:
     """Spin-1/2 rotation matrix exp(-i angle (axis . sigma)/2), Condon-Shortley basis."""
-    half = 0.5 * r.angle
-    n = r.axis
-    sigma_n = n[0] * _PAULI_X + n[1] * _PAULI_Y + n[2] * _PAULI_Z
-    return math.cos(half) * np.eye(2, dtype=complex) - 1j * math.sin(half) * sigma_n
+    half = 0.5 * np.asarray(r.angle)
+    n = r.axis[..., None, None]
+    sigma_n = n[..., 0, :, :] * _PAULI_X + n[..., 1, :, :] * _PAULI_Y + n[..., 2, :, :] * _PAULI_Z
+    c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
+    return c * np.eye(2, dtype=complex) - 1j * s * sigma_n
 
 
 def compose_axis_angle(r1: AxisAngle, r2: AxisAngle) -> AxisAngle:
@@ -211,39 +332,47 @@ def compose_axis_angle(r1: AxisAngle, r2: AxisAngle) -> AxisAngle:
     return AxisAngle(vec / s, 2.0 * math.atan2(s, w))
 
 
-def metric_residual(L) -> float:
+# -- Lorentz matrices -------------------------------------------------------
+
+
+def metric_residual(L):
     """Max-norm deviation of L^T g L from g."""
     L = np.asarray(L, dtype=float)
-    return float(np.max(np.abs(L.T @ METRIC @ L - METRIC)))
+    return _unstack(np.max(np.abs(_transpose(L) @ METRIC @ L - METRIC), axis=(-2, -1)))
 
 
 def lorentz_inverse(L) -> np.ndarray:
     """Inverse of a Lorentz matrix via the metric: L^{-1} = g L^T g."""
     L = np.asarray(L, dtype=float)
-    return METRIC @ L.T @ METRIC
+    return METRIC @ _transpose(L) @ METRIC
 
 
-def is_rotation(L, tol: float = 1e-9) -> bool:
+def _is_4x4(L) -> bool:
+    return L.ndim >= 2 and L.shape[-2:] == (4, 4)
+
+
+def is_rotation(L, tol: float = 1e-9):
     """True when L is a pure spatial rotation (trivial time row/column, det +1)."""
     L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4):
+    if not _is_4x4(L):
         return False
     time_ok = (
-        abs(L[0, 0] - 1.0) <= tol
-        and np.all(np.abs(L[0, 1:]) <= tol)
-        and np.all(np.abs(L[1:, 0]) <= tol)
+        (np.abs(L[..., 0, 0] - 1.0) <= tol)
+        & np.all(np.abs(L[..., 0, 1:]) <= tol, axis=-1)
+        & np.all(np.abs(L[..., 1:, 0]) <= tol, axis=-1)
     )
-    if not time_ok:
-        return False
-    R = L[1:, 1:]
-    return (
-        float(np.max(np.abs(R.T @ R - np.eye(3)))) <= tol
-        and abs(np.linalg.det(R) - 1.0) <= 10 * tol
-    )
+    R = L[..., 1:, 1:]
+    orthogonal = np.max(np.abs(_transpose(R) @ R - np.eye(3)), axis=(-2, -1)) <= tol
+    unit_det = np.abs(np.linalg.det(R) - 1.0) <= 10 * tol
+    return _unstack(time_ok & orthogonal & unit_det)
 
 
-def is_proper_orthochronous(L, tol: float = 1e-9) -> bool:
+def is_proper_orthochronous(L, tol: float = 1e-9):
     L = np.asarray(L, dtype=float)
-    if L.shape != (4, 4) or metric_residual(L) > tol:
+    if not _is_4x4(L):
         return False
-    return L[0, 0] >= 1.0 - tol and np.linalg.det(L) > 0.0
+    return _unstack(
+        (np.asarray(metric_residual(L)) <= tol)
+        & (L[..., 0, 0] >= 1.0 - tol)
+        & (np.linalg.det(L) > 0.0)
+    )

@@ -21,6 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lorentz import (
+    _apply,
+    _cabs,
+    _dot,
+    _pow,
+    _require,
+    _unstack,
+    azimuth_phase,
     is_proper_orthochronous,
     minkowski,
     require_lightlike,
@@ -37,21 +44,20 @@ _EPS_REF = {
 
 @dataclass(frozen=True)
 class PolarizationVector:
-    eps: np.ndarray  # complex (4,)
-    k: np.ndarray  # lightlike (4,)
-    lam: int
+    eps: np.ndarray  # complex (..., 4)
+    k: np.ndarray  # lightlike (..., 4)
+    lam: int  # or an int array (...)
 
 
 @dataclass(frozen=True)
 class FieldTensorCoeff:
-    T: np.ndarray  # complex antisymmetric (4, 4)
+    T: np.ndarray  # complex antisymmetric (..., 4, 4)
     k: np.ndarray
     lam: int
 
 
-def _check_lam(lam: int) -> int:
-    if lam not in (1, -1):
-        raise ValueError("helicity must be +1 or -1")
+def _check_lam(lam):
+    _require(np.isin(lam, (1, -1)), "helicity must be +1 or -1")
     return lam
 
 
@@ -62,17 +68,19 @@ def reference_polarization(lam: int, kappa: float = 1.0) -> PolarizationVector:
     return PolarizationVector(_EPS_REF[lam].copy(), k0, lam)
 
 
-def polarization(k, lam: int, kappa_ref: float = 1.0) -> PolarizationVector:
+def polarization(k, lam, kappa_ref: float = 1.0) -> PolarizationVector:
     """Canonical-gauge polarization vector for a general lightlike momentum.
 
     Equals the standard rotation applied to the reference vector; the result
     does not depend on ``kappa_ref`` (kept in the signature because the
     canonical construction is phrased relative to a reference energy).
+    Momenta ``(..., 4)`` and helicities ``(...)`` broadcast to eps ``(..., 4)``.
     """
     _check_lam(lam)
     k = require_lightlike(k)
     del kappa_ref  # the z-boost leg acts trivially on transverse vectors
-    eps = standard_rotation(k[1:]).astype(complex) @ _EPS_REF[lam]
+    eps_ref = np.where(np.asarray(lam)[..., None] == 1, _EPS_REF[1], _EPS_REF[-1])
+    eps = _apply(standard_rotation(k[..., 1:]).astype(complex), eps_ref)
     return PolarizationVector(eps, k, lam)
 
 
@@ -80,7 +88,8 @@ def polarization_spatial(kvec, lam: int) -> np.ndarray:
     """Vectorized spatial part of the canonical polarization, shape (..., 3).
 
     Closed form of R_z(phi) R_y(theta) R_z(-phi) acting on the reference
-    spatial vector; the azimuth is fixed to zero on the polar axis.
+    spatial vector; the azimuth is ``azimuth_phase``'s, fixed to zero on the
+    polar axis exactly where ``standard_rotation`` fixes it.
     """
     _check_lam(lam)
     k = np.asarray(kvec, dtype=float)
@@ -89,9 +98,7 @@ def polarization_spatial(kvec, lam: int) -> np.ndarray:
     safe = np.where(kn > 0.0, kn, 1.0)
     ct = np.clip(kz / safe, -1.0, 1.0)
     st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    perp = np.hypot(kx, ky)
-    u = np.where(perp > 1e-13 * safe, kx + 1j * ky, 1.0)
-    eiphi = u / np.abs(u)
+    eiphi = azimuth_phase(k)
     cp, sp = eiphi.real, eiphi.imag
     # R0[k_hat] (x_hat + i y_hat) = e^{i phi} (ct*cp - i sp, ct*sp + i cp, -st)
     plus = np.stack(
@@ -107,41 +114,44 @@ def polarization_spatial(kvec, lam: int) -> np.ndarray:
     return -np.conj(plus)
 
 
-def gauge_shift(p: PolarizationVector, f: complex) -> PolarizationVector:
-    """Shift eps -> eps + f k; preserves k.eps = 0 (k lightlike), not eps*.eps."""
-    return PolarizationVector(p.eps + complex(f) * p.k.astype(complex), p.k, p.lam)
+def gauge_shift(p: PolarizationVector, f) -> PolarizationVector:
+    """Shift eps -> eps + f k; preserves k.eps = 0 (k lightlike), not eps*.eps.
+
+    ``f`` is one number or one per row of a stacked ``p``.
+    """
+    f = np.asarray(f, dtype=complex)
+    return PolarizationVector(p.eps + f[..., None] * p.k.astype(complex), p.k, p.lam)
 
 
 def tensor_coeff(p: PolarizationVector) -> FieldTensorCoeff:
     """Gauge-invariant antisymmetric coefficient k^mu eps^nu - k^nu eps^mu."""
     k = p.k.astype(complex)
-    T = np.outer(k, p.eps) - np.outer(p.eps, k)
+    T = k[..., :, None] * p.eps[..., None, :] - p.eps[..., :, None] * k[..., None, :]
     return FieldTensorCoeff(T, p.k, p.lam)
 
 
-def covariance_residual(
-    Lambda, k, lam: int, kappa_ref: float = 1.0
-) -> tuple[complex, float]:
+def covariance_residual(Lambda, k, lam, kappa_ref: float = 1.0):
     """How well Lambda eps(k) = eps(Lambda k) e^{-i lam w} + (coef) (Lambda k) holds.
 
     The scalar coefficient of the gauge term along (Lambda k) is fitted by
     least squares and returned with the max-norm residual of the relation
     (which also folds in the transversality of the transported vector).
-    Rotations come back with a vanishing coefficient.
+    Rotations come back with a vanishing coefficient. Stacks of ``Lambda``
+    ``(..., 4, 4)``, ``k`` ``(..., 4)`` and ``lam`` ``(...)`` broadcast, and
+    give a coefficient and a residual per row.
     """
     Lambda = np.asarray(Lambda, dtype=float)
-    if not is_proper_orthochronous(Lambda):
-        raise ValueError("transformation is not proper orthochronous")
+    _require(is_proper_orthochronous(Lambda), "transformation is not proper orthochronous")
     _check_lam(lam)
     k = require_lightlike(k)
-    k_out = Lambda @ k
+    k_out = _apply(Lambda, k)
     w = wigner_boost(Lambda, k, kappa_ref).w
-    lhs = Lambda.astype(complex) @ polarization(k, lam, kappa_ref).eps
+    lhs = _apply(Lambda.astype(complex), polarization(k, lam, kappa_ref).eps)
     eps_out = polarization(k_out, lam, kappa_ref).eps
-    diff = lhs - eps_out * np.exp(-1j * lam * w)
+    diff = lhs - eps_out * np.exp(-1j * lam * np.asarray(w))[..., None]
     k_c = k_out.astype(complex)
-    coef = complex((np.conj(k_c) @ diff) / (np.conj(k_c) @ k_c))
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    residual = float(np.max(np.abs(diff - coef * k_c))) / scale
-    transversality = abs(minkowski(k_out, eps_out)) / max(1.0, k_out[0] ** 2)
-    return coef, max(residual, float(transversality))
+    coef = _dot(np.conj(k_c), diff) / _dot(np.conj(k_c), k_c)
+    scale = np.maximum(1.0, np.max(np.abs(lhs), axis=-1))
+    residual = np.max(np.abs(diff - coef[..., None] * k_c), axis=-1) / scale
+    transversality = _cabs(minkowski(k_out, eps_out)) / np.maximum(1.0, _pow(k_out[..., 0], 2.0))
+    return _unstack(coef), _unstack(np.maximum(residual, transversality))

@@ -81,6 +81,7 @@ class VerifyReport:
     seed: int
     properties: list[PropertyResult] = field(default_factory=list)
     wall_time_s: float = 0.0
+    suite_wall_time_s: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -105,26 +106,46 @@ class VerifyReport:
         }
         if include_time:
             out["wall_time_s"] = self.wall_time_s
+            out["suite_wall_time_s"] = dict(self.suite_wall_time_s)
         return out
 
 
-def _random_unit(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+#: Trials a kinematic property draws and checks at once. Blocks of this many
+#: keep the memory of a run fixed, whatever ``trials`` is.
+TRIAL_BLOCK = 256
 
 
-def _random_axis_angle(rng) -> AxisAngle:
-    return AxisAngle(_random_unit(rng), rng.uniform(-math.pi, math.pi))
+def _blocks(trials: int) -> list[int]:
+    """Sizes of the consecutive blocks that together hold ``trials`` trials."""
+    return [min(TRIAL_BLOCK, trials - start) for start in range(0, trials, TRIAL_BLOCK)]
 
 
-def _random_lightlike(rng) -> np.ndarray:
-    d = _random_unit(rng)
-    omega = rng.uniform(0.3, 3.0)
-    return np.array([omega, *(omega * d)])
+def _worst(worst: float, residuals) -> float:
+    return max(worst, float(np.max(residuals)))
 
 
-def _random_boost(rng, zeta_max: float = 2.0):
-    zeta = rng.uniform(0.0, zeta_max) * _random_unit(rng)
+def _random_unit(rng, n=None) -> np.ndarray:
+    """One random unit 3-vector, or ``n`` of them as an (n, 3) array."""
+    v = rng.normal(size=3 if n is None else (n, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _random_axis_angle(rng, n=None) -> AxisAngle:
+    return AxisAngle(_random_unit(rng, n), rng.uniform(-math.pi, math.pi, size=n))
+
+
+def _random_lightlike(rng, n: int) -> np.ndarray:
+    d = _random_unit(rng, n)
+    omega = rng.uniform(0.3, 3.0, size=n)[:, None]
+    return np.concatenate([omega, omega * d], axis=-1)
+
+
+def _random_helicity(rng, n: int) -> np.ndarray:
+    return np.where(rng.random(n) < 0.5, 1, -1)
+
+
+def _random_boost(rng, n: int, zeta_max: float = 2.0):
+    zeta = rng.uniform(0.0, zeta_max, size=n)[:, None] * _random_unit(rng, n)
     return boost_matrix(lorentz.beta_from_rapidity(zeta)), zeta
 
 
@@ -133,36 +154,27 @@ def _random_boost(rng, zeta_max: float = 2.0):
 
 def _suite_little_group(rng, trials: int) -> list[PropertyResult]:
     worst_law = worst_conj = worst_fix = 0.0
-    for _ in range(trials):
-        a1 = rng.normal(scale=1.5, size=2)
-        a2 = rng.normal(scale=1.5, size=2)
-        law = np.max(np.abs(ibr_matrix(a1) @ ibr_matrix(a2) - ibr_matrix(a1 + a2)))
-        worst_law = max(worst_law, float(law))
-        gamma = rng.uniform(-math.pi, math.pi)
+    for n in _blocks(trials):
+        a1 = rng.normal(scale=1.5, size=(n, 2))
+        a2 = rng.normal(scale=1.5, size=(n, 2))
+        gamma = rng.uniform(-math.pi, math.pi, size=n)
+        M1 = ibr_matrix(a1)
+        worst_law = _worst(worst_law, np.abs(M1 @ ibr_matrix(a2) - ibr_matrix(a1 + a2)))
         Rz = lorentz.rotation_z(gamma)
-        rot2 = np.array(
-            [
-                [math.cos(gamma), -math.sin(gamma)],
-                [math.sin(gamma), math.cos(gamma)],
-            ]
-        )
-        conj = np.max(
-            np.abs(Rz @ ibr_matrix(a1) @ Rz.T - ibr_matrix(rot2 @ a1))
-        )
-        worst_conj = max(worst_conj, float(conj))
-        worst_fix = max(
-            worst_fix, float(np.max(np.abs(ibr_matrix(a1) @ K0_NULL - K0_NULL)))
-        )
+        c, s = np.cos(gamma), np.sin(gamma)
+        a1_rot = np.stack([c * a1[:, 0] - s * a1[:, 1], s * a1[:, 0] + c * a1[:, 1]], axis=-1)
+        conj = Rz @ M1 @ np.swapaxes(Rz, -1, -2) - ibr_matrix(a1_rot)
+        worst_conj = _worst(worst_conj, np.abs(conj))
+        worst_fix = _worst(worst_fix, np.abs(M1 @ K0_NULL - K0_NULL))
 
     # physical factorization sweep: rotation * isoenergetic boost against the
     # closed form. Polar angles near the poles are excluded (the boost speed
     # approaches 1 there and double precision cannot hold 1e-12).
-    worst_phys = 0.0
-    for theta in np.linspace(0.35, math.pi - 0.35, 41):
-        for phi in np.linspace(0.0, 2.0 * math.pi, 25):
-            rot, boost = ibr_physical_factors(theta, phi)
-            resid = np.max(np.abs(rot @ boost - ibr_matrix(alpha_from_angles(theta, phi))))
-            worst_phys = max(worst_phys, float(resid))
+    theta, phi = np.meshgrid(
+        np.linspace(0.35, math.pi - 0.35, 41), np.linspace(0.0, 2.0 * math.pi, 25), indexing="ij"
+    )
+    rot, boost = ibr_physical_factors(theta, phi)
+    worst_phys = float(np.max(np.abs(rot @ boost - ibr_matrix(alpha_from_angles(theta, phi)))))
 
     # generators: exact algebra plus exponential vs closed form (nilpotency
     # terminates the series at the quadratic term)
@@ -172,23 +184,27 @@ def _suite_little_group(rng, trials: int) -> list[PropertyResult]:
         max(np.max(np.abs(Lx @ Lx @ Lx)), np.max(np.abs(Ly @ Ly @ Ly)))
     )
     worst_exp = 0.0
-    for _ in range(min(trials, 200)):
-        a = rng.normal(scale=1.5, size=2)
-        gen = a[0] * Lx + a[1] * Ly
+    for n in _blocks(min(trials, 200)):
+        a = rng.normal(scale=1.5, size=(n, 2))
+        gen = a[:, 0, None, None] * Lx + a[:, 1, None, None] * Ly
         series = np.eye(4) + gen + 0.5 * (gen @ gen)
-        worst_exp = max(worst_exp, float(np.max(np.abs(series - ibr_matrix(a)))))
+        worst_exp = _worst(worst_exp, np.abs(series - ibr_matrix(a)))
 
+    # products of 1-8 random rotations and boosts; unused factors are the
+    # identity
     worst_metric = 0.0
-    for _ in range(min(trials, 200)):
+    for n in _blocks(min(trials, 200)):
+        factors = rng.integers(1, 9, size=n)
         m = np.eye(4)
-        for _ in range(rng.integers(1, 9)):
-            if rng.random() < 0.5:
-                m = m @ rotation_matrix(_random_axis_angle(rng))
-            else:
-                m = m @ boost_matrix(
-                    lorentz.beta_from_rapidity(rng.uniform(0, 0.8) * _random_unit(rng))
-                )
-        worst_metric = max(worst_metric, metric_residual(m))
+        for slot in range(8):
+            rotates = rng.random(n) < 0.5
+            R = rotation_matrix(_random_axis_angle(rng, n))
+            B = boost_matrix(
+                lorentz.beta_from_rapidity(rng.uniform(0, 0.8, size=(n, 1)) * _random_unit(rng, n))
+            )
+            factor = np.where(rotates[:, None, None], R, B)
+            m = m @ np.where((slot < factors)[:, None, None], factor, np.eye(4))
+        worst_metric = _worst(worst_metric, metric_residual(m))
 
     return [
         PropertyResult("group_addition_law", worst_law, 1e-12),
@@ -203,38 +219,36 @@ def _suite_little_group(rng, trials: int) -> list[PropertyResult]:
 
 
 def _suite_wigner(rng, trials: int) -> list[PropertyResult]:
+    # each phase two ways: matrix decomposition against the closed form, which
+    # raises on a degenerate alignment rather than clamping it
     worst_rot = worst_boost = worst_rec = worst_cocycle = worst_about_k = 0.0
-    for _ in range(trials):
-        r = _random_axis_angle(rng)
-        k = _random_lightlike(rng)
+    for n in _blocks(trials):
+        r = _random_axis_angle(rng, n)
+        k = _random_lightlike(rng, n)
         data = wigner_rotation(rotation_matrix(r), k)
         closed = wigner_phase_rotation_closed(r, k)
-        worst_rot = max(worst_rot, abs(closed**2 - data.phase(1)))
-        worst_rec = max(worst_rec, data.residual)
+        worst_rot = _worst(worst_rot, np.abs(closed**2 - data.phase(1)))
+        worst_rec = _worst(worst_rec, data.residual)
 
-        Lam, zeta = _random_boost(rng)
+        Lam, zeta = _random_boost(rng, n)
         data = wigner_boost(Lam, k)
         closed = wigner_phase_boost_closed(zeta, k)
-        worst_boost = max(worst_boost, abs(closed**2 - data.phase(1)))
-        worst_rec = max(worst_rec, data.residual)
+        worst_boost = _worst(worst_boost, np.abs(closed**2 - data.phase(1)))
+        worst_rec = _worst(worst_rec, data.residual)
 
-    for _ in range(min(trials, 200)):
-        r1, r2 = _random_axis_angle(rng), _random_axis_angle(rng)
-        k = _random_lightlike(rng)
+    for n in _blocks(min(trials, 200)):
+        r1, r2 = _random_axis_angle(rng, n), _random_axis_angle(rng, n)
+        k = _random_lightlike(rng, n)
         R1, R2 = rotation_matrix(r1), rotation_matrix(r2)
         w21 = wigner_rotation(R2 @ R1, k).w
         w1 = wigner_rotation(R1, k).w
-        w2 = wigner_rotation(R2, R1 @ k).w
-        worst_cocycle = max(
-            worst_cocycle,
-            abs(np.exp(-1j * w21) - np.exp(-1j * w2) * np.exp(-1j * w1)),
-        )
-        k = _random_lightlike(rng)
-        angle = rng.uniform(-math.pi, math.pi)
-        data = wigner_rotation(rotation_matrix(AxisAngle(k[1:], angle)), k)
-        worst_about_k = max(
-            worst_about_k, abs(np.exp(-1j * data.w) - np.exp(-1j * angle))
-        )
+        w2 = wigner_rotation(R2, (R1 @ k[:, :, None])[:, :, 0]).w
+        cocycle = np.abs(np.exp(-1j * w21) - np.exp(-1j * w2) * np.exp(-1j * w1))
+        worst_cocycle = _worst(worst_cocycle, cocycle)
+        k = _random_lightlike(rng, n)
+        angle = rng.uniform(-math.pi, math.pi, size=n)
+        data = wigner_rotation(rotation_matrix(AxisAngle(k[:, 1:], angle)), k)
+        worst_about_k = _worst(worst_about_k, np.abs(np.exp(-1j * data.w) - np.exp(-1j * angle)))
 
     return [
         PropertyResult("dual_path_rotation_phase", worst_rot, 1e-9),
@@ -310,73 +324,57 @@ def _suite_amplitudes(rng, trials: int) -> list[PropertyResult]:
 
 
 def _suite_polarization(rng, trials: int) -> list[PropertyResult]:
-    worst_ortho = 0.0
-    for l1 in (1, -1):
-        for l2 in (1, -1):
-            e1 = reference_polarization(l1).eps
-            e2 = reference_polarization(l2).eps
-            target = -1.0 if l1 == l2 else 0.0
-            worst_ortho = max(
-                worst_ortho,
-                abs(np.conj(e1) @ (lorentz.METRIC @ e2) - target),
-            )
+    eps_ref = np.array([reference_polarization(lam).eps for lam in (1, -1)])
+    gram = np.conj(eps_ref) @ lorentz.METRIC @ eps_ref.T
+    worst_ortho = float(np.max(np.abs(gram + np.eye(2))))
 
     worst_lorentz = worst_norm = 0.0
-    for _ in range(trials):
-        k = _random_lightlike(rng)
-        lam = 1 if rng.random() < 0.5 else -1
-        p = polarization(k, lam)
-        worst_lorentz = max(worst_lorentz, abs(lorentz.minkowski(k, p.eps)))
-        worst_norm = max(
-            worst_norm, abs(np.conj(p.eps) @ (lorentz.METRIC @ p.eps) + 1.0)
-        )
+    for n in _blocks(trials):
+        k = _random_lightlike(rng, n)
+        eps = polarization(k, _random_helicity(rng, n)).eps
+        worst_lorentz = _worst(worst_lorentz, np.abs(lorentz.minkowski(k, eps)))
+        norm = np.einsum("...i,ij,...j->...", np.conj(eps), lorentz.METRIC, eps)
+        worst_norm = _worst(worst_norm, np.abs(norm + 1.0))
 
     k0 = np.array([1.0, 0.0, 0.0, 1.0])
     worst_little = 0.0
-    for _ in range(min(trials, 200)):
-        gamma = rng.uniform(-math.pi, math.pi)
-        alpha = rng.normal(scale=1.5, size=2)
+    for n in _blocks(min(trials, 200)):
+        gamma = rng.uniform(-math.pi, math.pi, size=n)
+        alpha = rng.normal(scale=1.5, size=(n, 2))
+        Rz = lorentz.rotation_z(gamma).astype(complex)
+        shift = ibr_matrix(alpha).astype(complex)
         for lam in (1, -1):
             eps0 = reference_polarization(lam).eps
-            zrot = lorentz.rotation_z(gamma).astype(complex) @ eps0
-            worst_little = max(
-                worst_little,
-                float(np.max(np.abs(zrot - eps0 * np.exp(-1j * lam * gamma)))),
-            )
-            shifted = ibr_matrix(alpha).astype(complex) @ eps0
-            expected = eps0 + (alpha @ eps0[1:3]) * k0
-            worst_little = max(
-                worst_little, float(np.max(np.abs(shifted - expected)))
-            )
+            phase = np.exp(-1j * lam * gamma)[:, None]
+            worst_little = _worst(worst_little, np.abs(Rz @ eps0 - eps0 * phase))
+            expected = eps0 + (alpha @ eps0[1:3])[:, None] * k0
+            worst_little = _worst(worst_little, np.abs(shift @ eps0 - expected))
 
     worst_rotcov = 0.0
-    for _ in range(min(trials, 300)):
-        k = _random_lightlike(rng)
-        r = _random_axis_angle(rng)
-        R = rotation_matrix(r)
+    for n in _blocks(min(trials, 300)):
+        k = _random_lightlike(rng, n)
+        R = rotation_matrix(_random_axis_angle(rng, n))
         w = wigner_rotation(R, k).w
+        k_out = (R @ k[:, :, None])[:, :, 0]
         for lam in (1, -1):
-            lhs = R.astype(complex) @ polarization(k, lam).eps
-            rhs = polarization(R @ k, lam).eps * np.exp(-1j * lam * w)
-            worst_rotcov = max(worst_rotcov, float(np.max(np.abs(lhs - rhs))))
+            lhs = (R.astype(complex) @ polarization(k, lam).eps[:, :, None])[:, :, 0]
+            rhs = polarization(k_out, lam).eps * np.exp(-1j * lam * w)[:, None]
+            worst_rotcov = _worst(worst_rotcov, np.abs(lhs - rhs))
 
     worst_boostcov = 0.0
-    for _ in range(min(trials, 300)):
-        k = _random_lightlike(rng)
-        Lam, _ = _random_boost(rng)
-        lam = 1 if rng.random() < 0.5 else -1
-        _, resid = covariance_residual(Lam, k, lam)
-        worst_boostcov = max(worst_boostcov, resid)
+    for n in _blocks(min(trials, 300)):
+        k = _random_lightlike(rng, n)
+        Lam, _ = _random_boost(rng, n)
+        _, resid = covariance_residual(Lam, k, _random_helicity(rng, n))
+        worst_boostcov = _worst(worst_boostcov, resid)
 
     worst_gauge = 0.0
-    for _ in range(trials):
-        k = _random_lightlike(rng)
-        lam = 1 if rng.random() < 0.5 else -1
-        p = polarization(k, lam)
-        T = tensor_coeff(p).T
-        f = complex(rng.normal(), rng.normal())
-        T2 = tensor_coeff(gauge_shift(p, f)).T
-        worst_gauge = max(worst_gauge, float(np.max(np.abs(T2 - T))))
+    for n in _blocks(trials):
+        k = _random_lightlike(rng, n)
+        p = polarization(k, _random_helicity(rng, n))
+        f = rng.normal(size=n) + 1j * rng.normal(size=n)
+        change = tensor_coeff(gauge_shift(p, f)).T - tensor_coeff(p).T
+        worst_gauge = _worst(worst_gauge, np.abs(change))
 
     return [
         PropertyResult("reference_orthonormality", worst_ortho, 1e-12),
@@ -523,9 +521,13 @@ def run_suite(
     names = SUITE_NAMES if suite == "all" else (suite,)
     start = time.perf_counter()
     properties: list[PropertyResult] = []
+    suite_times: dict[str, float] = {}
     for name in names:
         prefix = f"{name}/" if suite == "all" else ""
-        for prop in _SUITES[name](rng, trials):
+        suite_start = time.perf_counter()
+        results = _SUITES[name](rng, trials)
+        suite_times[name] = time.perf_counter() - suite_start
+        for prop in results:
             properties.append(
                 PropertyResult(
                     prefix + prop.name,
@@ -534,5 +536,5 @@ def run_suite(
                 )
             )
     return VerifyReport(
-        suite, trials, seed, properties, time.perf_counter() - start
+        suite, trials, seed, properties, time.perf_counter() - start, suite_times
     )

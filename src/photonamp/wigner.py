@@ -19,14 +19,22 @@ never needs the square root's branch.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lorentz import (
     AxisAngle,
+    _apply,
+    _atan2,
+    _cabs,
+    _cosh,
+    _norm,
+    _require,
+    _sinh,
+    _transpose,
+    _unstack,
+    azimuth_phase,
     is_proper_orthochronous,
     is_rotation,
     lorentz_inverse,
@@ -45,59 +53,69 @@ _DEGENERATE_TOL = 1e-12
 class WignerData:
     """Rotation angle w in (-pi, pi], its half phase exp(-i w/2), the abelian
     remainder alpha (zero for rotations), and the reconstruction residual of
-    the matrix decomposition that produced it."""
+    the matrix decomposition that produced it.
+
+    For a stack of transformations or momenta every field gains the stack's
+    leading axes: w, phase_half and residual are ``(...)`` arrays and alpha
+    is ``(..., 2)``.
+    """
 
     w: float
     phase_half: complex
     alpha: np.ndarray = field(default_factory=lambda: np.zeros(2))
     residual: float = 0.0
 
-    def phase(self, lam: int = 1) -> complex:
+    def phase(self, lam=1):
         """Single-valued state phase exp(-i lam w)."""
-        return cmath.exp(-1j * lam * self.w)
+        return _unstack(np.exp(-1j * lam * np.asarray(self.w)))
 
 
 def wigner_rotation(R, k, tol: float = 1e-8) -> WignerData:
     """Little-group angle w with R_z(w) = R0^{-1}[R k_hat] R R0[k_hat].
 
-    ``R`` must be a pure rotation and ``k`` lightlike. The decomposition
-    residual is returned; it exceeds ``tol`` only on misuse.
+    ``R`` must be a pure rotation and ``k`` lightlike; stacks ``(..., 4, 4)``
+    and ``(..., 4)`` broadcast. The decomposition residual is returned; it
+    exceeds ``tol`` only on misuse.
     """
     R = np.asarray(R, dtype=float)
-    if not is_rotation(R):
-        raise ValueError("transformation is not a pure rotation")
+    _require(is_rotation(R), "transformation is not a pure rotation")
     k = require_lightlike(k)
-    k_out = R @ k
-    W = standard_rotation(k_out[1:]).T @ R @ standard_rotation(k[1:])
-    w = math.atan2(W[2, 1], W[1, 1])
-    residual = float(np.max(np.abs(W - rotation_z(w))))
-    if residual > tol:
-        raise ValueError(f"rotation does not reduce to a z-rotation (residual {residual:.3e})")
-    return WignerData(w, cmath.exp(-0.5j * w), np.zeros(2), residual)
+    k_out = _apply(R, k)
+    W = _transpose(standard_rotation(k_out[..., 1:])) @ R @ standard_rotation(k[..., 1:])
+    w = _atan2(W[..., 2, 1], W[..., 1, 1])
+    residual = np.max(np.abs(W - rotation_z(w)), axis=(-2, -1))
+    _require(
+        residual <= tol,
+        lambda at: f"rotation does not reduce to a z-rotation (residual {residual[at]:.3e})",
+    )
+    return WignerData(
+        _unstack(w), _unstack(np.exp(-0.5j * w)), np.zeros(w.shape + (2,)), _unstack(residual)
+    )
 
 
 def wigner_boost(Lambda, k, kappa_ref: float = 1.0, tol: float = 1e-8) -> WignerData:
     """Little-group data of L^{-1}(Lambda k) Lambda L(k) for proper orthochronous Lambda.
 
     Covers pure boosts and mixed boost-rotation products alike; the returned
-    alpha is the abelian remainder alongside the z-rotation angle w.
+    alpha is the abelian remainder alongside the z-rotation angle w. Stacks
+    ``(..., 4, 4)`` and ``(..., 4)`` broadcast.
     """
     Lambda = np.asarray(Lambda, dtype=float)
-    if not is_proper_orthochronous(Lambda):
-        raise ValueError("transformation is not proper orthochronous")
+    _require(is_proper_orthochronous(Lambda), "transformation is not proper orthochronous")
     k = require_lightlike(k)
-    k_out = Lambda @ k
+    k_out = _apply(Lambda, k)
     W = lorentz_inverse(standard_lorentz(k_out, kappa_ref)) @ Lambda @ standard_lorentz(k, kappa_ref)
     element = decompose_little_group(W, tol=tol)
-    residual = float(np.max(np.abs(element.matrix() - W)))
-    return WignerData(element.gamma, cmath.exp(-0.5j * element.gamma), element.alpha, residual)
+    residual = np.max(np.abs(element.matrix() - W), axis=(-2, -1))
+    half = np.exp(-0.5j * np.asarray(element.gamma))
+    return WignerData(element.gamma, _unstack(half), element.alpha, _unstack(residual))
 
 
 def _half_angle_factors(kvec):
     """(cos(theta/2), sin(theta/2), e^{i phi}) for momenta of shape (..., 3).
 
-    The azimuth is fixed to zero on the polar axis; nodes exactly on the axis
-    are a measure-zero set in every quadrature this feeds.
+    The azimuth is ``azimuth_phase``'s, fixed to zero on the polar axis
+    exactly where the matrix route fixes it.
     """
     k = np.asarray(kvec, dtype=float)
     kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
@@ -106,10 +124,27 @@ def _half_angle_factors(kvec):
     c = np.clip(kz / safe, -1.0, 1.0)
     ct2 = np.sqrt(0.5 * (1.0 + c))
     st2 = np.sqrt(0.5 * (1.0 - c))
-    kperp = np.hypot(kx, ky)
-    u = np.where(kperp > 1e-13 * safe, kx + 1j * ky, 1.0)
-    eiphi = u / np.abs(u)
-    return ct2, st2, eiphi
+    return ct2, st2, azimuth_phase(k)
+
+
+def _rotation_half_raw(r: AxisAngle, kvec) -> np.ndarray:
+    """Unnormalized exp(-i w/2): the first row of su2_matrix(r) on (cos theta/2, sin theta/2 e^{i phi})."""
+    u = su2_matrix(r)
+    ct2, st2, eiphi = _half_angle_factors(kvec)
+    return u[..., 0, 0] * ct2 + u[..., 0, 1] * st2 * eiphi
+
+
+def _boost_half_raw(zeta, kvec) -> np.ndarray:
+    """Unnormalized exp(-i w/2) for pure boosts of rapidity ``zeta``; 1 where zeta = 0."""
+    zeta = np.asarray(zeta, dtype=float)
+    z = _norm(zeta)
+    rest = z == 0.0
+    zhat = zeta / np.where(rest, 1.0, z)[..., None]
+    ch, sh = _cosh(0.5 * z), _sinh(0.5 * z)
+    a = ch + sh * zhat[..., 2]
+    b = sh * (zhat[..., 0] - 1j * zhat[..., 1])
+    ct2, st2, eiphi = _half_angle_factors(kvec)
+    return np.where(rest, 1.0, a * ct2 + b * st2 * eiphi)
 
 
 def _normalized(num):
@@ -119,6 +154,18 @@ def _normalized(num):
     )
 
 
+def _strict(raw):
+    """Normalized half phases; a degenerate alignment raises instead of clamping.
+
+    Each part is divided by the modulus on its own, which is what Python's
+    ``complex / float`` does, so a single call gives the scalar arithmetic's
+    bits.
+    """
+    mag = _cabs(raw)
+    _require(mag > _DEGENERATE_TOL, "undefined half-phase")
+    return _unstack(raw.real / mag + 1j * (raw.imag / mag))
+
+
 def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
     """Vectorized closed-form exp(-i w/2) for the rotation ``r`` acting at momenta ``kvec``.
 
@@ -126,49 +173,30 @@ def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
     (measure-zero) alignments are clamped to phase 1; use the scalar wrapper
     for strict error reporting.
     """
-    u = su2_matrix(r)
-    ct2, st2, eiphi = _half_angle_factors(kvec)
-    num = u[0, 0] * ct2 + u[0, 1] * st2 * eiphi
-    return _normalized(num)
+    return _normalized(_rotation_half_raw(r, kvec))
 
 
 def boost_half_phase(zeta, kvec) -> np.ndarray:
     """Vectorized closed-form exp(-i w/2) for a pure boost of rapidity 3-vector ``zeta``."""
-    zeta = np.asarray(zeta, dtype=float)
-    z = float(np.linalg.norm(zeta))
-    ct2, st2, eiphi = _half_angle_factors(kvec)
-    if z == 0.0:
-        return np.ones_like(eiphi)
-    zhat = zeta / z
-    a = math.cosh(0.5 * z) + math.sinh(0.5 * z) * zhat[2]
-    b = math.sinh(0.5 * z) * (zhat[0] - 1j * zhat[1])
-    num = a * ct2 + b * st2 * eiphi
-    return _normalized(num)
+    return _normalized(_boost_half_raw(zeta, kvec))
 
 
-def wigner_phase_rotation_closed(r: AxisAngle, k) -> complex:
-    """Closed-form half phase exp(-i w/2) for a rotation; raises on degenerate alignment."""
+def wigner_phase_rotation_closed(r: AxisAngle, k):
+    """Closed-form half phase exp(-i w/2) for a rotation; raises on degenerate alignment.
+
+    Takes one rotation and momentum, or stacks of them (``AxisAngle`` with
+    ``(..., 3)`` axes, ``k`` of shape ``(..., 4)``); the error names the first
+    degenerate row.
+    """
     k = require_lightlike(k)
-    u = su2_matrix(r)
-    ct2, st2, eiphi = _half_angle_factors(k[1:])
-    raw = complex(u[0, 0] * ct2 + u[0, 1] * st2 * eiphi)
-    if abs(raw) <= _DEGENERATE_TOL:
-        raise ValueError("undefined half-phase")
-    return raw / abs(raw)
+    return _strict(_rotation_half_raw(r, k[..., 1:]))
 
 
-def wigner_phase_boost_closed(zeta, k) -> complex:
-    """Closed-form half phase exp(-i w/2) for a pure boost of rapidity ``zeta``."""
+def wigner_phase_boost_closed(zeta, k):
+    """Closed-form half phase exp(-i w/2) for a pure boost of rapidity ``zeta``.
+
+    Stacks of ``zeta`` ``(..., 3)`` and ``k`` ``(..., 4)`` broadcast, as for
+    ``wigner_phase_rotation_closed``.
+    """
     k = require_lightlike(k)
-    zeta = np.asarray(zeta, dtype=float)
-    z = float(np.linalg.norm(zeta))
-    if z == 0.0:
-        return 1.0 + 0.0j
-    ct2, st2, eiphi = _half_angle_factors(k[1:])
-    zhat = zeta / z
-    a = math.cosh(0.5 * z) + math.sinh(0.5 * z) * zhat[2]
-    b = math.sinh(0.5 * z) * (zhat[0] - 1j * zhat[1])
-    raw = complex(a * ct2 + b * st2 * eiphi)
-    if abs(raw) <= _DEGENERATE_TOL:
-        raise ValueError("undefined half-phase")
-    return raw / abs(raw)
+    return _strict(_boost_half_raw(zeta, k[..., 1:]))

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from photonamp import verify
 from photonamp.amplitudes import gaussian_wavepacket
 from photonamp.cli import main
 from photonamp.fields import (
@@ -312,3 +313,31 @@ def test_verify_all_suites_pass_end_to_end(capsys):
     assert payload["passed"] is True
     prefixes = {p["name"].split("/")[0] for p in payload["properties"]}
     assert prefixes == {"little-group", "wigner", "amplitudes", "polarization", "fields"}
+
+
+def test_verify_reports_wall_time_per_suite(capsys):
+    argv = ["verify", "--suite", "all", "--trials", "1", "--seed", "11"]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0
+    assert set(payload["suite_wall_time_s"]) == set(verify.SUITE_NAMES)
+    assert all(t >= 0.0 for t in payload["suite_wall_time_s"].values())
+    assert sum(payload["suite_wall_time_s"].values()) <= payload["wall_time_s"]
+    # reproducible output carries no timing at all
+    code, payload = run_cli(capsys, *argv, "--no-timestamp")
+    assert set(payload) == {"schema", "suite", "trials", "seed", "passed", "properties"}
+
+
+def test_verify_blocks_cover_every_trial(monkeypatch):
+    # 20 trials in blocks of 7: every trial is checked once, in 7 + 7 + 6
+    rows = []
+    closed = verify.wigner_phase_rotation_closed
+
+    def counted(r, k):
+        rows.append(len(k))
+        return closed(r, k)
+
+    monkeypatch.setattr(verify, "TRIAL_BLOCK", 7)
+    monkeypatch.setattr(verify, "wigner_phase_rotation_closed", counted)
+    report = verify.run_suite("wigner", trials=20, seed=3)
+    assert report.passed
+    assert rows == [7, 7, 6]

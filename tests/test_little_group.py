@@ -211,3 +211,43 @@ class TestGenerators:
         assert_allclose(
             expm(rapidity * K[2]), boost_matrix([0, 0, np.tanh(rapidity)]), atol=1e-12
         )
+
+
+class TestStacks:
+    @pytest.mark.parametrize("batch", [(), (6,), (2, 6)])
+    def test_output_shapes(self, batch):
+        rng = np.random.default_rng(31)
+        alpha = rng.normal(scale=1.5, size=batch + (2,))
+        assert ibr_matrix(alpha).shape == batch + (4, 4)
+        theta = rng.uniform(0.3, 2.8, size=batch)
+        phi = rng.uniform(0.0, 2 * np.pi, size=batch)
+        rot, boost = ibr_physical_factors(theta, phi)
+        assert rot.shape == boost.shape == batch + (4, 4)
+        el = decompose_little_group(rotation_z(phi) @ ibr_matrix(alpha))
+        assert np.shape(el.gamma) == batch and el.alpha.shape == batch + (2,)
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(32)
+        alpha = rng.normal(scale=1.5, size=(30, 2))
+        assert np.array_equal(ibr_matrix(alpha), [ibr_matrix(a) for a in alpha])
+        theta, phi = rng.uniform(0.3, 2.8, size=30), rng.uniform(0.0, 2 * np.pi, size=30)
+        rot, boost = ibr_physical_factors(theta, phi)
+        for i in range(30):
+            one_rot, one_boost = ibr_physical_factors(theta[i], phi[i])
+            assert np.max(np.abs(rot[i] - one_rot)) <= 1e-15
+            assert np.max(np.abs(boost[i] - one_boost)) <= 1e-15
+        gamma = rng.uniform(-np.pi, np.pi, size=30)
+        M = rotation_z(gamma) @ ibr_matrix(alpha)
+        el = decompose_little_group(M)
+        for i in range(30):
+            one = decompose_little_group(M[i])
+            assert abs(el.gamma[i] - one.gamma) <= 1e-15
+            assert np.max(np.abs(el.alpha[i] - one.alpha)) <= 1e-15
+
+    def test_bad_row_is_named(self):
+        M = ibr_matrix(np.zeros((4, 2)))
+        M[2] = boost_matrix([0.0, 0.0, 0.5])
+        with pytest.raises(ValueError, match=r"not a little-group element of k0 \(row 2\)"):
+            decompose_little_group(M)
+        with pytest.raises(ValueError, match=r"degenerate isoenergetic direction \(row 1\)"):
+            ibr_physical_factors([1.0, np.pi, 2.0], 0.3)

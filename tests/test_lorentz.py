@@ -6,6 +6,7 @@ from scipy.linalg import expm
 
 from photonamp.lorentz import (
     AxisAngle,
+    azimuth_phase,
     boost_matrix,
     compose_axis_angle,
     is_rotation,
@@ -13,6 +14,7 @@ from photonamp.lorentz import (
     metric_residual,
     minkowski,
     polar_azimuth,
+    rotation3,
     rotation_matrix,
     rotation_y,
     rotation_z,
@@ -244,3 +246,104 @@ def test_polar_azimuth_pole_convention():
 def test_is_rotation_detects_boosts():
     assert is_rotation(rotation_y(0.4))
     assert not is_rotation(boost_matrix([0, 0, 0.4]))
+
+
+# -- stacks -------------------------------------------------------------------
+
+BATCHES = [(), (5,), (2, 5)]
+
+
+def random_units(rng, batch):
+    v = rng.normal(size=batch + (3,))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def random_lightlikes(rng, batch):
+    omega = rng.uniform(0.3, 3.0, size=batch + (1,))
+    return np.concatenate([omega, omega * random_units(rng, batch)], axis=-1)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_output_shapes(self, batch):
+        rng = np.random.default_rng(21)
+        r = AxisAngle(rng.normal(size=batch + (3,)), rng.uniform(-np.pi, np.pi, size=batch))
+        assert rotation3(r).shape == batch + (3, 3)
+        assert rotation_matrix(r).shape == batch + (4, 4)
+        assert su2_matrix(r).shape == batch + (2, 2)
+        assert rotation_z(r.angle).shape == batch + (4, 4)
+        B = boost_matrix(0.6 * random_units(rng, batch))
+        assert B.shape == batch + (4, 4)
+        assert standard_rotation(r.axis).shape == batch + (4, 4)
+        k = random_lightlikes(rng, batch)
+        assert standard_boost_z(k[..., 0], 1.0).shape == batch + (4, 4)
+        assert standard_lorentz(k, 1.0).shape == batch + (4, 4)
+        assert azimuth_phase(k[..., 1:]).shape == batch
+        for value in (*polar_azimuth(k[..., 1:]), metric_residual(B), is_rotation(B)):
+            assert np.shape(value) == batch
+
+    def test_single_inputs_keep_python_scalars(self):
+        B = boost_matrix([0.1, 0.2, 0.3])
+        assert type(metric_residual(B)) is float
+        assert type(is_rotation(B)) is bool
+        assert all(type(x) is float for x in polar_azimuth([1.0, 2.0, 3.0]))
+        assert type(AxisAngle([0, 0, 1], 0.5).angle) is float
+
+    def test_elementwise_builders_equal_single_calls(self):
+        rng = np.random.default_rng(22)
+        axes, angles = rng.normal(size=(40, 3)), rng.uniform(-np.pi, np.pi, size=40)
+        r = AxisAngle(axes, angles)
+        singles = [AxisAngle(a, t) for a, t in zip(axes, angles)]
+        for build in (rotation3, rotation_matrix, su2_matrix):
+            assert np.array_equal(build(r), [build(one) for one in singles])
+        betas = rng.uniform(0.0, 0.95, size=(40, 1)) * random_units(rng, (40,))
+        assert np.array_equal(boost_matrix(betas), [boost_matrix(b) for b in betas])
+
+    def test_products_match_single_calls(self):
+        rng = np.random.default_rng(23)
+        dirs, k = rng.normal(size=(40, 3)), random_lightlikes(rng, (40,))
+        assert np.max(np.abs(
+            standard_rotation(dirs) - [standard_rotation(d) for d in dirs]
+        )) <= 1e-15
+        assert np.max(np.abs(
+            standard_lorentz(k, 1.3) - [standard_lorentz(one, 1.3) for one in k]
+        )) <= 1e-15
+        L = boost_matrix(0.7 * random_units(rng, (40,))) @ rotation_matrix(
+            AxisAngle(dirs, rng.uniform(-np.pi, np.pi, size=40))
+        )
+        assert np.max(np.abs(metric_residual(L) - [metric_residual(one) for one in L])) <= 1e-15
+
+    def test_zero_velocity_rows_are_identities(self):
+        betas = np.array([[0.3, 0.0, 0.1], [0.0, 0.0, 0.0], [-0.2, 0.5, 0.0], [0.0, -0.0, 0.0]])
+        stack = boost_matrix(betas)
+        assert np.array_equal(stack[1], np.eye(4)) and np.array_equal(stack[3], np.eye(4))
+        assert np.array_equal(stack[[0, 2]], [boost_matrix(betas[0]), boost_matrix(betas[2])])
+
+    def test_bad_row_is_named(self):
+        axes = np.ones((6, 3))
+        axes[3] = 0.0
+        with pytest.raises(ValueError, match=r"nonzero 3-vector \(row 3\)"):
+            AxisAngle(axes, np.zeros(6))
+        betas = np.zeros((2, 5, 3))
+        betas[1, 4] = [0.0, 0.8, 0.8]
+        with pytest.raises(ValueError, match=r"superluminal boost \(row \(1, 4\)\)"):
+            boost_matrix(betas)
+        k = np.tile([1.0, 0.0, 0.0, 1.0], (4, 1))
+        k[2, 3] = 0.5
+        with pytest.raises(ValueError, match=r"not lightlike with positive energy \(row 2\)"):
+            standard_lorentz(k, 1.0)
+        with pytest.raises(ValueError, match=r"energies must be positive \(row 1\)"):
+            standard_boost_z([1.0, -2.0, 0.0], 1.0)
+
+    def test_single_bad_input_message_is_unchanged(self):
+        with pytest.raises(ValueError, match=r"^superluminal boost$"):
+            boost_matrix([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=r"^rotation axis must be a nonzero 3-vector$"):
+            AxisAngle([0.0, 0.0, 0.0], 1.0)
+
+
+def test_azimuth_phase_fixes_only_the_exact_axis():
+    assert azimuth_phase([0.0, 0.0, -1.0]) == 1.0
+    tiny = 1e-16 * np.array([np.cos(1.0), np.sin(1.0), 0.0]) + [0.0, 0.0, -1.0]
+    assert azimuth_phase(tiny) == pytest.approx(np.exp(1j), abs=1e-15)
+    assert polar_azimuth(tiny)[1] == pytest.approx(1.0, abs=1e-15)

@@ -217,3 +217,55 @@ class TestCovariance:
             lam = 1 if rng.random() < 0.5 else -1
             _, resid = covariance_residual(boost_matrix(beta), k, lam)
             assert resid <= 1e-10
+
+
+# -- stacks -------------------------------------------------------------------
+
+
+def random_lightlikes(rng, batch):
+    d = rng.normal(size=batch + (3,))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    omega = rng.uniform(0.3, 3.0, size=batch + (1,))
+    return np.concatenate([omega, omega * d], axis=-1)
+
+
+class TestStacks:
+    @pytest.mark.parametrize("batch", [(), (6,), (2, 6)])
+    def test_output_shapes(self, batch):
+        rng = np.random.default_rng(51)
+        k = random_lightlikes(rng, batch)
+        lam = np.where(rng.random(batch) < 0.5, 1, -1)
+        assert polarization(k, lam).eps.shape == batch + (4,)
+        assert polarization(k, 1).eps.shape == batch + (4,)
+        Lam = boost_matrix(0.2 * rng.normal(size=batch + (3,)))
+        coef, resid = covariance_residual(Lam, k, lam)
+        assert np.shape(coef) == np.shape(resid) == batch
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(52)
+        k = random_lightlikes(rng, (30,))
+        lam = np.where(rng.random(30) < 0.5, 1, -1)
+        Lam = boost_matrix(0.2 * rng.normal(size=(30, 3)))
+        eps = polarization(k, lam).eps
+        coef, resid = covariance_residual(Lam, k, lam)
+        for i in range(30):
+            assert np.max(np.abs(eps[i] - polarization(k[i], int(lam[i])).eps)) <= 1e-15
+            one_coef, one_resid = covariance_residual(Lam[i], k[i], int(lam[i]))
+            assert abs(coef[i] - one_coef) <= 1e-15
+            assert abs(resid[i] - one_resid) <= 1e-15
+
+    def test_bad_row_is_named(self):
+        k = np.tile([1.0, 0.0, 0.0, 1.0], (3, 1))
+        with pytest.raises(ValueError, match=r"helicity must be \+1 or -1 \(row 1\)"):
+            polarization(k, [1, 0, -1])
+        k[2, 0] = -1.0
+        with pytest.raises(ValueError, match=r"not lightlike with positive energy \(row 2\)"):
+            polarization(k, 1)
+
+
+@pytest.mark.parametrize("offset", [1e-14, 1e-16])
+@pytest.mark.parametrize("lam", [1, -1])
+def test_closed_form_agrees_with_matrix_route_next_to_the_south_pole(offset, lam):
+    k = np.array([1.0, offset * np.cos(1.0), offset * np.sin(1.0), -1.0])
+    spatial = polarization_spatial(k[1:], lam)
+    assert np.max(np.abs(polarization(k, lam).eps[1:] - spatial)) <= 1e-12

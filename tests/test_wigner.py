@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from photonamp import verify
 from photonamp.lorentz import (
     AxisAngle,
     beta_from_rapidity,
@@ -183,3 +184,102 @@ def test_half_phase_squares_to_state_phase():
         assert abs(data.phase_half) == pytest.approx(1.0, abs=1e-12)
         assert data.phase_half**2 == pytest.approx(data.phase(1))
         assert data.phase(-1) == pytest.approx(np.conj(data.phase(1)))
+
+
+# -- stacks -------------------------------------------------------------------
+
+
+def random_lightlikes(rng, batch):
+    d = rng.normal(size=batch + (3,))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    omega = rng.uniform(0.3, 3.0, size=batch + (1,))
+    return np.concatenate([omega, omega * d], axis=-1)
+
+
+def random_boosts(rng, batch):
+    zeta = rng.uniform(0.0, 2.0, size=batch + (1,)) * rng.normal(size=batch + (3,))
+    return boost_matrix(beta_from_rapidity(zeta)), zeta
+
+
+class TestStacks:
+    @pytest.mark.parametrize("batch", [(), (7,), (2, 7)])
+    def test_output_shapes(self, batch):
+        rng = np.random.default_rng(41)
+        r = AxisAngle(rng.normal(size=batch + (3,)), rng.uniform(-np.pi, np.pi, size=batch))
+        k = random_lightlikes(rng, batch)
+        Lam, zeta = random_boosts(rng, batch)
+        for data in (wigner_rotation(rotation_matrix(r), k), wigner_boost(Lam, k)):
+            for value in (data.w, data.phase_half, data.residual, data.phase(1)):
+                assert np.shape(value) == batch
+            assert np.shape(data.alpha) == batch + (2,)
+        assert np.shape(wigner_phase_rotation_closed(r, k)) == batch
+        assert np.shape(wigner_phase_boost_closed(zeta, k)) == batch
+
+    def test_single_calls_keep_python_scalars(self):
+        data = wigner_rotation(rotation_z(0.3), np.array([1.0, 0.6, 0.0, 0.8]))
+        assert type(data.w) is float and type(data.phase_half) is complex
+        assert type(data.residual) is float and type(data.phase(1)) is complex
+
+    def test_stack_matches_single_calls(self):
+        rng = np.random.default_rng(42)
+        r = AxisAngle(rng.normal(size=(30, 3)), rng.uniform(-np.pi, np.pi, size=30))
+        k = random_lightlikes(rng, (30,))
+        Lam, zeta = random_boosts(rng, (30,))
+        R = rotation_matrix(r)
+        rot, boost = wigner_rotation(R, k), wigner_boost(Lam, k)
+        rot_closed = wigner_phase_rotation_closed(r, k)
+        boost_closed = wigner_phase_boost_closed(zeta, k)
+        for i in range(30):
+            one = AxisAngle(r.axis[i], r.angle[i])
+            assert abs(rot.w[i] - wigner_rotation(R[i], k[i]).w) <= 1e-15
+            assert abs(boost.w[i] - wigner_boost(Lam[i], k[i]).w) <= 1e-15
+            assert np.max(np.abs(boost.alpha[i] - wigner_boost(Lam[i], k[i]).alpha)) <= 1e-15
+            assert abs(rot_closed[i] - wigner_phase_rotation_closed(one, k[i])) <= 1e-15
+            assert abs(boost_closed[i] - wigner_phase_boost_closed(zeta[i], k[i])) <= 1e-15
+
+    def test_bad_row_is_named(self):
+        rng = np.random.default_rng(43)
+        k = random_lightlikes(rng, (5,))
+        R = rotation_z(np.linspace(0.0, 1.0, 5))
+        R[3] = boost_matrix([0.0, 0.2, 0.0])
+        with pytest.raises(ValueError, match=r"not a pure rotation \(row 3\)"):
+            wigner_rotation(R, k)
+        k[1, 0] *= 2.0
+        with pytest.raises(ValueError, match=r"not lightlike with positive energy \(row 1\)"):
+            wigner_boost(boost_matrix(np.zeros((5, 3))), k)
+
+    def test_degenerate_half_phase_row_is_named(self):
+        # row 2 carries the north pole to the south pole
+        k = np.tile([1.0, 0.0, 0.0, 1.0], (4, 1))
+        angles = np.array([0.3, 0.5, np.pi, 1.0])
+        with pytest.raises(ValueError, match=r"undefined half-phase \(row 2\)"):
+            wigner_phase_rotation_closed(AxisAngle([0.0, 1.0, 0.0], angles), k)
+
+
+@pytest.mark.parametrize("offset", [1e-14, 1e-16])
+def test_closed_form_agrees_with_matrix_route_next_to_the_south_pole(offset):
+    rng = np.random.default_rng(44)
+    k = np.array([1.0, offset * np.cos(1.0), offset * np.sin(1.0), -1.0])
+    for _ in range(20):
+        r = random_axis_angle(rng)
+        closed = wigner_phase_rotation_closed(r, k)
+        assert abs(closed**2 - wigner_rotation(rotation_matrix(r), k).phase(1)) <= 1e-12
+        zeta = rng.uniform(0.1, 2.0) * rng.normal(size=3)
+        closed = wigner_phase_boost_closed(zeta, k)
+        data = wigner_boost(boost_matrix(beta_from_rapidity(zeta)), k)
+        assert abs(closed**2 - data.phase(1)) <= 1e-12
+
+
+def test_verify_raises_on_a_degenerate_alignment(monkeypatch):
+    # every trial rotates the north pole by pi about x: the matrix route is
+    # fine, and the closed form must not clamp the half phase to 1
+    def north_pole(rng, n):
+        return np.tile([1.0, 0.0, 0.0, 1.0], (n, 1))
+
+    def half_turn_about_x(rng, n=None):
+        return AxisAngle(np.tile([1.0, 0.0, 0.0], (n, 1)), np.full(n, np.pi))
+
+    monkeypatch.setattr(verify, "_random_lightlike", north_pole)
+    monkeypatch.setattr(verify, "_random_axis_angle", half_turn_about_x)
+    with pytest.raises(ValueError, match="undefined half-phase"):
+        verify.run_suite("wigner", trials=5, seed=1)
