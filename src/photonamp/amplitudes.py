@@ -2,45 +2,57 @@
 
 A state is represented by two complex functions of the spatial momentum, one
 per helicity (+1, -1), normalized so the summed momentum-space integral of
-|psi|^2 is one. Transformations never resample: each one wraps the previous
-functions in an exact pointwise pullback,
+|psi|^2 is one. Transformations never resample. One operation acts as
 
 * translation by a 4-vector a:   psi(k)           times e^{+i k.a},
 * rotation R:                    psi(R^{-1}k)      times e^{-i lam w(R)},
 * boost Lambda:                  psi(Lambda^{-1}k) times the unitary weight
                                  sqrt(omega'/omega) and e^{-i lam w(Lambda)},
 * space inversion:               helicity flip, k -> -k, phase
-                                 eta e^{+2 i lam phi_k} with eta = -1,
+                                 eta e^{-2 i lam phi_k} with eta = -1,
 * time reversal:                 conjugation, k -> -k, phase e^{-2 i lam phi_k},
 
-where w is the little-group angle from :mod:`photonamp.wigner`. The boost
-weight sqrt(gamma (1 - beta . k_hat)) is evaluated as the energy ratio
-sqrt(omega(Lambda^{-1}k)/omega(k)), to which it is identically equal.
+where w is the little-group angle from :mod:`photonamp.wigner`. With these
+phases P U(Lambda, a) P = U(P Lambda P, Pa), T U(Lambda, a) T^{-1} =
+U(T Lambda T, Ta) and PT = TP hold exactly, so a whole record fuses into one
+element U(a) U(A) P^p T^t (``_Poincare``): an SL(2,C) matrix A with its 4x4
+Lambda, a translation a, and parity and time-reversal bits, composed op by op
+in O(1). At k it costs one pass whatever the record's length: the origin's
+component (-lam if p) at -k' if exactly one bit is set, else at
+k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
+``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
+p, all conjugated for lam = -1, and e^{i k.a}.
 
-Quadrature enters only through observables (norms, overlaps, momentum
-moments), computed on the Gauss-Legendre box carried by each amplitude. The
-applied operations are kept as a replayable record.
+Observables (norms, overlaps, momentum moments) use the Gauss-Legendre box
+carried op by op with each amplitude; an amplitude evaluates its density on
+that box once and keeps the norm and momentum moments. The applied
+operations are kept as a replayable record.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field, replace
+from functools import partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
 
 from .lorentz import (
+    METRIC,
     AxisAngle,
     azimuth_phase,
     boost_matrix,
     four_momentum,
+    lorentz_inverse,
     rapidity_from_beta,
     rotation3,
+    rotation_matrix,
+    sl2c_boost,
+    su2_matrix,
 )
 from .quadrature import BoxQuadrature, mapped_box, union_box
-from .wigner import boost_half_phase, rotation_half_phase
+from .wigner import half_phase
 
 HELICITIES = (1, -1)
 PHOTON_PARITY = -1.0
@@ -85,21 +97,101 @@ def op_from_json(obj: dict) -> TransformOp:
     raise ValueError(f"unknown transformation type: {kind!r}")
 
 
-def _phase_2phi(k: np.ndarray) -> np.ndarray:
-    """e^{2 i phi_k}, with ``azimuth_phase``'s convention on the polar axis."""
-    eiphi = azimuth_phase(k)
-    return eiphi * eiphi
+def _inverse_adjoint(A: np.ndarray) -> np.ndarray:
+    """(A^dagger)^{-1} of an SL(2,C) matrix: what P and T make of A."""
+    return np.conj(np.array([[A[1, 1], -A[1, 0]], [-A[0, 1], A[0, 0]]]))
+
+
+@dataclass(frozen=True)
+class _Poincare:
+    """The fused element U(a) U(A) P^parity T^reversal of an operation record.
+
+    ``A`` is an SL(2,C) matrix and ``Lam`` its 4x4 Lorentz matrix; ``pullback``
+    evaluates the element as the module docstring sets out.
+    """
+
+    A: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
+    Lam: np.ndarray = field(default_factory=lambda: np.eye(4))
+    a: np.ndarray = field(default_factory=lambda: np.zeros(4))
+    parity: bool = False
+    reversal: bool = False
+
+    def then(self, op: TransformOp) -> "_Poincare":
+        """This element followed by ``op``."""
+        if op.kind == "translate":
+            return replace(self, a=self.a + np.asarray(op.params["a"], dtype=float))
+        if op.kind in ("rotate", "boost"):
+            if op.kind == "rotate":
+                r = AxisAngle(np.array(op.params["axis"]), op.params["angle"])
+                A, Lam = su2_matrix(r), rotation_matrix(r)
+            else:
+                beta = np.asarray(op.params["beta"], dtype=float)
+                A, Lam = sl2c_boost(rapidity_from_beta(beta)), boost_matrix(beta)
+            return replace(self, A=A @ self.A, Lam=Lam @ self.Lam, a=Lam @ self.a)
+        if op.kind in ("parity", "time_reverse"):
+            # P = g and T = -g; both take Lambda to g Lambda g and A to (A^dagger)^{-1}
+            parity = op.kind == "parity"
+            return replace(
+                self,
+                A=_inverse_adjoint(self.A),
+                Lam=METRIC @ self.Lam @ METRIC,
+                a=(METRIC if parity else -METRIC) @ self.a,
+                parity=self.parity ^ parity,
+                reversal=self.reversal ^ (not parity),
+            )
+        raise ValueError(f"unknown transformation kind: {op.kind!r}")
+
+    def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
+        """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it."""
+        translated, lorentz = self.a.any(), not np.array_equal(self.Lam, np.eye(4))
+        if not (translated or lorentz or self.parity or self.reversal):
+            return np.asarray(f(k), dtype=complex)
+        k4 = four_momentum(k)
+        omega = k4[..., 0]
+        q, factor = k, 1.0
+        if lorentz:
+            prev4 = k4 @ lorentz_inverse(self.Lam).T
+            q = prev4[..., 1:]
+            weight = np.sqrt(prev4[..., 0] / np.where(omega > 0.0, omega, 1.0))
+            factor = weight * half_phase(self.A, q) ** 2
+        if self.parity != self.reversal:
+            eiphi = azimuth_phase(q)
+            factor = factor * np.conj(eiphi * eiphi)
+            q = -q
+        if self.parity:
+            factor = PHOTON_PARITY * factor
+        value = np.asarray(f(q), dtype=complex)
+        if self.reversal:
+            value = np.conj(value)
+        if translated:
+            value = value * np.exp(1j * (omega * self.a[0] - k @ self.a[1:]))
+        return value * (factor if lam == 1 else np.conj(factor))
+
+
+def _carried_box(quad: BoxQuadrature, op: TransformOp) -> BoxQuadrature:
+    """The quadrature box after ``op``: the padded image of the previous box."""
+    if op.kind == "rotate":
+        R3 = rotation3(AxisAngle(np.array(op.params["axis"]), op.params["angle"]))
+        return mapped_box(quad, lambda pts: pts @ R3.T)
+    if op.kind == "boost":
+        B = boost_matrix(np.asarray(op.params["beta"], dtype=float))
+        return mapped_box(quad, lambda pts: (four_momentum(pts) @ B.T)[..., 1:])
+    if op.kind in ("parity", "time_reverse"):
+        return BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
+    return quad
 
 
 class HelicityAmplitude:
     """Pair of momentum-space helicity components with an attached quadrature box.
 
-    ``psi_plus`` / ``psi_minus`` are callables mapping (..., 3) momentum
-    arrays to complex values, or None for an identically vanishing component.
-    Instances are immutable; transformations return new objects.
+    The constructor takes callables mapping (..., 3) momentum arrays to
+    complex values, or None for an identically vanishing component;
+    ``psi_plus`` / ``psi_minus`` / ``component(lam)`` return the transformed
+    components the same way. Instances are immutable; transformations return
+    new objects sharing the constructor's callables and one fused element.
     """
 
-    __slots__ = ("psi_plus", "psi_minus", "quad", "record", "origin")
+    __slots__ = ("_base", "_element", "quad", "record", "origin", "_integrals")
 
     def __init__(
         self,
@@ -111,26 +203,35 @@ class HelicityAmplitude:
     ):
         if psi_plus is None and psi_minus is None:
             raise ValueError("at least one helicity component must be present")
-        self.psi_plus = psi_plus
-        self.psi_minus = psi_minus
+        self._base = (psi_plus, psi_minus)
+        self._element = _Poincare()
         self.quad = quad
         self.record = tuple(record)
         self.origin = origin if origin is not None else self
+        self._integrals = None
+
+    psi_plus = property(lambda self: self.component(1))
+    psi_minus = property(lambda self: self.component(-1))
+
+    def _source(self, lam: int) -> Optional[Callable]:
+        """The constructor's callable that feeds helicity ``lam``."""
+        if lam not in HELICITIES:
+            raise ValueError("helicity must be +1 or -1")
+        if self._element.parity:
+            lam = -lam
+        return self._base[0 if lam == 1 else 1]
 
     def component(self, lam: int) -> Optional[Callable]:
-        if lam == 1:
-            return self.psi_plus
-        if lam == -1:
-            return self.psi_minus
-        raise ValueError("helicity must be +1 or -1")
+        f = self._source(lam)
+        return f if f is None or not self.record else partial(self.evaluate, lam)
 
     def evaluate(self, lam: int, kvec) -> np.ndarray:
         """Component values at spatial momenta of shape (..., 3)."""
         kvec = np.asarray(kvec, dtype=float)
-        f = self.component(lam)
+        f = self._source(lam)
         if f is None:
             return np.zeros(kvec.shape[:-1], dtype=complex)
-        return np.asarray(f(kvec), dtype=complex)
+        return self._element.pullback(f, lam, kvec)
 
     # -- symmetry operations -------------------------------------------------
 
@@ -177,118 +278,17 @@ class HelicityAmplitude:
         return HelicityAmplitude(rescaled(self.psi_plus), rescaled(self.psi_minus), self.quad)
 
     def _apply(self, op: TransformOp) -> "HelicityAmplitude":
-        plus, minus, quad = _transform(self.psi_plus, self.psi_minus, self.quad, op)
-        return HelicityAmplitude(plus, minus, quad, self.record + (op,), self.origin)
+        element = self._element.then(op)
+        out = HelicityAmplitude(
+            *self._base, _carried_box(self.quad, op), self.record + (op,), self.origin
+        )
+        out._element = element
+        return out
 
 
 def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
     """Re-apply a transformation record to ``base``; reproduces the owner pointwise."""
     return reduce(lambda amp, op: amp.apply(op), record, base)
-
-
-# -- the five pullbacks ------------------------------------------------------
-
-
-def _translated(f, a):
-    if f is None:
-        return None
-    a = np.asarray(a, dtype=float)
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        omega = np.linalg.norm(k, axis=-1)
-        k_dot_a = omega * a[0] - k @ a[1:]
-        return f(k) * np.exp(1j * k_dot_a)
-
-    return g
-
-
-def _rotated(f, lam, r: AxisAngle):
-    if f is None:
-        return None
-    R3 = rotation3(r)
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        k_prev = k @ R3  # rows are R^{-1} k
-        phase = rotation_half_phase(r, k_prev) ** 2
-        if lam == -1:
-            phase = np.conj(phase)
-        return f(k_prev) * phase
-
-    return g
-
-
-def _boosted(f, lam, beta):
-    if f is None:
-        return None
-    inv = boost_matrix(-np.asarray(beta, dtype=float))
-    zeta = rapidity_from_beta(beta)
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        omega = np.linalg.norm(k, axis=-1)
-        prev4 = four_momentum(k) @ inv.T
-        omega_prev = prev4[..., 0]
-        k_prev = prev4[..., 1:]
-        weight = np.sqrt(omega_prev / np.where(omega > 0.0, omega, 1.0))
-        phase = boost_half_phase(zeta, k_prev) ** 2
-        if lam == -1:
-            phase = np.conj(phase)
-        return f(k_prev) * weight * phase
-
-    return g
-
-
-def _parity_component(f_other, lam):
-    if f_other is None:
-        return None
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        phase = _phase_2phi(k)
-        if lam == -1:
-            phase = np.conj(phase)
-        return PHOTON_PARITY * phase * f_other(-k)
-
-    return g
-
-
-def _time_reversed(f, lam):
-    if f is None:
-        return None
-
-    def g(k):
-        k = np.asarray(k, dtype=float)
-        phase = np.conj(_phase_2phi(k))
-        if lam == -1:
-            phase = np.conj(phase)
-        return np.conj(f(-k)) * phase
-
-    return g
-
-
-def _transform(plus, minus, quad, op: TransformOp):
-    if op.kind == "translate":
-        a = op.params["a"]
-        return _translated(plus, a), _translated(minus, a), quad
-    if op.kind == "rotate":
-        r = AxisAngle(np.array(op.params["axis"]), op.params["angle"])
-        R3 = rotation3(r)
-        new_quad = mapped_box(quad, lambda pts: pts @ R3.T)
-        return _rotated(plus, 1, r), _rotated(minus, -1, r), new_quad
-    if op.kind == "boost":
-        beta = np.asarray(op.params["beta"], dtype=float)
-        B = boost_matrix(beta)
-        new_quad = mapped_box(quad, lambda pts: (four_momentum(pts) @ B.T)[..., 1:])
-        return _boosted(plus, 1, beta), _boosted(minus, -1, beta), new_quad
-    if op.kind == "parity":
-        flipped = BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-        return _parity_component(minus, 1), _parity_component(plus, -1), flipped
-    if op.kind == "time_reverse":
-        flipped = BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-        return _time_reversed(plus, 1), _time_reversed(minus, -1), flipped
-    raise ValueError(f"unknown transformation kind: {op.kind!r}")
 
 
 # -- construction ------------------------------------------------------------
@@ -329,34 +329,45 @@ def gaussian_wavepacket(
 # -- observables -------------------------------------------------------------
 
 
-def _density_on_grid(psi: HelicityAmplitude, quad: BoxQuadrature, warn: bool):
-    pts = quad.points()
-    density = np.zeros(len(pts))
-    values = {}
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
-        v = psi.evaluate(lam, pts)
-        values[lam] = v
-        density += np.abs(v) ** 2
-    if warn:
-        peak = float(density.max())
-        if peak > 0.0:
-            boundary = float(density[quad.boundary_mask()].max())
-            if boundary > BOUNDARY_DENSITY_RATIO * peak:
-                warnings.warn(
-                    "quadrature box may clip the amplitude support "
-                    f"(boundary/peak density {boundary / peak:.2e})",
-                    QuadratureDomainWarning,
-                    stacklevel=3,
-                )
-    return pts, quad.weights(), density, values
+def _density_integrals(psi: HelicityAmplitude, warn: bool):
+    """Norm and momentum moments of the amplitude's density on its own box.
+
+    The density is evaluated once per amplitude; what the observables need
+    from it (the two integrals, its peak and its largest boundary value) is
+    kept on the amplitude, the array itself is not. The boundary check runs,
+    and may warn, on every call.
+    """
+    if psi._integrals is None:
+        pts, w = psi.quad.points(), psi.quad.weights()
+        density = sum(
+            np.abs(psi.evaluate(lam, pts)) ** 2 for lam in HELICITIES if psi._source(lam) is not None
+        )
+        weighted = w * density
+        omega = np.linalg.norm(pts, axis=-1)
+        momentum = np.array(
+            [
+                float(weighted @ omega),
+                float(weighted @ pts[:, 0]),
+                float(weighted @ pts[:, 1]),
+                float(weighted @ pts[:, 2]),
+            ]
+        )
+        boundary = float(density[psi.quad.boundary_mask()].max())
+        psi._integrals = (float(w @ density), momentum, float(density.max()), boundary)
+    norm, momentum, peak, boundary = psi._integrals
+    if warn and peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
+        warnings.warn(
+            "quadrature box may clip the amplitude support "
+            f"(boundary/peak density {boundary / peak:.2e})",
+            QuadratureDomainWarning,
+            stacklevel=3,
+        )
+    return norm, momentum.copy()
 
 
 def norm_squared(psi: HelicityAmplitude, warn: bool = True) -> float:
     """Summed momentum-space integral of |psi|^2 over the attached box."""
-    _, w, density, _ = _density_on_grid(psi, psi.quad, warn)
-    return float(w @ density)
+    return _density_integrals(psi, warn)[0]
 
 
 def inner_product(
@@ -383,17 +394,7 @@ def inner_product(
 
 def expectation_momentum(psi: HelicityAmplitude, warn: bool = True) -> np.ndarray:
     """Four-vector of momentum moments int |psi|^2 k^mu with k^0 = |k|."""
-    pts, w, density, _ = _density_on_grid(psi, psi.quad, warn)
-    weighted = w * density
-    omega = np.linalg.norm(pts, axis=-1)
-    return np.array(
-        [
-            float(weighted @ omega),
-            float(weighted @ pts[:, 0]),
-            float(weighted @ pts[:, 1]),
-            float(weighted @ pts[:, 2]),
-        ]
-    )
+    return _density_integrals(psi, warn)[1]
 
 
 # -- JSON wavepacket descriptors ----------------------------------------------

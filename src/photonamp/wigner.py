@@ -9,9 +9,9 @@ Two evaluation paths are provided and cross-validated in the test suite:
 
 * matrix decomposition of the frame-referred transformation
   (``wigner_rotation`` / ``wigner_boost``), and
-* closed-form half-angle phases exp(-i w/2) built from spin-1/2 matrix
-  elements (``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``),
-  vectorized over momentum arrays for quadrature use.
+* closed-form half-angle phases exp(-i w/2) of any SL(2,C) element, vectorized
+  over momenta (``half_phase``), with strict one-transformation wrappers
+  ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``.
 
 Only the squared half-phase is single-valued; photon physics (lambda = +-1)
 never needs the square root's branch.
@@ -28,10 +28,8 @@ from .lorentz import (
     _apply,
     _atan2,
     _cabs,
-    _cosh,
     _norm,
     _require,
-    _sinh,
     _transpose,
     _unstack,
     azimuth_phase,
@@ -40,6 +38,7 @@ from .lorentz import (
     lorentz_inverse,
     require_lightlike,
     rotation_z,
+    sl2c_boost,
     standard_lorentz,
     standard_rotation,
     su2_matrix,
@@ -127,24 +126,16 @@ def _half_angle_factors(kvec):
     return ct2, st2, azimuth_phase(k)
 
 
-def _rotation_half_raw(r: AxisAngle, kvec) -> np.ndarray:
-    """Unnormalized exp(-i w/2): the first row of su2_matrix(r) on (cos theta/2, sin theta/2 e^{i phi})."""
-    u = su2_matrix(r)
+def _half_raw(A, kvec) -> np.ndarray:
+    """Unnormalized exp(-i w/2): the first row of ``A`` on (cos theta/2, sin theta/2 e^{i phi})."""
     ct2, st2, eiphi = _half_angle_factors(kvec)
-    return u[..., 0, 0] * ct2 + u[..., 0, 1] * st2 * eiphi
+    return A[..., 0, 0] * ct2 + A[..., 0, 1] * st2 * eiphi
 
 
 def _boost_half_raw(zeta, kvec) -> np.ndarray:
-    """Unnormalized exp(-i w/2) for pure boosts of rapidity ``zeta``; 1 where zeta = 0."""
+    """``_half_raw`` of the boost of rapidity ``zeta``; exactly 1 where zeta = 0."""
     zeta = np.asarray(zeta, dtype=float)
-    z = _norm(zeta)
-    rest = z == 0.0
-    zhat = zeta / np.where(rest, 1.0, z)[..., None]
-    ch, sh = _cosh(0.5 * z), _sinh(0.5 * z)
-    a = ch + sh * zhat[..., 2]
-    b = sh * (zhat[..., 0] - 1j * zhat[..., 1])
-    ct2, st2, eiphi = _half_angle_factors(kvec)
-    return np.where(rest, 1.0, a * ct2 + b * st2 * eiphi)
+    return np.where(_norm(zeta) == 0.0, 1.0, _half_raw(sl2c_boost(zeta), kvec))
 
 
 def _normalized(num):
@@ -166,18 +157,23 @@ def _strict(raw):
     return _unstack(raw.real / mag + 1j * (raw.imag / mag))
 
 
-def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
-    """Vectorized closed-form exp(-i w/2) for the rotation ``r`` acting at momenta ``kvec``.
+def half_phase(A, kvec) -> np.ndarray:
+    """Closed-form exp(-i w/2) of the SL(2,C) element ``A`` at the *initial* momenta ``kvec`` (..., 3).
 
-    ``kvec`` holds the *initial* spatial momenta, shape (..., 3). Degenerate
-    (measure-zero) alignments are clamped to phase 1; use the scalar wrapper
-    for strict error reporting.
+    ``A`` is any product of ``su2_matrix`` and ``sl2c_boost`` factors, and the
+    phase is a cocycle: half_phase(A2 A1, k) = half_phase(A2, Lambda1 k)
+    half_phase(A1, k). Degenerate (measure-zero) alignments are clamped to 1.
     """
-    return _normalized(_rotation_half_raw(r, kvec))
+    return _normalized(_half_raw(A, kvec))
+
+
+def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
+    """``half_phase`` of the rotation ``r``."""
+    return half_phase(su2_matrix(r), kvec)
 
 
 def boost_half_phase(zeta, kvec) -> np.ndarray:
-    """Vectorized closed-form exp(-i w/2) for a pure boost of rapidity 3-vector ``zeta``."""
+    """``half_phase`` of a pure boost of rapidity 3-vector ``zeta``, exactly 1 at zero rapidity."""
     return _normalized(_boost_half_raw(zeta, kvec))
 
 
@@ -189,7 +185,7 @@ def wigner_phase_rotation_closed(r: AxisAngle, k):
     degenerate row.
     """
     k = require_lightlike(k)
-    return _strict(_rotation_half_raw(r, k[..., 1:]))
+    return _strict(_half_raw(su2_matrix(r), k[..., 1:]))
 
 
 def wigner_phase_boost_closed(zeta, k):

@@ -1,10 +1,13 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from photonamp import amplitudes
 from photonamp.amplitudes import (
+    HELICITIES,
     HelicityAmplitude,
     QuadratureDomainWarning,
     TransformOp,
@@ -16,7 +19,16 @@ from photonamp.amplitudes import (
     op_from_json,
     replay,
 )
-from photonamp.lorentz import AxisAngle, boost_matrix, rotation_matrix
+from photonamp.lorentz import (
+    AxisAngle,
+    azimuth_phase,
+    boost_matrix,
+    four_momentum,
+    rapidity_from_beta,
+    rotation3,
+    rotation_matrix,
+)
+from photonamp.wigner import boost_half_phase, half_phase, rotation_half_phase
 
 KAPPA = 1.0
 SIGMA = 0.05
@@ -246,3 +258,330 @@ class TestDescriptors:
         op = op_from_json({"type": "boost", "beta": [0, 0, 0.5]})
         assert op == TransformOp("boost", {"beta": [0.0, 0.0, 0.5]})
         assert op.to_json() == {"type": "boost", "beta": [0.0, 0.0, 0.5]}
+
+
+# -- the nested pullbacks, kept as the oracle of the fused element --------------
+#
+# One closure per op, wrapped around the previous pair, with the parity phase
+# eta e^{-2 i lam phi_k}. The library composes the same record into one
+# element; these are the op-by-op definitions it must reproduce.
+
+
+def _phase_2phi(k):
+    eiphi = azimuth_phase(k)
+    return eiphi * eiphi
+
+
+def _ref_translated(f, a):
+    if f is None:
+        return None
+    a = np.asarray(a, dtype=float)
+
+    def g(k):
+        omega = np.linalg.norm(k, axis=-1)
+        return f(k) * np.exp(1j * (omega * a[0] - k @ a[1:]))
+
+    return g
+
+
+def _ref_rotated(f, lam, r):
+    if f is None:
+        return None
+    R3 = rotation3(r)
+
+    def g(k):
+        k_prev = k @ R3
+        phase = rotation_half_phase(r, k_prev) ** 2
+        return f(k_prev) * (phase if lam == 1 else np.conj(phase))
+
+    return g
+
+
+def _ref_boosted(f, lam, beta):
+    if f is None:
+        return None
+    inv = boost_matrix(-np.asarray(beta, dtype=float))
+    zeta = rapidity_from_beta(beta)
+
+    def g(k):
+        omega = np.linalg.norm(k, axis=-1)
+        prev4 = four_momentum(k) @ inv.T
+        k_prev = prev4[..., 1:]
+        weight = np.sqrt(prev4[..., 0] / np.where(omega > 0.0, omega, 1.0))
+        phase = boost_half_phase(zeta, k_prev) ** 2
+        return f(k_prev) * weight * (phase if lam == 1 else np.conj(phase))
+
+    return g
+
+
+def _ref_parity_component(f_other, lam):
+    if f_other is None:
+        return None
+
+    def g(k):
+        phase = np.conj(_phase_2phi(k))
+        return -1.0 * (phase if lam == 1 else np.conj(phase)) * f_other(-k)
+
+    return g
+
+
+def _ref_time_reversed(f, lam):
+    if f is None:
+        return None
+
+    def g(k):
+        phase = np.conj(_phase_2phi(k))
+        return np.conj(f(-k)) * (phase if lam == 1 else np.conj(phase))
+
+    return g
+
+
+def reference_apply(pair, op):
+    """The (plus, minus) callables after ``op``, one closure per component."""
+    plus, minus = pair
+    if op.kind == "translate":
+        return _ref_translated(plus, op.params["a"]), _ref_translated(minus, op.params["a"])
+    if op.kind == "rotate":
+        r = AxisAngle(np.array(op.params["axis"]), op.params["angle"])
+        return _ref_rotated(plus, 1, r), _ref_rotated(minus, -1, r)
+    if op.kind == "boost":
+        beta = op.params["beta"]
+        return _ref_boosted(plus, 1, beta), _ref_boosted(minus, -1, beta)
+    if op.kind == "parity":
+        return _ref_parity_component(minus, 1), _ref_parity_component(plus, -1)
+    return _ref_time_reversed(plus, 1), _ref_time_reversed(minus, -1)
+
+
+def reference_pair(origin, record):
+    return reduce(reference_apply, record, (origin.psi_plus, origin.psi_minus))
+
+
+def image_of(k, record):
+    """Where the record's Lorentz, P and T ops carry the momenta ``k``."""
+    for op in record:
+        if op.kind == "rotate":
+            k = k @ rotation3(AxisAngle(np.array(op.params["axis"]), op.params["angle"])).T
+        elif op.kind == "boost":
+            k = (four_momentum(k) @ boost_matrix(op.params["beta"]).T)[..., 1:]
+        elif op.kind in ("parity", "time_reverse"):
+            k = -k
+    return k
+
+
+def mixed_packet():
+    """Both helicities, with different centres, widths and a relative phase."""
+    plus = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+    minus = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, -1)
+    return HelicityAmplitude(
+        plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad
+    )
+
+
+def random_op(rng) -> TransformOp:
+    kind = rng.choice(["translate", "rotate", "boost", "parity", "time_reverse"])
+    if kind == "translate":
+        return TransformOp(kind, {"a": rng.uniform(-20.0, 20.0, 4).tolist()})
+    if kind == "rotate":
+        return TransformOp(
+            kind, {"axis": rng.normal(size=3).tolist(), "angle": float(rng.uniform(-np.pi, np.pi))}
+        )
+    if kind == "boost":
+        direction = rng.normal(size=3)
+        speed = rng.uniform(0.0, 0.6)
+        return TransformOp(kind, {"beta": (speed * direction / np.linalg.norm(direction)).tolist()})
+    return TransformOp(str(kind), {})
+
+
+def sample_near(amp, rng, n=256):
+    """Momenta around where the transformed packet lives."""
+    origin_pts = np.array([0.0, 0.0, KAPPA]) + rng.normal(scale=2 * SIGMA, size=(n, 3))
+    return image_of(origin_pts, amp.record)
+
+
+def assert_same_state(left, right, pts, rel=1e-12):
+    """Pointwise agreement of both helicities within ``rel`` of max|psi|."""
+    values = [(left.evaluate(lam, pts), right.evaluate(lam, pts)) for lam in HELICITIES]
+    scale = max(float(np.max(np.abs(v))) for pair in values for v in pair)
+    assert scale > 0.0
+    worst = max(float(np.max(np.abs(a - b))) for a, b in values)
+    assert worst <= rel * scale, f"differ by {worst / scale:.2e} of max|psi|"
+
+
+class TestGroupLaw:
+    """P and T commute through translations, rotations and boosts, and with each other."""
+
+    R = AxisAngle([0.3, -0.8, 0.5], 1.1)
+    BETA = np.array([0.2, 0.35, -0.4])
+    A = np.array([1.5, -2.0, 0.7, 3.1])
+
+    @pytest.fixture(params=["fused", "nested"])
+    def make(self, request):
+        """Apply ops through the library, or through the nested reference closures."""
+        base = mixed_packet()
+        if request.param == "fused":
+            return lambda ops: replay(base, ops)
+
+        def nested(ops):
+            plus, minus = reference_pair(base, ops)
+            return HelicityAmplitude(plus, minus, base.quad)
+
+        return nested
+
+    def check(self, make, left_ops, right_ops):
+        rng = np.random.default_rng(21)
+        left, right = make(left_ops), make(right_ops)
+        pts = image_of(np.array([0.0, 0.0, KAPPA]) + rng.normal(scale=2 * SIGMA, size=(200, 3)), left_ops)
+        assert_same_state(left, right, pts)
+
+    def test_parity_commutes_with_rotation(self, make):
+        rot = TransformOp("rotate", {"axis": self.R.axis.tolist(), "angle": self.R.angle})
+        parity = TransformOp("parity", {})
+        self.check(make, [rot, parity], [parity, rot])
+
+    def test_parity_commutes_with_z_rotation(self, make):
+        rot = TransformOp("rotate", {"axis": [0.0, 0.0, 1.0], "angle": 0.7})
+        parity = TransformOp("parity", {})
+        self.check(make, [rot, parity], [parity, rot])
+
+    def test_parity_reverses_boost(self, make):
+        parity = TransformOp("parity", {})
+        self.check(
+            make,
+            [TransformOp("boost", {"beta": self.BETA.tolist()}), parity],
+            [parity, TransformOp("boost", {"beta": (-self.BETA).tolist()})],
+        )
+
+    def test_parity_reverses_translation(self, make):
+        parity = TransformOp("parity", {})
+        moved = self.A * np.array([1.0, -1.0, -1.0, -1.0])
+        self.check(
+            make,
+            [TransformOp("translate", {"a": self.A.tolist()}), parity],
+            [parity, TransformOp("translate", {"a": moved.tolist()})],
+        )
+
+    def test_time_reversal_commutes_with_rotation(self, make):
+        rot = TransformOp("rotate", {"axis": self.R.axis.tolist(), "angle": self.R.angle})
+        reverse = TransformOp("time_reverse", {})
+        self.check(make, [rot, reverse], [reverse, rot])
+
+    def test_time_reversal_reverses_boost(self, make):
+        reverse = TransformOp("time_reverse", {})
+        self.check(
+            make,
+            [TransformOp("boost", {"beta": self.BETA.tolist()}), reverse],
+            [reverse, TransformOp("boost", {"beta": (-self.BETA).tolist()})],
+        )
+
+    def test_time_reversal_reverses_translation(self, make):
+        reverse = TransformOp("time_reverse", {})
+        moved = self.A * np.array([-1.0, 1.0, 1.0, 1.0])
+        self.check(
+            make,
+            [TransformOp("translate", {"a": self.A.tolist()}), reverse],
+            [reverse, TransformOp("translate", {"a": moved.tolist()})],
+        )
+
+    def test_parity_commutes_with_time_reversal(self, make):
+        parity, reverse = TransformOp("parity", {}), TransformOp("time_reverse", {})
+        self.check(make, [parity, reverse], [reverse, parity])
+
+    def test_parity_phase_by_hand(self):
+        base = mixed_packet()
+        flipped = base.parity()
+        k = np.array([[0.03, -0.02, -KAPPA], [-0.05, 0.04, -0.97 * KAPPA]])
+        e2iphi = _phase_2phi(k)
+        assert_allclose(
+            flipped.evaluate(1, k), -np.conj(e2iphi) * base.evaluate(-1, -k), rtol=1e-14
+        )
+        assert_allclose(
+            flipped.evaluate(-1, k), -e2iphi * base.evaluate(1, -k), rtol=1e-14
+        )
+
+
+class TestFusedElement:
+    """The fused element against the nested closures, on generic records."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_nested_pullbacks(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        base = mixed_packet()
+        worst = 0.0
+        for length in (1, 2, 3, 5, 8, 13, 21, 32):
+            amp = base
+            record = [random_op(rng) for _ in range(length)]
+            for op in record:
+                amp = amp.apply(op)
+            plus, minus = reference_pair(base, record)
+            pts = sample_near(amp, rng)
+            ref = {1: plus(pts), -1: minus(pts)}
+            scale = max(float(np.max(np.abs(v))) for v in ref.values())
+            for lam in HELICITIES:
+                diff = float(np.max(np.abs(amp.evaluate(lam, pts) - ref[lam]))) / scale
+                worst = max(worst, diff)
+        print(f"seed {seed}: worst fused-nested difference {worst:.2e} of max|psi|")
+        assert worst <= 1e-10
+
+    def test_one_pass_per_evaluation(self, monkeypatch):
+        calls, phases = [], []
+        packet = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+
+        def counted(k):
+            calls.append(1)
+            return packet.psi_plus(k)
+
+        def counted_phase(A, kvec):
+            phases.append(1)
+            return half_phase(A, kvec)
+
+        monkeypatch.setattr(amplitudes, "half_phase", counted_phase)
+        base = HelicityAmplitude(counted, None, packet.quad)
+        rng = np.random.default_rng(7)
+        pts = random_momenta(rng)
+        for length in (1, 8, 32):
+            amp = replay(base, [random_op(rng) for _ in range(length)])
+            lam = 1 if amp.psi_plus is not None else -1
+            calls.clear()
+            phases.clear()
+            amp.evaluate(lam, pts)
+            assert len(calls) == 1
+            assert len(phases) <= 1
+
+    def test_replay_and_vanishing_components(self):
+        rng = np.random.default_rng(9)
+        packet = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+        record = [random_op(rng) for _ in range(12)] + [TransformOp("parity", {})]
+        amp = replay(packet, record)
+        flips = sum(op.kind == "parity" for op in record)
+        assert (amp.psi_plus is None) == (flips % 2 == 1)
+        assert (amp.psi_minus is None) == (flips % 2 == 0)
+        rebuilt = replay(amp.origin, amp.record)
+        pts = sample_near(amp, rng)
+        for lam in HELICITIES:
+            assert np.array_equal(rebuilt.evaluate(lam, pts), amp.evaluate(lam, pts))
+            if amp.component(lam) is not None:
+                assert np.array_equal(amp.component(lam)(pts), amp.evaluate(lam, pts))
+
+
+class TestDensityPass:
+    def test_norm_and_momentum_share_one_evaluation(self):
+        calls = []
+        packet = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+
+        def counted(k):
+            calls.append(1)
+            return packet.psi_plus(k)
+
+        amp = HelicityAmplitude(counted, None, packet.quad).boost([0.0, 0.0, 0.3])
+        norm = norm_squared(amp, warn=False)
+        p = expectation_momentum(amp, warn=False)
+        assert len(calls) == 1
+        assert norm_squared(amp, warn=False) == norm
+        assert np.array_equal(expectation_momentum(amp, warn=False), p)
+        assert len(calls) == 1
+
+    def test_boundary_warning_on_every_call(self):
+        small = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1, halfwidth_sigmas=3.0)
+        for observable in (norm_squared, expectation_momentum, norm_squared):
+            with pytest.warns(QuadratureDomainWarning):
+                observable(small)

@@ -341,3 +341,15 @@ def test_verify_blocks_cover_every_trial(monkeypatch):
     report = verify.run_suite("wigner", trials=20, seed=3)
     assert report.passed
     assert rows == [7, 7, 6]
+
+
+def test_verify_suite_trials_depend_only_on_the_seed():
+    # each suite draws from its own stream, so it sees the same trials alone and in "all"
+    alone = verify.run_suite("amplitudes", trials=500, seed=7)
+    together = verify.run_suite("all", trials=500, seed=7)
+    inside = {
+        p.name.split("/", 1)[1]: p.max_residual
+        for p in together.properties
+        if p.name.startswith("amplitudes/")
+    }
+    assert inside == {p.name: p.max_residual for p in alone.properties}
