@@ -23,10 +23,12 @@ k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
 ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
 p, all conjugated for lam = -1, and e^{i k.a}.
 
-Observables (norms, overlaps, momentum moments) use the Gauss-Legendre box
-carried op by op with each amplitude; an amplitude evaluates its density on
-that box once and keeps the norm and momentum moments. The applied
-operations are kept as a replayable record.
+Observables (norms, overlaps, momentum moments) use a Gauss-Legendre box
+sized from the origin's box through the same element (``_Poincare.box``), so
+a round trip returns the origin's box up to one pad and padding never
+compounds. An amplitude evaluates its density on that box once and keeps the
+norm and momentum moments. The applied operations are kept as a replayable
+record.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .lorentz import (
     four_momentum,
     lorentz_inverse,
     rapidity_from_beta,
-    rotation3,
     rotation_matrix,
     sl2c_boost,
     su2_matrix,
@@ -167,18 +168,18 @@ class _Poincare:
             value = value * np.exp(1j * (omega * self.a[0] - k @ self.a[1:]))
         return value * (factor if lam == 1 else np.conj(factor))
 
+    def box(self, quad: BoxQuadrature) -> BoxQuadrature:
+        """The origin's box ``quad`` carried through the whole element at once.
 
-def _carried_box(quad: BoxQuadrature, op: TransformOp) -> BoxQuadrature:
-    """The quadrature box after ``op``: the padded image of the previous box."""
-    if op.kind == "rotate":
-        R3 = rotation3(AxisAngle(np.array(op.params["axis"]), op.params["angle"]))
-        return mapped_box(quad, lambda pts: pts @ R3.T)
-    if op.kind == "boost":
-        B = boost_matrix(np.asarray(op.params["beta"], dtype=float))
-        return mapped_box(quad, lambda pts: (four_momentum(pts) @ B.T)[..., 1:])
-    if op.kind in ("parity", "time_reverse"):
-        return BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-    return quad
+        Flipped through zero if exactly one of P and T is set, then, unless
+        Lambda is the identity, the padded bounding box of its image under
+        k -> Lambda k on the light cone.
+        """
+        if self.parity != self.reversal:
+            quad = BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
+        if np.array_equal(self.Lam, np.eye(4)):
+            return quad
+        return mapped_box(quad, lambda pts: (four_momentum(pts) @ self.Lam.T)[..., 1:])
 
 
 class HelicityAmplitude:
@@ -238,10 +239,10 @@ class HelicityAmplitude:
     def translate(self, a) -> "HelicityAmplitude":
         """Spacetime translation by the 4-vector ``a``: phase e^{+i k.a}."""
         a = np.asarray(a, dtype=float).reshape(4)
-        return self._apply(TransformOp("translate", {"a": a.tolist()}))
+        return self.apply(TransformOp("translate", {"a": a.tolist()}))
 
     def rotate(self, r: AxisAngle) -> "HelicityAmplitude":
-        return self._apply(
+        return self.apply(
             TransformOp("rotate", {"axis": r.axis.tolist(), "angle": r.angle})
         )
 
@@ -249,16 +250,21 @@ class HelicityAmplitude:
         beta = np.asarray(beta, dtype=float).reshape(3)
         if float(beta @ beta) >= 1.0:
             raise ValueError("superluminal boost")
-        return self._apply(TransformOp("boost", {"beta": beta.tolist()}))
+        return self.apply(TransformOp("boost", {"beta": beta.tolist()}))
 
     def parity(self) -> "HelicityAmplitude":
-        return self._apply(TransformOp("parity", {}))
+        return self.apply(TransformOp("parity", {}))
 
     def time_reverse(self) -> "HelicityAmplitude":
-        return self._apply(TransformOp("time_reverse", {}))
+        return self.apply(TransformOp("time_reverse", {}))
 
     def apply(self, op: TransformOp) -> "HelicityAmplitude":
-        return self._apply(op)
+        element = self._element.then(op)
+        out = HelicityAmplitude(
+            *self._base, element.box(self.origin.quad), self.record + (op,), self.origin
+        )
+        out._element = element
+        return out
 
     def normalized(self) -> "HelicityAmplitude":
         """Rescale so the summed momentum-space density integrates to one.
@@ -276,14 +282,6 @@ class HelicityAmplitude:
             return lambda k, f=f: scale * f(k)
 
         return HelicityAmplitude(rescaled(self.psi_plus), rescaled(self.psi_minus), self.quad)
-
-    def _apply(self, op: TransformOp) -> "HelicityAmplitude":
-        element = self._element.then(op)
-        out = HelicityAmplitude(
-            *self._base, _carried_box(self.quad, op), self.record + (op,), self.origin
-        )
-        out._element = element
-        return out
 
 
 def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:

@@ -431,18 +431,18 @@ def _require_carrier_resolved(grid: SpatialGrid, kappa: float):
         )
 
 
+def _trapezoid_integral(values: np.ndarray, grid: SpatialGrid) -> float:
+    """Trapezoid-rule integral over ``grid`` of ``values`` sampled on its nodes."""
+    return float(np.einsum("xyz,x,y,z->", values, *grid.trapezoid_weights()))
+
+
 def energy_momentum_integrals(ftg: FieldTensorGrid) -> np.ndarray:
     """(int u, int E x B) over the grid by trapezoidal quadrature, as a 4-vector."""
     if ftg.kappa is not None:
         _require_carrier_resolved(ftg.grid, ftg.kappa)
-    wx, wy, wz = ftg.grid.trapezoid_weights()
-    u = ftg.energy_density()
     S = ftg.poynting()
-    energy = float(np.einsum("xyz,x,y,z->", u, wx, wy, wz))
-    momentum = [
-        float(np.einsum("xyz,x,y,z->", S[..., i], wx, wy, wz)) for i in range(3)
-    ]
-    return np.array([energy, *momentum])
+    energy = _trapezoid_integral(ftg.energy_density(), ftg.grid)
+    return np.array([energy, *(_trapezoid_integral(S[..., i], ftg.grid) for i in range(3))])
 
 
 def narrowband_energy_momentum(
@@ -480,9 +480,7 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
     :func:`energy_expectation`.
     """
     Ep, _ = positive_frequency_grid(psi, grid, t)
-    density = 2.0 * np.sum(np.abs(Ep) ** 2, axis=-1)
-    wx, wy, wz = grid.trapezoid_weights()
-    return float(np.einsum("xyz,x,y,z->", density, wx, wy, wz))
+    return _trapezoid_integral(2.0 * np.sum(np.abs(Ep) ** 2, axis=-1), grid)
 
 
 def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> np.ndarray:
@@ -493,9 +491,7 @@ def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -
 
 def bb_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:
     """Spatial integral of the density above; also equals <H>."""
-    rho = bb_density_grid(psi, grid, t)
-    wx, wy, wz = grid.trapezoid_weights()
-    return float(np.einsum("xyz,x,y,z->", rho, wx, wy, wz))
+    return _trapezoid_integral(bb_density_grid(psi, grid, t), grid)
 
 
 # -- differential residuals -------------------------------------------------------

@@ -16,7 +16,8 @@ its leading axes:
 
 * ``AxisAngle`` (axis ``(..., 3)``, angle ``(...)``), ``rotation3``
   (``(..., 3, 3)`` out), ``rotation_matrix``, ``su2_matrix``
-  (``(..., 2, 2)`` out), ``rotation_z`` / ``rotation_y`` (angle ``(...)``);
+  (``(..., 2, 2)`` out), ``compose_axis_angle``, ``rotation_z`` /
+  ``rotation_y`` (angle ``(...)``);
 * ``boost_matrix``, ``rapidity_from_beta``, ``beta_from_rapidity`` and
   ``sl2c_boost`` (``(..., 3)`` in, ``(..., 2, 2)`` out for the last);
 * ``polar_azimuth``, ``azimuth_phase``, ``standard_rotation`` (``(..., 3)``
@@ -337,12 +338,11 @@ def sl2c_boost(zeta) -> np.ndarray:
 def compose_axis_angle(r1: AxisAngle, r2: AxisAngle) -> AxisAngle:
     """Axis-angle of the composition r1 r2, computed through the spin-1/2 cover."""
     u = su2_matrix(r1) @ su2_matrix(r2)
-    w = u[0, 0].real
-    vec = np.array([-u[0, 1].imag, -u[0, 1].real, -u[0, 0].imag])
-    s = np.linalg.norm(vec)
-    if s < 1e-15:
-        return AxisAngle(Z_HAT, 0.0)
-    return AxisAngle(vec / s, 2.0 * math.atan2(s, w))
+    vec = np.stack([-u[..., 0, 1].imag, -u[..., 0, 1].real, -u[..., 0, 0].imag], axis=-1)
+    s = _norm(vec)
+    trivial = s < 1e-15
+    axis = np.where(trivial[..., None], Z_HAT, vec / np.where(trivial, 1.0, s)[..., None])
+    return AxisAngle(axis, np.where(trivial, 0.0, 2.0 * _atan2(s, u[..., 0, 0].real)))
 
 
 # -- Lorentz matrices -------------------------------------------------------

@@ -78,12 +78,16 @@ def union_box(a: BoxQuadrature, b: BoxQuadrature, npts: int | None = None) -> Bo
     )
 
 
-def mapped_box(box: BoxQuadrature, point_map, pad: float = 0.02) -> BoxQuadrature:
-    """Bounding box of the image of ``box`` under ``point_map``.
+#: Relative margin added to a mapped box, since the image of a box under a
+#: nonlinear map need not be one.
+BOX_PAD = 0.02
+
+
+def mapped_box(box: BoxQuadrature, point_map) -> BoxQuadrature:
+    """Bounding box of the image of ``box`` under ``point_map``, padded by ``BOX_PAD``.
 
     The map is sampled on the 3x3x3 lattice of corners, edge midpoints and
-    centers; the result is padded by a relative margin since the image of a
-    box under a nonlinear map need not be one.
+    centers.
     """
     ticks = [np.array([c - h, c, c + h]) for c, h in zip(box.center, box.halfwidth)]
     grids = np.meshgrid(*ticks, indexing="ij")
@@ -91,5 +95,5 @@ def mapped_box(box: BoxQuadrature, point_map, pad: float = 0.02) -> BoxQuadratur
     image = np.asarray(point_map(lattice), dtype=float)
     lo = image.min(axis=0)
     hi = image.max(axis=0)
-    halfwidth = 0.5 * (hi - lo) * (1.0 + pad)
+    halfwidth = 0.5 * (hi - lo) * (1.0 + BOX_PAD)
     return BoxQuadrature(0.5 * (lo + hi), halfwidth, box.npts)

@@ -28,6 +28,7 @@ from photonamp.lorentz import (
     rotation3,
     rotation_matrix,
 )
+from photonamp.quadrature import BoxQuadrature, mapped_box
 from photonamp.wigner import boost_half_phase, half_phase, rotation_half_phase
 
 KAPPA = 1.0
@@ -585,3 +586,86 @@ class TestDensityPass:
         for observable in (norm_squared, expectation_momentum, norm_squared):
             with pytest.warns(QuadratureDomainWarning):
                 observable(small)
+
+
+# -- the quadrature box, sized once from the origin through the element --------
+
+
+def _carried_box(quad, op):
+    """The box after ``op`` as the padded image of the previous box, op by op.
+
+    The library no longer carries the box this way; for a single op it must
+    give the same box bit for bit.
+    """
+    if op.kind == "rotate":
+        R3 = rotation3(AxisAngle(np.array(op.params["axis"]), op.params["angle"]))
+        return mapped_box(quad, lambda pts: pts @ R3.T)
+    if op.kind == "boost":
+        B = boost_matrix(np.asarray(op.params["beta"], dtype=float))
+        return mapped_box(quad, lambda pts: (four_momentum(pts) @ B.T)[..., 1:])
+    if op.kind in ("parity", "time_reverse"):
+        return BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
+    return quad
+
+
+def generic_op(rng, kind) -> TransformOp:
+    """A ``kind`` op with a random axis and angle, or a boost of speed 0.05 to 0.3."""
+    if kind == "boost":
+        direction = rng.normal(size=3)
+        speed = rng.uniform(0.05, 0.3)
+        return TransformOp(kind, {"beta": (speed * direction / np.linalg.norm(direction)).tolist()})
+    if kind == "rotate":
+        return TransformOp(
+            kind, {"axis": rng.normal(size=3).tolist(), "angle": float(rng.uniform(-np.pi, np.pi))}
+        )
+    if kind == "translate":
+        return TransformOp(kind, {"a": rng.uniform(-20.0, 20.0, 4).tolist()})
+    return TransformOp(str(kind), {})
+
+
+def momentum_matrix(op) -> np.ndarray:
+    """The 4x4 matrix ``op`` applies to the momentum; P and T both give diag(1, -1, -1, -1)."""
+    if op.kind == "rotate":
+        return rotation_matrix(AxisAngle(np.array(op.params["axis"]), op.params["angle"]))
+    if op.kind == "boost":
+        return boost_matrix(op.params["beta"])
+    if op.kind in ("parity", "time_reverse"):
+        return np.diag([1.0, -1.0, -1.0, -1.0])
+    return np.eye(4)
+
+
+KINDS = ("translate", "rotate", "boost", "parity", "time_reverse")
+
+
+class TestQuadratureBox:
+    def test_round_trips_return_the_origin_box(self, packet):
+        there, back = AxisAngle([0, 1, 0], 0.4), AxisAngle([0, 1, 0], -0.4)
+        amp = packet
+        for _ in range(16):
+            amp = amp.rotate(there).rotate(back)
+        assert abs(norm_squared(amp) - norm_squared(packet)) <= 1e-9
+        assert np.all(amp.quad.halfwidth <= 1.03 * packet.quad.halfwidth)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generic_records_keep_norm_and_map_momentum(self, packet, seed):
+        rng = np.random.default_rng(300 + seed)
+        norm, p = norm_squared(packet), expectation_momentum(packet)
+        for length in (4, 8, 16, 32):
+            record = [generic_op(rng, rng.choice(KINDS)) for _ in range(length)]
+            amp = replay(packet, record)
+            mapped = reduce(lambda acc, op: momentum_matrix(op) @ acc, record, p)
+            assert abs(norm_squared(amp) - norm) <= 1e-9, f"{length} ops"
+            assert np.max(np.abs(expectation_momentum(amp) - mapped)) <= 1e-9, f"{length} ops"
+
+    @pytest.mark.parametrize("kinds", [*((k,) for k in KINDS), ("parity", "rotate")])
+    def test_single_op_box_equals_the_carried_box(self, kinds):
+        rng = np.random.default_rng(400)
+        for _ in range(50):
+            kappa = rng.normal(size=3)
+            origin = gaussian_wavepacket(kappa, rng.uniform(0.02, 0.2) * np.linalg.norm(kappa), 1)
+            amp, carried = origin, origin.quad
+            for kind in kinds:
+                op = generic_op(rng, kind)
+                amp, carried = amp.apply(op), _carried_box(carried, op)
+            assert np.array_equal(amp.quad.center, carried.center)
+            assert np.array_equal(amp.quad.halfwidth, carried.halfwidth)

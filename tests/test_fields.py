@@ -250,8 +250,8 @@ class TestMaxwellResiduals:
 
 class TestLocalCovariance:
     def test_identity(self, packet):
-        # not exactly zero: the mapped quadrature box gets a small pad, so the
-        # two sides integrate on slightly different nodes
+        # a zero boost fuses to the identity element, which keeps the origin's
+        # quadrature box, so both sides integrate on the same nodes
         assert tensor_covariance_check(packet, [0.1, 1, 0, 2], beta=[0, 0, 0]) <= 1e-10
 
     def test_rotation(self, packet):

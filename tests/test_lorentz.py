@@ -299,6 +299,22 @@ class TestStacks:
         betas = rng.uniform(0.0, 0.95, size=(40, 1)) * random_units(rng, (40,))
         assert np.array_equal(boost_matrix(betas), [boost_matrix(b) for b in betas])
 
+    @pytest.mark.parametrize("batch", [(2,), (2, 3)])
+    def test_composed_axis_angle_equals_single_calls(self, batch):
+        rng = np.random.default_rng(24)
+        axes = rng.normal(size=(2,) + batch + (3,))
+        angles = rng.uniform(-np.pi, np.pi, size=(2,) + batch)
+        # the first row composes a rotation with its inverse: the identity branch
+        axes[1, 0], angles[1, 0] = axes[0, 0], -angles[0, 0]
+        composed = compose_axis_angle(AxisAngle(axes[0], angles[0]), AxisAngle(axes[1], angles[1]))
+        singles = [
+            compose_axis_angle(AxisAngle(axes[0][i], angles[0][i]), AxisAngle(axes[1][i], angles[1][i]))
+            for i in np.ndindex(batch)
+        ]
+        assert np.array_equal(composed.axis, np.reshape([one.axis for one in singles], batch + (3,)))
+        assert np.array_equal(composed.angle, np.reshape([one.angle for one in singles], batch))
+        assert singles[0].angle == 0.0
+
     def test_products_match_single_calls(self):
         rng = np.random.default_rng(23)
         dirs, k = rng.normal(size=(40, 3)), random_lightlikes(rng, (40,))
