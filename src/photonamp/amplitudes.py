@@ -117,6 +117,10 @@ class _Poincare:
     parity: bool = False
     reversal: bool = False
 
+    # Lambda is not the identity; exactly one of P and T is set, so k -> -k
+    lorentz = property(lambda self: not np.array_equal(self.Lam, np.eye(4)))
+    flipped = property(lambda self: self.parity != self.reversal)
+
     def then(self, op: TransformOp) -> "_Poincare":
         """This element followed by ``op``."""
         if op.kind == "translate":
@@ -144,7 +148,7 @@ class _Poincare:
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
         """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it."""
-        translated, lorentz = self.a.any(), not np.array_equal(self.Lam, np.eye(4))
+        translated, lorentz = self.a.any(), self.lorentz
         if not (translated or lorentz or self.parity or self.reversal):
             return np.asarray(f(k), dtype=complex)
         k4 = four_momentum(k)
@@ -155,7 +159,7 @@ class _Poincare:
             q = prev4[..., 1:]
             weight = np.sqrt(prev4[..., 0] / np.where(omega > 0.0, omega, 1.0))
             factor = weight * half_phase(self.A, q) ** 2
-        if self.parity != self.reversal:
+        if self.flipped:
             eiphi = azimuth_phase(q)
             factor = factor * np.conj(eiphi * eiphi)
             q = -q
@@ -171,13 +175,12 @@ class _Poincare:
     def box(self, quad: BoxQuadrature) -> BoxQuadrature:
         """The origin's box ``quad`` carried through the whole element at once.
 
-        Flipped through zero if exactly one of P and T is set, then, unless
-        Lambda is the identity, the padded bounding box of its image under
-        k -> Lambda k on the light cone.
+        Flipped through zero if ``flipped``, then, if ``lorentz``, the padded
+        bounding box of its image under k -> Lambda k on the light cone.
         """
-        if self.parity != self.reversal:
+        if self.flipped:
             quad = BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-        if np.array_equal(self.Lam, np.eye(4)):
+        if not self.lorentz:
             return quad
         return mapped_box(quad, lambda pts: (four_momentum(pts) @ self.Lam.T)[..., 1:])
 
@@ -260,9 +263,9 @@ class HelicityAmplitude:
 
     def apply(self, op: TransformOp) -> "HelicityAmplitude":
         element = self._element.then(op)
-        out = HelicityAmplitude(
-            *self._base, element.box(self.origin.quad), self.record + (op,), self.origin
-        )
+        # a translation leaves Lambda, P and T, and so the box, as they are
+        quad = self.quad if op.kind == "translate" else element.box(self.origin.quad)
+        out = HelicityAmplitude(*self._base, quad, self.record + (op,), self.origin)
         out._element = element
         return out
 
@@ -380,8 +383,7 @@ def inner_product(
         quad = psi1.quad
     else:
         quad = union_box(psi1.quad, psi2.quad, npts)
-    pts = quad.points()
-    w = quad.weights()
+    pts, w = quad.points(), quad.weights()
     total = 0.0 + 0.0j
     for lam in HELICITIES:
         if psi1.component(lam) is None or psi2.component(lam) is None:

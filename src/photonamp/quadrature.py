@@ -93,7 +93,6 @@ def mapped_box(box: BoxQuadrature, point_map) -> BoxQuadrature:
     grids = np.meshgrid(*ticks, indexing="ij")
     lattice = np.stack([g.reshape(-1) for g in grids], axis=-1)
     image = np.asarray(point_map(lattice), dtype=float)
-    lo = image.min(axis=0)
-    hi = image.max(axis=0)
+    lo, hi = image.min(axis=0), image.max(axis=0)
     halfwidth = 0.5 * (hi - lo) * (1.0 + BOX_PAD)
     return BoxQuadrature(0.5 * (lo + hi), halfwidth, box.npts)

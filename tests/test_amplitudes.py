@@ -657,6 +657,16 @@ class TestQuadratureBox:
             assert abs(norm_squared(amp) - norm) <= 1e-9, f"{length} ops"
             assert np.max(np.abs(expectation_momentum(amp) - mapped)) <= 1e-9, f"{length} ops"
 
+    def test_each_box_is_the_origin_box_through_its_element(self, packet):
+        # a translation keeps the box it is given rather than recomputing it
+        rng = np.random.default_rng(500)
+        amp = packet
+        for _ in range(24):
+            amp = amp.apply(generic_op(rng, rng.choice(KINDS)))
+            box = amp._element.box(packet.quad)
+            assert np.array_equal(amp.quad.center, box.center)
+            assert np.array_equal(amp.quad.halfwidth, box.halfwidth)
+
     @pytest.mark.parametrize("kinds", [*((k,) for k in KINDS), ("parity", "rotate")])
     def test_single_op_box_equals_the_carried_box(self, kinds):
         rng = np.random.default_rng(400)
