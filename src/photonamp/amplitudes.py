@@ -344,7 +344,7 @@ def _density_integrals(psi: HelicityAmplitude, warn: bool):
             np.abs(psi.evaluate(lam, pts)) ** 2 for lam in HELICITIES if psi._source(lam) is not None
         )
         weighted = w * density
-        omega = np.linalg.norm(pts, axis=-1)
+        omega = four_momentum(pts)[:, 0]
         momentum = np.array(
             [
                 float(weighted @ omega),

@@ -74,11 +74,14 @@ def _parse_vec(text: str, n: int) -> list[float]:
     return parts
 
 
-def _grid_points(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError("a grid needs at least 2 points per axis")
-    return n
+def _int_at_least(low: int, message: str):
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(message)
+        return n
+
+    return parse
 
 
 def _positive(text: str) -> float:
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a property-verification suite", parents=[common])
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_at_least(1, "at least 1 trial is needed"), default=1000)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--tol", type=float, default=None, help="override every tolerance")
     p.set_defaults(func=_cmd_verify)
@@ -293,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fields", help="sample E/B on a grid and integrate", parents=[common])
     p.add_argument("--kappa-ev", type=float, required=True)
     p.add_argument("--sigma-ratio", type=float, required=True)
-    p.add_argument("--n", type=_grid_points, required=True, help="grid points per axis (>= 2)")
+    p.add_argument("--n", type=_int_at_least(2, "a grid needs at least 2 points per axis"),
+                   required=True, help="grid points per axis (>= 2)")
     p.add_argument(
         "--extent", type=_positive, default=6.0, help="half-extent in units of sigma_x"
     )

@@ -201,9 +201,9 @@ def _node_coefficients(
         psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
     )
     pts = box.points()
-    omega = np.linalg.norm(pts, axis=-1)
-    base = PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
     k4 = four_momentum(pts)
+    omega = k4[:, 0]
+    base = PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
     C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
     for lam in HELICITIES:
         if psi.component(lam) is None:

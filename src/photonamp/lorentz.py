@@ -20,10 +20,10 @@ its leading axes:
   ``rotation_y`` (angle ``(...)``);
 * ``boost_matrix``, ``rapidity_from_beta``, ``beta_from_rapidity`` and
   ``sl2c_boost`` (``(..., 3)`` in, ``(..., 2, 2)`` out for the last);
-* ``polar_azimuth``, ``azimuth_phase``, ``standard_rotation`` (``(..., 3)``
-  in), ``standard_boost_z`` (energy ``(...)``), ``standard_lorentz``,
-  ``is_lightlike``, ``require_lightlike`` and ``four_momentum``
-  (``(..., 4)`` or ``(..., 3)`` in);
+* ``polar_azimuth``, ``azimuth_phase``, ``direction_spinor``,
+  ``standard_rotation`` (``(..., 3)`` in), ``standard_boost_z`` (energy
+  ``(...)``), ``standard_lorentz``, ``is_lightlike``, ``require_lightlike``
+  and ``four_momentum`` (``(..., 4)`` or ``(..., 3)`` in);
 * ``metric_residual``, ``lorentz_inverse``, ``is_rotation`` and
   ``is_proper_orthochronous`` (``(..., 4, 4)`` in).
 
@@ -57,7 +57,7 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 def _per_element(func, nin: int = 1):
     """The Python scalar function ``func`` applied to each element, as a float array.
 
-    numpy's SIMD kernels for acos, atan2, the hyperbolic functions, tan, pow
+    numpy's SIMD kernels for atan2, the hyperbolic functions, tan, pow
     and complex abs can differ from the C library in the last bit. Going
     through the scalar function keeps a stack bit for bit equal to the single
     calls it stands for, and a single call equal to plain Python arithmetic.
@@ -66,7 +66,6 @@ def _per_element(func, nin: int = 1):
     return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-_acos = _per_element(math.acos)
 _atan2 = _per_element(math.atan2, 2)
 _atanh = _per_element(math.atanh)
 _tanh = _per_element(math.tanh)
@@ -257,11 +256,10 @@ def _on_polar_axis(v) -> np.ndarray:
 
 
 def polar_azimuth(v):
-    """Spherical angles (theta, phi) of a nonzero 3-vector; phi := 0 on the z-axis."""
+    """(theta, phi) of a nonzero 3-vector: theta = atan2(|v_perp|, v_z), phi := 0 on the z-axis."""
     v = np.asarray(v, dtype=float)
-    n = _norm(v)
-    _require(n != 0.0, "zero vector has no direction")
-    theta = _acos(np.clip(v[..., 2] / n, -1.0, 1.0))
+    _require(np.any(v != 0.0, axis=-1), "zero vector has no direction")
+    theta = _atan2(_norm(v[..., :2]), v[..., 2])
     phi = np.where(_on_polar_axis(v), 0.0, _atan2(v[..., 1], v[..., 0]))
     return _unstack(theta), _unstack(phi)
 
@@ -269,13 +267,36 @@ def polar_azimuth(v):
 def azimuth_phase(v) -> np.ndarray:
     """e^{i phi} of 3-vectors of shape (..., 3), with ``polar_azimuth``'s convention.
 
-    The closed forms (half-angle phases, polarization vectors, parity and
-    time-reversal phases) take the azimuth from here, so they fix it on the
-    polar axis exactly where ``standard_rotation`` does.
+    The parity and time-reversal phases take the azimuth from here, so they
+    fix it on the polar axis exactly where ``standard_rotation`` and
+    ``direction_spinor`` do.
     """
     v = np.asarray(v, dtype=float)
     u = np.where(_on_polar_axis(v), 1.0, v[..., 0] + 1j * v[..., 1])
     return u / np.abs(u)
+
+
+def direction_spinor(v):
+    """(cos theta/2, sin theta/2 e^{i phi}) of 3-vectors ``(..., 3)``, the first column
+    of the SU(2) standard rotation: every closed form takes k_hat from here.
+
+    Nothing cancels near a pole: with s = |v| + |v_z|, cos theta/2 is s/sqrt(2|v| s)
+    for v_z >= 0 and |v_x + i v_y|/sqrt(2|v| s) below, and sin theta/2 e^{i phi} is
+    (v_x + i v_y)/(2|v| cos theta/2), with phi = 0 on the south pole as in
+    ``azimuth_phase``. So +z gives exactly (1, 0) and -z exactly (0, 1); the zero
+    vector, which has no direction, gives +z's (1, 0).
+    """
+    v = np.asarray(v, dtype=float)
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    n = np.sqrt(vx * vx + vy * vy + vz * vz)
+    u = vx + 1j * vy
+    s = n + np.abs(vz)
+    root = np.sqrt(2.0 * n * s)
+    top = np.where(vz >= 0.0, s, np.abs(u))
+    c = np.divide(top, root, out=np.ones(n.shape), where=root > 0.0)
+    d = 2.0 * n * c
+    sigma = np.divide(u, d, out=np.array(vz < 0.0, dtype=complex), where=d > 0.0)
+    return _unstack(c), _unstack(sigma)
 
 
 def standard_rotation(k_hat) -> np.ndarray:
@@ -284,10 +305,7 @@ def standard_rotation(k_hat) -> np.ndarray:
     On the poles the azimuth is fixed to zero, making the result the identity
     (north) or a rotation about y by pi (south).
     """
-    k_hat = np.asarray(k_hat, dtype=float)
-    n = _norm(k_hat)
-    _require(n != 0.0, "direction must be a nonzero 3-vector")
-    theta, phi = polar_azimuth(k_hat / n[..., None])
+    theta, phi = polar_azimuth(k_hat)
     return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
 
 

@@ -8,6 +8,8 @@ whose spatial parts are the spherical unit vectors sqrt(4 pi/3) Y_{1,lam}.
 General-momentum vectors are carried over by the standard rotation (the
 z-boost in the canonical transformation cannot touch transverse components),
 so they stay purely spatial and satisfy k.eps = 0 and eps*.eps = -1.
+``polarization`` applies the standard rotation as a matrix; the vectorized
+``polarization_spatial`` takes k_hat only from ``lorentz.direction_spinor``.
 
 Physical objects depend on eps only through the antisymmetric coefficient
 T^{mu nu} = k^mu eps^nu - k^nu eps^mu, which is invariant under the gauge
@@ -27,7 +29,7 @@ from .lorentz import (
     _pow,
     _require,
     _unstack,
-    azimuth_phase,
+    direction_spinor,
     is_proper_orthochronous,
     minkowski,
     require_lightlike,
@@ -87,31 +89,15 @@ def polarization(k, lam, kappa_ref: float = 1.0) -> PolarizationVector:
 def polarization_spatial(kvec, lam: int) -> np.ndarray:
     """Vectorized spatial part of the canonical polarization, shape (..., 3).
 
-    Closed form of R_z(phi) R_y(theta) R_z(-phi) acting on the reference
-    spatial vector; the azimuth is ``azimuth_phase``'s, fixed to zero on the
-    polar axis exactly where ``standard_rotation`` fixes it.
+    The standard rotation on the reference vector, in ``direction_spinor``'s
+    (c, sigma) = (cos theta/2, sin theta/2 e^{i phi}): R0[k_hat] (x_hat + i y_hat)
+    = (c^2 - sigma^2, i(c^2 + sigma^2), -2 c sigma), with no cancellation at a pole.
     """
     _check_lam(lam)
-    k = np.asarray(kvec, dtype=float)
-    kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
-    kn = np.sqrt(kx * kx + ky * ky + kz * kz)
-    safe = np.where(kn > 0.0, kn, 1.0)
-    ct = np.clip(kz / safe, -1.0, 1.0)
-    st = np.sqrt(np.clip(1.0 - ct * ct, 0.0, None))
-    eiphi = azimuth_phase(k)
-    cp, sp = eiphi.real, eiphi.imag
-    # R0[k_hat] (x_hat + i y_hat) = e^{i phi} (ct*cp - i sp, ct*sp + i cp, -st)
-    plus = np.stack(
-        [
-            eiphi * (ct * cp - 1j * sp),
-            eiphi * (ct * sp + 1j * cp),
-            eiphi * (-st),
-        ],
-        axis=-1,
-    ) * (-1.0 / _SQRT2)
-    if lam == 1:
-        return plus
-    return -np.conj(plus)
+    c, sigma = direction_spinor(kvec)
+    c2, sigma2 = c * c, sigma * sigma
+    plus = np.stack([c2 - sigma2, 1j * (c2 + sigma2), -2.0 * c * sigma], axis=-1) * (-1.0 / _SQRT2)
+    return plus if lam == 1 else -np.conj(plus)
 
 
 def gauge_shift(p: PolarizationVector, f) -> PolarizationVector:

@@ -518,6 +518,8 @@ def run_suite(
     """Run one named suite (or 'all'); ``tol`` overrides every tolerance."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     streams = dict(zip(SUITE_NAMES, np.random.SeedSequence(seed).spawn(len(SUITE_NAMES))))
     names = SUITE_NAMES if suite == "all" else (suite,)
     start = time.perf_counter()

@@ -11,7 +11,9 @@ Two evaluation paths are provided and cross-validated in the test suite:
   (``wigner_rotation`` / ``wigner_boost``), and
 * closed-form half-angle phases exp(-i w/2) of any SL(2,C) element, vectorized
   over momenta (``half_phase``), with strict one-transformation wrappers
-  ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``.
+  ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``. They take
+  k_hat only from ``lorentz.direction_spinor``, the matrix route only from
+  ``standard_rotation``, so each path checks the other.
 
 Only the squared half-phase is single-valued; photon physics (lambda = +-1)
 never needs the square root's branch.
@@ -32,7 +34,7 @@ from .lorentz import (
     _require,
     _transpose,
     _unstack,
-    azimuth_phase,
+    direction_spinor,
     is_proper_orthochronous,
     is_rotation,
     lorentz_inverse,
@@ -110,26 +112,10 @@ def wigner_boost(Lambda, k, kappa_ref: float = 1.0, tol: float = 1e-8) -> Wigner
     return WignerData(element.gamma, _unstack(half), element.alpha, _unstack(residual))
 
 
-def _half_angle_factors(kvec):
-    """(cos(theta/2), sin(theta/2), e^{i phi}) for momenta of shape (..., 3).
-
-    The azimuth is ``azimuth_phase``'s, fixed to zero on the polar axis
-    exactly where the matrix route fixes it.
-    """
-    k = np.asarray(kvec, dtype=float)
-    kx, ky, kz = k[..., 0], k[..., 1], k[..., 2]
-    kn = np.sqrt(kx * kx + ky * ky + kz * kz)
-    safe = np.where(kn > 0.0, kn, 1.0)
-    c = np.clip(kz / safe, -1.0, 1.0)
-    ct2 = np.sqrt(0.5 * (1.0 + c))
-    st2 = np.sqrt(0.5 * (1.0 - c))
-    return ct2, st2, azimuth_phase(k)
-
-
 def _half_raw(A, kvec) -> np.ndarray:
-    """Unnormalized exp(-i w/2): the first row of ``A`` on (cos theta/2, sin theta/2 e^{i phi})."""
-    ct2, st2, eiphi = _half_angle_factors(kvec)
-    return A[..., 0, 0] * ct2 + A[..., 0, 1] * st2 * eiphi
+    """Unnormalized exp(-i w/2): the first row of ``A`` on ``direction_spinor(kvec)``."""
+    c, sigma = direction_spinor(kvec)
+    return A[..., 0, 0] * c + A[..., 0, 1] * sigma
 
 
 def _boost_half_raw(zeta, kvec) -> np.ndarray:

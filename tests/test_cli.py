@@ -304,6 +304,16 @@ def test_verify_unknown_suite_usage_error(capsys):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_refuses_fewer_than_one_trial(capsys, trials):
+    # zero trials would check nothing and still report every property passed
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--suite", "little-group", "--trials", str(trials)])
+    assert excinfo.value.code == 2
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        verify.run_suite("little-group", trials=trials)
+
+
 def test_verify_all_suites_pass_end_to_end(capsys):
     # low trial count: wiring check across every suite, not a precision run
     code, payload = run_cli(

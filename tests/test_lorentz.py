@@ -9,6 +9,8 @@ from photonamp.lorentz import (
     azimuth_phase,
     boost_matrix,
     compose_axis_angle,
+    direction_spinor,
+    four_momentum,
     is_rotation,
     lorentz_inverse,
     metric_residual,
@@ -23,6 +25,7 @@ from photonamp.lorentz import (
     standard_rotation,
     su2_matrix,
 )
+from photonamp.quadrature import BoxQuadrature
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -363,3 +366,38 @@ def test_azimuth_phase_fixes_only_the_exact_axis():
     tiny = 1e-16 * np.array([np.cos(1.0), np.sin(1.0), 0.0]) + [0.0, 0.0, -1.0]
     assert azimuth_phase(tiny) == pytest.approx(np.exp(1j), abs=1e-15)
     assert polar_azimuth(tiny)[1] == pytest.approx(1.0, abs=1e-15)
+
+
+def near_pole(theta):
+    """|k| = 2 at polar angle ``theta``, azimuth along (0.6, 0.8)."""
+    return 2.0 * np.array([0.6 * np.sin(theta), 0.8 * np.sin(theta), np.cos(theta)])
+
+
+@pytest.mark.parametrize("theta", [1e-8, np.pi - 1e-8])
+def test_standard_rotation_keeps_full_precision_next_to_the_poles(theta):
+    k = near_pole(theta)
+    assert np.max(np.abs(standard_rotation(k)[1:, 3] - k / 2.0)) <= 4e-15
+
+
+@pytest.mark.parametrize("theta", [1e-8, 1.0, np.pi - 1e-8])
+def test_direction_spinor_keeps_relative_precision_next_to_the_poles(theta):
+    c, sigma = direction_spinor(near_pole(theta))
+    assert abs(c - np.cos(0.5 * theta)) <= 4e-16 * np.cos(0.5 * theta)
+    assert abs(sigma - np.sin(0.5 * theta) * (0.6 + 0.8j)) <= 4e-16 * np.sin(0.5 * theta)
+
+
+def test_direction_spinor_on_the_axis_and_at_zero():
+    for v, expected in (([0.0, 0.0, 2.0], (1.0, 0.0)), ([0.0, 0.0, -0.3], (0.0, 1.0)),
+                        ([0.0, 0.0, 0.0], (1.0, 0.0))):
+        c, sigma = direction_spinor(v)
+        assert (c, sigma) == expected
+        assert type(c) is float and type(sigma) is complex
+    stack = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -0.3], [0.0, 0.0, 0.0], [1.0, 2.0, -3.0]])
+    c, sigma = direction_spinor(stack)
+    assert np.array_equal(c[:3], [1.0, 0.0, 1.0]) and np.array_equal(sigma[:3], [0.0, 1.0, 0.0])
+    assert (c[3], sigma[3]) == direction_spinor(stack[3])
+
+
+def test_four_momentum_energy_has_the_bits_of_linalg_norm():
+    pts = BoxQuadrature(np.array([0.1, -0.4, 1.0]), np.array([0.5, 0.3, 0.8]), 48).points()
+    assert np.array_equal(four_momentum(pts)[:, 0], np.linalg.norm(pts, axis=-1))

@@ -263,9 +263,17 @@ class TestStacks:
             polarization(k, 1)
 
 
-@pytest.mark.parametrize("offset", [1e-14, 1e-16])
+@pytest.mark.parametrize("offset", [1e-8, 1e-14, 1e-16])
 @pytest.mark.parametrize("lam", [1, -1])
 def test_closed_form_agrees_with_matrix_route_next_to_the_south_pole(offset, lam):
     k = np.array([1.0, offset * np.cos(1.0), offset * np.sin(1.0), -1.0])
     spatial = polarization_spatial(k[1:], lam)
     assert np.max(np.abs(polarization(k, lam).eps[1:] - spatial)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1e-8, np.pi - 1e-8])
+@pytest.mark.parametrize("lam", [1, -1])
+def test_transverse_to_full_precision_next_to_the_poles(theta, lam):
+    kvec = 2.0 * np.array([0.6 * np.sin(theta), 0.8 * np.sin(theta), np.cos(theta)])
+    assert abs(kvec @ polarization_spatial(kvec, lam)) <= 4e-15
+    assert abs(kvec @ polarization(np.array([2.0, *kvec]), lam).eps[1:]) <= 4e-15

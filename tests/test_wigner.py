@@ -9,9 +9,12 @@ from photonamp.lorentz import (
     boost_matrix,
     rotation_matrix,
     rotation_z,
+    sl2c_boost,
+    su2_matrix,
 )
 from photonamp.wigner import (
     boost_half_phase,
+    half_phase,
     rotation_half_phase,
     wigner_boost,
     wigner_phase_boost_closed,
@@ -256,7 +259,7 @@ class TestStacks:
             wigner_phase_rotation_closed(AxisAngle([0.0, 1.0, 0.0], angles), k)
 
 
-@pytest.mark.parametrize("offset", [1e-14, 1e-16])
+@pytest.mark.parametrize("offset", [1e-8, 1e-14, 1e-16])
 def test_closed_form_agrees_with_matrix_route_next_to_the_south_pole(offset):
     rng = np.random.default_rng(44)
     k = np.array([1.0, offset * np.cos(1.0), offset * np.sin(1.0), -1.0])
@@ -268,6 +271,27 @@ def test_closed_form_agrees_with_matrix_route_next_to_the_south_pole(offset):
         closed = wigner_phase_boost_closed(zeta, k)
         data = wigner_boost(boost_matrix(beta_from_rapidity(zeta)), k)
         assert abs(closed**2 - data.phase(1)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1e-8, np.pi - 1e-8])
+def test_half_phase_agrees_with_matrix_route_next_to_the_poles(theta):
+    # The matrix route reads the azimuth of the image momentum, so its own
+    # error grows like 1e-16 over the image's distance from the polar axis.
+    # Axes at least 60 degrees from z, angles of 0.5 to 2.5 and rapidities up
+    # to 1.5 carry k at least 0.4 rad from both poles, where that route is
+    # accurate to rounding.
+    rng = np.random.default_rng(45)
+    kvec = 2.0 * np.array([0.6 * np.sin(theta), 0.8 * np.sin(theta), np.cos(theta)])
+    k = np.array([2.0, *kvec])
+    for _ in range(20):
+        a, nz = rng.uniform(-np.pi, np.pi), rng.uniform(-0.5, 0.5)
+        r = AxisAngle([np.cos(a), np.sin(a), nz], rng.uniform(0.5, 2.5))
+        closed = half_phase(su2_matrix(r), kvec) ** 2
+        assert abs(closed - wigner_rotation(rotation_matrix(r), k).phase(1)) <= 1e-14
+        zeta = rng.uniform(0.1, 1.5) * r.axis
+        closed = half_phase(sl2c_boost(zeta), kvec) ** 2
+        data = wigner_boost(boost_matrix(beta_from_rapidity(zeta)), k)
+        assert abs(closed - data.phase(1)) <= 1e-14
 
 
 def test_verify_raises_on_a_degenerate_alignment(monkeypatch):
