@@ -202,7 +202,7 @@ def _node_coefficients(
     )
     pts = box.points()
     k4 = four_momentum(pts)
-    omega = k4[:, 0]
+    omega = k4[:, 0].copy()  # a view would keep all of k4 alive in the caller
     base = PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
     C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
     for lam in HELICITIES:
