@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from photonamp import fields
 from photonamp.amplitudes import HelicityAmplitude, gaussian_wavepacket
 from photonamp.fields import (
     HBARC_EV_UM,
@@ -34,6 +35,7 @@ from photonamp.fields import (
 )
 from photonamp.lorentz import AxisAngle
 from photonamp.quadrature import BoxQuadrature
+from photonamp.verify import run_suite
 
 KAPPA = 1.0
 
@@ -150,6 +152,18 @@ class TestExactField:
             errors[offset] = float(np.sum((ftg.E - nb.E) ** 2 + (ftg.B - nb.B) ** 2))
         assert min(errors, key=errors.get) == 0.0
 
+    def test_verify_fails_a_slipped_carrier_phase(self, monkeypatch):
+        # a quarter turn on the closed form must fail the margin by itself
+        original = fields._narrowband_EB
+
+        def slipped(spec, X, Y, Z, t, phase_offset=0.0):
+            return original(spec, X, Y, Z, t, phase_offset + 0.5 * math.pi)
+
+        monkeypatch.setattr(fields, "_narrowband_EB", slipped)
+        report = run_suite("fields", trials=1)
+        margin = next(p for p in report.properties if p.name == "narrowband_accuracy_margin")
+        assert not margin.passed
+
     def test_exact_field_handedness(self, packet):
         # positive helicity: E(t) x E(t + dt) points along +z at a fixed point
         for t in (0.0, 0.4):
@@ -165,9 +179,9 @@ class TestExactField:
         gx, gy, gz = grid.axes()
         for idx in [(0, 3, 5), (6, 1, 2)]:
             x = np.array([0.7, gx[idx[0]], gy[idx[1]], gz[idx[2]]])
-            assert_allclose(
-                ftg.tensor_at(*idx), field_expectation_exact(packet, x), atol=1e-16
-            )
+            E, B = eb_from_tensor(field_expectation_exact(packet, x))
+            assert_allclose(ftg.E[idx], E, atol=1e-16)
+            assert_allclose(ftg.B[idx], B, atol=1e-16)
 
 
 class TestConservationIntegrals:
@@ -246,6 +260,16 @@ class TestMaxwellResiduals:
         x = np.array([0.1, 0.5, -0.3, 2.0])
         res = [max(maxwell_residual(packet, x, h)) for h in (0.2, 0.1)]
         assert res[0] / res[1] == pytest.approx(4.0, abs=0.5)
+
+    def test_steps_give_the_bits_of_one_call_each(self, packet):
+        x = np.array([0.1, 0.5, -0.3, 2.0])
+        steps = [0.2, 0.1, 0.05]
+        div, cyc = maxwell_residual(packet, x, np.array(steps))
+        assert div.shape == cyc.shape == (3,)
+        for i, h in enumerate(steps):
+            single = maxwell_residual(packet, x, h)
+            assert all(type(r) is float for r in single)
+            assert (div[i], cyc[i]) == single
 
 
 class TestLocalCovariance:
