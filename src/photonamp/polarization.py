@@ -92,11 +92,24 @@ def polarization_spatial(kvec, lam: int) -> np.ndarray:
     The standard rotation on the reference vector, in ``direction_spinor``'s
     (c, sigma) = (cos theta/2, sin theta/2 e^{i phi}): R0[k_hat] (x_hat + i y_hat)
     = (c^2 - sigma^2, i(c^2 + sigma^2), -2 c sigma), with no cancellation at a pole.
+    sigma^2 is formed from real products: numpy's complex multiply rounds a
+    stack and a single row differently, and this way each row of a stack keeps
+    the bits of its own call.
     """
     _check_lam(lam)
     c, sigma = direction_spinor(kvec)
-    c2, sigma2 = c * c, sigma * sigma
-    plus = np.stack([c2 - sigma2, 1j * (c2 + sigma2), -2.0 * c * sigma], axis=-1) * (-1.0 / _SQRT2)
+    sr, si = np.real(sigma), np.imag(sigma)
+    c2, s2r, m2c = c * c, sr * sr - si * si, -2.0 * c
+    # (re, im) of the three components, written in place
+    out = np.empty(np.shape(c) + (6,))
+    np.subtract(c2, s2r, out=out[..., 0])
+    np.multiply(-2.0 * sr, si, out=out[..., 1])  # -Im sigma^2
+    out[..., 2] = out[..., 1]
+    np.add(c2, s2r, out=out[..., 3])
+    np.multiply(m2c, sr, out=out[..., 4])
+    np.multiply(m2c, si, out=out[..., 5])
+    out *= -1.0 / _SQRT2
+    plus = out.view(complex)
     return plus if lam == 1 else -np.conj(plus)
 
 

@@ -254,6 +254,14 @@ class TestStacks:
             assert abs(coef[i] - one_coef) <= 1e-15
             assert abs(resid[i] - one_resid) <= 1e-15
 
+    def test_spatial_stack_has_the_bits_of_single_calls(self):
+        rng = np.random.default_rng(53)
+        kvec = rng.normal(size=(4000, 3)) * 10.0 ** rng.uniform(-12.0, 13.0, size=(4000, 1))
+        for lam in (1, -1):
+            stack = polarization_spatial(kvec, lam)
+            single = np.array([polarization_spatial(k, lam) for k in kvec])
+            assert np.array_equal(stack, single)
+
     def test_bad_row_is_named(self):
         k = np.tile([1.0, 0.0, 0.0, 1.0], (3, 1))
         with pytest.raises(ValueError, match=r"helicity must be \+1 or -1 \(row 1\)"):
