@@ -100,7 +100,8 @@ def polarization_spatial(kvec, lam: int) -> np.ndarray:
     c, sigma = direction_spinor(kvec)
     sr, si = np.real(sigma), np.imag(sigma)
     c2, s2r, m2c = c * c, sr * sr - si * si, -2.0 * c
-    # (re, im) of the three components, written in place
+    # (re, im) pairs of the three components, written in place: stacking them
+    # would cost more in copies than the arithmetic does
     out = np.empty(np.shape(c) + (6,))
     np.subtract(c2, s2r, out=out[..., 0])
     np.multiply(-2.0 * sr, si, out=out[..., 1])  # -Im sigma^2
