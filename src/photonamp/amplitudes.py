@@ -23,12 +23,12 @@ k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
 ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
 p, all conjugated for lam = -1, and e^{i k.a}.
 
-Observables (norms, overlaps, momentum moments) use a Gauss-Legendre box
-sized from the origin's box through the same element (``_Poincare.box``), so
-a round trip returns the origin's box up to one pad and padding never
-compounds. An amplitude evaluates its density on that box once and keeps the
-norm and momentum moments. The applied operations are kept as a replayable
-record.
+Observables use a Gauss-Legendre box sized on first use, not once per op,
+from the origin's box through the same element (``_Poincare.box``): a round
+trip returns the origin's box up to one pad. Every phase has modulus one, so
+the density is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed;
+an amplitude evaluates it on its box once and keeps the norm and momentum
+moments. The applied operations are kept as a replayable record.
 """
 
 from __future__ import annotations
@@ -146,23 +146,29 @@ class _Poincare:
             )
         raise ValueError(f"unknown transformation kind: {op.kind!r}")
 
+    def preimage(self, k: np.ndarray):
+        """(q, |k|, omega'/omega) at ``k``: q is Lambda^{-1} k, negated if ``flipped``."""
+        k4 = four_momentum(k)
+        omega = k4[..., 0]
+        q, ratio = k, 1.0
+        if self.lorentz:
+            prev4 = k4 @ lorentz_inverse(self.Lam).T
+            q = prev4[..., 1:]
+            ratio = prev4[..., 0] / np.where(omega > 0.0, omega, 1.0)
+        return (-q if self.flipped else q), omega, ratio
+
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
         """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it."""
         translated, lorentz = self.a.any(), self.lorentz
         if not (translated or lorentz or self.parity or self.reversal):
             return np.asarray(f(k), dtype=complex)
-        k4 = four_momentum(k)
-        omega = k4[..., 0]
-        q, factor = k, 1.0
+        q, omega, ratio = self.preimage(k)
+        prev, factor = (-q if self.flipped else q), 1.0  # Lambda^{-1} k, before the flip
         if lorentz:
-            prev4 = k4 @ lorentz_inverse(self.Lam).T
-            q = prev4[..., 1:]
-            weight = np.sqrt(prev4[..., 0] / np.where(omega > 0.0, omega, 1.0))
-            factor = weight * half_phase(self.A, q) ** 2
+            factor = np.sqrt(ratio) * half_phase(self.A, prev) ** 2
         if self.flipped:
-            eiphi = azimuth_phase(q)
+            eiphi = azimuth_phase(prev)
             factor = factor * np.conj(eiphi * eiphi)
-            q = -q
         if self.parity:
             factor = PHOTON_PARITY * factor
         value = np.asarray(f(q), dtype=complex)
@@ -195,7 +201,7 @@ class HelicityAmplitude:
     new objects sharing the constructor's callables and one fused element.
     """
 
-    __slots__ = ("_base", "_element", "quad", "record", "origin", "_integrals")
+    __slots__ = ("_base", "_element", "_quad", "record", "origin", "_integrals")
 
     def __init__(
         self,
@@ -209,10 +215,17 @@ class HelicityAmplitude:
             raise ValueError("at least one helicity component must be present")
         self._base = (psi_plus, psi_minus)
         self._element = _Poincare()
-        self.quad = quad
+        self._quad = quad
         self.record = tuple(record)
         self.origin = origin if origin is not None else self
         self._integrals = None
+
+    @property
+    def quad(self) -> BoxQuadrature:
+        """The origin's box through the element (``_Poincare.box``), sized on first read."""
+        if self._quad is None:
+            self._quad = self._element.box(self.origin._quad)
+        return self._quad
 
     psi_plus = property(lambda self: self.component(1))
     psi_minus = property(lambda self: self.component(-1))
@@ -236,6 +249,12 @@ class HelicityAmplitude:
         if f is None:
             return np.zeros(kvec.shape[:-1], dtype=complex)
         return self._element.pullback(f, lam, kvec)
+
+    def density(self, kvec: np.ndarray):
+        """(sum_lam |psi_lam|^2, |k|) at momenta (..., 3): (omega'/omega) sum |f(q)|^2."""
+        q, omega, ratio = self._element.preimage(kvec)
+        terms = (np.abs(np.asarray(f(q), dtype=complex)) ** 2 for f in self._base if f is not None)
+        return ratio * sum(terms), omega
 
     # -- symmetry operations -------------------------------------------------
 
@@ -262,11 +281,10 @@ class HelicityAmplitude:
         return self.apply(TransformOp("time_reverse", {}))
 
     def apply(self, op: TransformOp) -> "HelicityAmplitude":
-        element = self._element.then(op)
         # a translation leaves Lambda, P and T, and so the box, as they are
-        quad = self.quad if op.kind == "translate" else element.box(self.origin.quad)
+        quad = self._quad if op.kind == "translate" else None
         out = HelicityAmplitude(*self._base, quad, self.record + (op,), self.origin)
-        out._element = element
+        out._element = self._element.then(op)
         return out
 
     def normalized(self) -> "HelicityAmplitude":
@@ -333,26 +351,16 @@ def gaussian_wavepacket(
 def _density_integrals(psi: HelicityAmplitude, warn: bool):
     """Norm and momentum moments of the amplitude's density on its own box.
 
-    The density is evaluated once per amplitude; what the observables need
-    from it (the two integrals, its peak and its largest boundary value) is
-    kept on the amplitude, the array itself is not. The boundary check runs,
-    and may warn, on every call.
+    The phase-free density of ``HelicityAmplitude.density`` is evaluated once
+    per amplitude; what the observables need from it (the two integrals, its
+    peak and its largest boundary value) is kept on the amplitude, the array
+    itself is not. The boundary check runs, and may warn, on every call.
     """
     if psi._integrals is None:
         pts, w = psi.quad.points(), psi.quad.weights()
-        density = sum(
-            np.abs(psi.evaluate(lam, pts)) ** 2 for lam in HELICITIES if psi._source(lam) is not None
-        )
+        density, omega = psi.density(pts)
         weighted = w * density
-        omega = four_momentum(pts)[:, 0]
-        momentum = np.array(
-            [
-                float(weighted @ omega),
-                float(weighted @ pts[:, 0]),
-                float(weighted @ pts[:, 1]),
-                float(weighted @ pts[:, 2]),
-            ]
-        )
+        momentum = np.array([float(weighted @ v) for v in (omega, *pts.T)])
         boundary = float(density[psi.quad.boundary_mask()].max())
         psi._integrals = (float(w @ density), momentum, float(density.max()), boundary)
     norm, momentum, peak, boundary = psi._integrals

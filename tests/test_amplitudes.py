@@ -587,6 +587,55 @@ class TestDensityPass:
             with pytest.warns(QuadratureDomainWarning):
                 observable(small)
 
+    @pytest.mark.parametrize("helicities", [(1,), (-1,), (1, -1)])
+    def test_phase_free_density_equals_the_evaluated_sums(self, monkeypatch, helicities):
+        calls, phases = {1: [], -1: []}, []
+        plus = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+        minus = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, -1)
+
+        def counted(lam, f):
+            def g(k):
+                calls[lam].append(1)
+                return f(k)
+
+            return g if lam in helicities else None
+
+        def counted_phase(phase):
+            def g(*args):
+                phases.append(1)
+                return phase(*args)
+
+            return g
+
+        monkeypatch.setattr(amplitudes, "half_phase", counted_phase(half_phase))
+        monkeypatch.setattr(amplitudes, "azimuth_phase", counted_phase(azimuth_phase))
+        base = HelicityAmplitude(
+            counted(1, plus.psi_plus),
+            counted(-1, lambda k: (0.6 - 0.8j) * minus.psi_minus(k)),
+            plus.quad if 1 in helicities else minus.quad,
+        )
+        rng = np.random.default_rng(700 + len(helicities) + helicities[0])
+        records = [[generic_op(rng, kind)] for kind in KINDS]
+        for record in records + [mixed_record(rng, 8), mixed_record(rng, 32)]:
+            amp = replay(base, record)
+            pts, w = amp.quad.points(), amp.quad.weights()
+            for lam in (1, -1):
+                calls[lam].clear()
+            phases.clear()
+            norm = norm_squared(amp, warn=False)
+            p = expectation_momentum(amp, warn=False)
+            assert phases == []
+            assert {lam: len(c) for lam, c in calls.items()} == {
+                lam: int(lam in helicities) for lam in (1, -1)
+            }
+            density = sum(np.abs(amp.evaluate(lam, pts)) ** 2 for lam in HELICITIES)
+            k4 = four_momentum(pts)
+            # k_x and k_y may sit at rounding level next to omega, so the
+            # tolerance on each moment is relative to the largest of them
+            ref = (w * density) @ k4
+            assert_allclose(norm, w @ density, rtol=1e-13)
+            assert_allclose(p, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+
 
 # -- the quadrature box, sized once from the origin through the element --------
 
@@ -637,6 +686,13 @@ def momentum_matrix(op) -> np.ndarray:
 KINDS = ("translate", "rotate", "boost", "parity", "time_reverse")
 
 
+def mixed_record(rng, length) -> list[TransformOp]:
+    """``length`` generic ops holding the five kinds in turn, in seeded order."""
+    kinds = [KINDS[i % len(KINDS)] for i in range(length)]
+    rng.shuffle(kinds)
+    return [generic_op(rng, kind) for kind in kinds]
+
+
 class TestQuadratureBox:
     def test_round_trips_return_the_origin_box(self, packet):
         there, back = AxisAngle([0, 1, 0], 0.4), AxisAngle([0, 1, 0], -0.4)
@@ -666,6 +722,21 @@ class TestQuadratureBox:
             box = amp._element.box(packet.quad)
             assert np.array_equal(amp.quad.center, box.center)
             assert np.array_equal(amp.quad.halfwidth, box.halfwidth)
+
+    def test_box_is_sized_at_the_first_observable(self, packet, monkeypatch):
+        calls = []
+
+        def counted(box, point_map):
+            calls.append(1)
+            return mapped_box(box, point_map)
+
+        monkeypatch.setattr(amplitudes, "mapped_box", counted)
+        amp = replay(packet, mixed_record(np.random.default_rng(600), 32))
+        assert calls == []
+        norm_squared(amp, warn=False)
+        expectation_momentum(amp, warn=False)
+        assert amp.quad is amp.quad
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("kinds", [*((k,) for k in KINDS), ("parity", "rotate")])
     def test_single_op_box_equals_the_carried_box(self, kinds):
