@@ -15,8 +15,10 @@ output carries ``"schema": 1`` and, unless ``--no-timestamp`` is given, a
 
 The ``fields`` CSV has the header ``x,y,z,Ex,Ey,Ez,Bx,By,Bz`` and one line per
 grid node, z fastest, ending in ``\r\n``. Each value is the shortest ``repr``
-of its float, so it parses back to the identical float64. ``--units ev-um``
-scales the coordinates only; E and B stay in natural units.
+of its float, so it parses back to the identical float64; the text is
+computed in bulk by :mod:`photonamp._floattext`, byte for byte what ``repr``
+prints. ``--units ev-um`` scales the coordinates only; E and B stay in
+natural units.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._floattext import WIDTH, repr_cells
 from .amplitudes import (
     expectation_momentum,
     from_descriptor,
@@ -175,20 +178,31 @@ def _cmd_transform(args) -> int:
 def _write_fields_csv(path, grid, ftg, scale: float) -> None:
     """One line per grid node, z fastest; every value is its shortest ``repr``.
 
-    Coordinate text is formatted once per axis, and the E/B values one
-    (ix, iy) row of cells at a time, so no full-size copy of the grid is made.
+    The text comes from :func:`photonamp._floattext.repr_cells` in bulk: the
+    coordinate cells once per axis, the E/B cells one x-slab at a time, in
+    chunks of (y, z) rows of about 4096 values. Each chunk's padded cells
+    are joined by one mask-select, so the text of the whole grid, or of a
+    whole slab, is never held.
     """
-    gx, gy, gz = ([repr(v) for v in (axis * scale).tolist()] for axis in grid.axes())
-    line = "%r,%r,%r,%r,%r,%r\r\n"
-    with open(path, "w", newline="") as handle:
-        handle.write("x,y,z,Ex,Ey,Ez,Bx,By,Bz\r\n")
-        for ix, x in enumerate(gx):
-            for iy, y in enumerate(gy):
-                row = np.concatenate((ftg.E[ix, iy], ftg.B[ix, iy]), axis=1).tolist()
-                head = f"{x},{y},"
-                handle.writelines(
-                    f"{head}{z}," + line % tuple(v) for z, v in zip(gz, row)
+    (xt, xl), (yt, yl), (zt, zl) = (repr_cells(axis * scale) for axis in grid.axes())
+    step = max(1, 4096 // (6 * zl.size))
+    text = np.empty((step, zl.size, 9, WIDTH), dtype=np.uint8)
+    length = np.empty((step, zl.size, 9), dtype=np.uint8)
+    text[:, :, 2], length[:, :, 2] = zt, zl
+    position = np.arange(WIDTH, dtype=np.uint8)
+    with open(path, "wb") as handle:
+        handle.write(b"x,y,z,Ex,Ey,Ez,Bx,By,Bz\r\n")
+        for ix in range(xl.size):
+            text[:, :, 0], length[:, :, 0] = xt[ix], xl[ix]
+            for iy in range(0, yl.size, step):
+                rows = slice(iy, iy + step)
+                chunk = yl[rows].size
+                t, n = text[:chunk], length[:chunk]
+                t[:, :, 1], n[:, :, 1] = yt[rows, None], yl[rows, None]
+                t[:, :, 3:], n[:, :, 3:] = repr_cells(
+                    np.concatenate((ftg.E[ix, rows], ftg.B[ix, rows]), axis=-1), line_end=True
                 )
+                handle.write(t[position < n[..., None]])
 
 
 def _cmd_fields(args) -> int:

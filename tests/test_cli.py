@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from photonamp import verify
 from photonamp.amplitudes import gaussian_wavepacket
-from photonamp.cli import main
+from photonamp.cli import _write_fields_csv, main
 from photonamp.fields import (
     HBARC_EV_UM,
+    FieldTensorGrid,
     NarrowbandSpec,
     SpatialGrid,
     field_expectation_grid,
@@ -251,6 +253,37 @@ def test_fields_csv_bytes_match_the_per_cell_writer(tmp_path, capsys, mode, unit
     assert np.array_equal(table[:, :3], coords * scale)
     assert np.array_equal(table[:, 3:6], ftg.E.reshape(-1, 3))
     assert np.array_equal(table[:, 6:], ftg.B.reshape(-1, 3))
+
+
+def test_fields_csv_writer_matches_the_per_cell_writer_on_special_values(tmp_path):
+    rng = np.random.default_rng(15)
+    grid = SpatialGrid.centered(1.3, 7, center=(0.0, 0.2, -0.1))
+    E, B = (rng.standard_normal(grid.shape + (3,)) * 10.0 ** rng.integers(-30, 30, grid.shape + (3,))
+            for _ in range(2))
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.5e-310, 1e-320, 1e16, 1e-5]
+    E.reshape(-1)[: len(specials)] = specials
+    B.reshape(-1)[-len(specials):] = specials
+    ftg = FieldTensorGrid(grid, 0.0, E, B)
+    for scale in (1.0, HBARC_EV_UM):
+        out, reference = tmp_path / "fields.csv", tmp_path / "reference.csv"
+        _write_fields_csv(out, grid, ftg, scale)
+        reference_fields_csv(reference, grid, ftg, scale)
+        assert out.read_bytes() == reference.read_bytes()
+
+
+def test_fields_csv_writer_holds_no_text_of_the_whole_grid(tmp_path):
+    # the benchmark's grid: 66^3 nodes, about 55 MB of CSV
+    spec = NarrowbandSpec(3.3, 0.08 * 3.3)
+    grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
+    ftg = field_expectation_grid(gaussian_wavepacket([0.0, 0.0, 3.3], spec.sigma_k, 1), grid, 0.0)
+    tracemalloc.start()
+    try:
+        _write_fields_csv(tmp_path / "fields.csv", grid, ftg, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "fields.csv").stat().st_size > 50e6
+    assert peak < 4e6
 
 
 def test_fields_unwritable_out_is_a_usage_error(tmp_path, capsys):
