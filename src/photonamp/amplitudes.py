@@ -201,7 +201,9 @@ class HelicityAmplitude:
     new objects sharing the constructor's callables and one fused element.
     """
 
-    __slots__ = ("_base", "_element", "_quad", "record", "origin", "_integrals")
+    __slots__ = (
+        "_base", "_element", "_quad", "record", "_origin", "_integrals", "_nodes", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -217,8 +219,15 @@ class HelicityAmplitude:
         self._element = _Poincare()
         self._quad = quad
         self.record = tuple(record)
-        self.origin = origin if origin is not None else self
+        # None for an origin: a reference to itself would free it only by the cyclic GC
+        self._origin = origin
         self._integrals = None
+        self._nodes = {}  # field node coefficients, one entry per form (fields.py)
+
+    @property
+    def origin(self) -> "HelicityAmplitude":
+        """The untransformed amplitude that the record is applied to."""
+        return self if self._origin is None else self._origin
 
     @property
     def quad(self) -> BoxQuadrature:

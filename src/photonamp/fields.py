@@ -17,16 +17,18 @@ where G is the unit-norm Gaussian envelope of width sigma_x = 1/(2 sigma_k)
 translating at the speed of light. Narrowband evaluation is exact to first
 order in sigma_k/kappa and valid for |t| well inside (kappa/sigma_k) sigma_x.
 
-Every field observable starts from one set of x-independent node
+Every field observable starts from one set of spacetime-independent node
 coefficients: per momentum node, the six components of the antisymmetric
 coefficient (or, for the potential, the polarization vector itself) weighted
-by the amplitude and the quadrature. Pointwise functions accept one spacetime
-point or an array of them and evaluate all points as phase-matrix products
-against those coefficients. Grid fills exploit the tensor-product structure
-of both the Gauss-Legendre momentum box and the Cartesian spatial grid,
-reducing the Fourier sum to three small tensor contractions per field
-component. The narrowband conservation integrals factorize over the three
-axes and are summed in separable form.
+by the amplitude and the quadrature. They are built once per amplitude and
+form, and kept on it. Pointwise functions accept one spacetime point or an
+array of them and sum those coefficients against a phase that is separable on
+the tensor-product Gauss-Legendre box: e^{i k.x} is the outer product of three
+one-axis exponentials, and e^{-i omega t} is formed once per distinct time.
+Grid fills exploit the tensor-product structure of both the momentum box and
+the Cartesian spatial grid, reducing the Fourier sum to three small tensor
+contractions per field component. The narrowband conservation integrals
+factorize over the three axes and are summed in separable form.
 
 Everything is in natural units; only ``localization_scale`` and the CLI
 convert to laboratory units via hbar*c.
@@ -163,8 +165,9 @@ class NarrowbandSpec:
 #: the box by 1.5 restores the same tail suppression for field quadratures.
 FIELD_BOX_SCALE = 1.5
 
-#: Spacetime points per phase block. On the default 48^3 field box an
-#: (8, N) complex phase block takes about 14 MB.
+#: Spacetime points per phase block: each block forms its (8, N) complex phase
+#: array (about 14 MB on the default 48^3 field box) and sums it against the
+#: node coefficients in one matrix product.
 POINT_BLOCK = 8
 
 #: (mu, nu) index pairs of the six independent components of an antisymmetric
@@ -173,64 +176,85 @@ _MU = np.array([0, 0, 0, 2, 3, 1])
 _NU = np.array([1, 2, 3, 3, 1, 2])
 
 
-def _node_coefficients(
-    psi: HelicityAmplitude, gauge=None, tensor: bool = True, t: float = 0.0
-):
-    """x-independent node coefficients of the positive-frequency momentum integral.
+def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
+    """Spacetime-independent node coefficients of the positive-frequency momentum integral.
 
-    Returns ``(box, pts, omega, C)`` on the field box. Row n of ``C`` holds
-    PREFACTOR w_n / sqrt(omega_n) e^{-i omega_n t} sum_lam psi_lam(k_n) times,
-    with ``tensor``, the six components (S^{01}, S^{02}, S^{03}, S^{23},
-    S^{31}, S^{12}) of k^mu eps^nu - k^nu eps^mu, or otherwise the four
-    components of eps^mu. ``gauge`` shifts every eps by gauge(k) k before
-    either is formed.
+    Returns ``(box, omega, C)`` on the field box. Row n of ``C`` holds
+    PREFACTOR w_n / sqrt(omega_n) sum_lam psi_lam(k_n) times, with ``tensor``,
+    the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}) of
+    k^mu eps^nu - k^nu eps^mu, or otherwise the four components of eps^mu.
+    The e^{-i omega_n t} factor is left to the sums. ``gauge`` shifts every eps
+    by gauge(k) k before either is formed.
+
+    Without a gauge the arrays are kept on the amplitude, one entry per form,
+    and are read-only: later calls return the same arrays.
     """
+    if gauge is None and tensor in psi._nodes:
+        return psi._nodes[tensor]
     box = BoxQuadrature(
         psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
     )
     pts = box.points()
-    k4 = four_momentum(pts)
-    omega = k4[:, 0].copy()  # a view would keep all of k4 alive in the caller
-    base = PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
+    omega = four_momentum(pts)[:, 0].copy()  # a view would keep all of k4 alive
+    base = PREFACTOR * box.weights() / np.sqrt(omega)
     C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
     for lam in HELICITIES:
         if psi.component(lam) is None:
             continue
-        eps4 = np.zeros((len(pts), 4), dtype=complex)
-        eps4[:, 1:] = polarization_spatial(pts, lam)
+        eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
         if gauge is not None:
-            eps4 = eps4 + np.asarray(gauge(pts), dtype=complex)[:, None] * k4
+            g = np.asarray(gauge(pts), dtype=complex)
+            eps, eps0 = eps + g[:, None] * pts, g * omega
         c = base * psi.evaluate(lam, pts)
         if tensor:
-            # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps
-            for i in range(3):
-                C[:, i] += c * omega * eps4[:, 1 + i] - c * pts[:, i] * eps4[:, 0]
-            C[:, 3:] += c[:, None] * np.cross(pts, eps4[:, 1:])
+            # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps,
+            # the cross product taken of the real and imaginary parts of eps
+            C[:, :3] += (c * omega)[:, None] * eps
+            if eps0 is not None:
+                C[:, :3] -= (c * eps0)[:, None] * pts
+            k_cross_eps = np.empty_like(eps)
+            k_cross_eps.real = np.cross(pts, eps.real)
+            k_cross_eps.imag = np.cross(pts, eps.imag)
+            C[:, 3:] += c[:, None] * k_cross_eps
         else:
-            C += c[:, None] * eps4
-    return box, pts, omega, C
+            C[:, 1:] += c[:, None] * eps
+            if eps0 is not None:
+                C[:, 0] += c * eps0
+    omega.flags.writeable = C.flags.writeable = False
+    if gauge is None:
+        psi._nodes[tensor] = (box, omega, C)
+    return box, omega, C
 
 
-def _sum_over_nodes(pts, omega, C, x) -> np.ndarray:
+def _sum_over_nodes(box: BoxQuadrature, omega, C, x) -> np.ndarray:
     """sum_n exp(-i(omega_n t - k_n.x)) C_n at every spacetime point of ``x``.
 
     ``x`` has shape (4,) or (..., 4); the result has shape (..., C.shape[1]).
     Points go through in blocks of POINT_BLOCK, one phase-matrix product each.
+    Rows of ``C`` are the nodes of ``box`` in its flatten order, so e^{i k.x}
+    is the outer product of one exponential per axis of ``box``; e^{-i omega t}
+    is formed once for each distinct t, and kept from one block to the next.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (4,):
         raise ValueError(f"spacetime points need a last axis of length 4, got {x.shape}")
     flat = x.reshape(-1, 4)
+    axes = box.axes()
     out = np.empty((len(flat), C.shape[1]), dtype=complex)
+    clocks = {}
     for start in range(0, len(flat), POINT_BLOCK):
         xb = flat[start : start + POINT_BLOCK]
-        arg = (
-            xb[:, 0:1] * omega
-            - xb[:, 1:2] * pts[:, 0]
-            - xb[:, 2:3] * pts[:, 1]
-            - xb[:, 3:4] * pts[:, 2]
-        )
-        phase = np.exp(-1j * arg)
+        times = xb[:, 0].tolist()
+        clocks = {
+            t: clocks[t] if t in clocks else np.exp(-1j * omega * t)
+            for t in dict.fromkeys(times)
+        }
+        ex, ey, ez = (np.exp(1j * np.outer(xb[:, 1 + i], axes[i])) for i in range(3))
+        phase = (
+            (ex[:, :, None] * ey[:, None, :])[..., None] * ez[:, None, None, :]
+        ).reshape(len(xb), -1)
+        for row, t in zip(phase, times):
+            row *= clocks[t]
         if len(xb) == 1:
             # a one-row product would take the matrix-vector kernel, which sums
             # the nodes in another order than the blocked one
@@ -243,14 +267,14 @@ def positive_frequency_field(psi: HelicityAmplitude, x, gauge=None) -> np.ndarra
     """Complex positive-frequency tensor F^{(+)mu nu}(x); its term + c.c. is <F>.
 
     ``x`` is one spacetime point (4,) or an array of them (..., 4); the result
-    has shape (..., 4, 4). The node coefficients are built once per call.
+    has shape (..., 4, 4). Without a gauge, the node coefficients are built on
+    the first call for ``psi`` and reused by every later one.
 
     ``gauge``: optional callable f(kpts) -> complex (N,) shifting every
     polarization vector by f(k) k; observables built from the antisymmetric
     coefficient are unchanged by it.
     """
-    _, pts, omega, C = _node_coefficients(psi, gauge)
-    comps = _sum_over_nodes(pts, omega, C, x)
+    comps = _sum_over_nodes(*_node_coefficients(psi, gauge), x)
     S = np.zeros(comps.shape[:-1] + (4, 4), dtype=complex)
     S[..., _MU, _NU] = comps
     S[..., _NU, _MU] = -comps
@@ -287,8 +311,7 @@ def vector_potential(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
     gauge the time component vanishes. Gauge shifts move the potential but not
     the reconstructed field strengths.
     """
-    _, pts, omega, C = _node_coefficients(psi, gauge, tensor=False)
-    return 2j * _sum_over_nodes(pts, omega, C, x)
+    return 2j * _sum_over_nodes(*_node_coefficients(psi, gauge, tensor=False), x)
 
 
 # -- tensor-product grid fills -------------------------------------------------
@@ -305,16 +328,15 @@ def positive_frequency_grid(
     psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each."""
-    box, _, _, C = _node_coefficients(psi, t=t)
+    box, omega, C = _node_coefficients(psi)
+    if t != 0.0:
+        C = C * np.exp(-1j * omega * t)[:, None]  # a temporary: the kept C has no clock
     nq = box.npts
-    kx, ky, kz = box.axes()
-    gx, gy, gz = grid.axes()
-    Ax = np.exp(1j * np.outer(kx, gx))
-    Ay = np.exp(1j * np.outer(ky, gy))
-    Az = np.exp(1j * np.outer(kz, gz))
-    fields = [_contract(C[:, i].reshape(nq, nq, nq), Ax, Ay, Az) for i in range(6)]
-    Ep = -np.stack(fields[:3], axis=-1)
-    Bp = -np.stack(fields[3:], axis=-1)
+    Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
+    Ep = np.empty(grid.shape + (3,), dtype=complex)
+    Bp = np.empty_like(Ep)
+    for i, out in enumerate([*np.moveaxis(Ep, -1, 0), *np.moveaxis(Bp, -1, 0)]):
+        np.negative(_contract(C[:, i].reshape(nq, nq, nq), Ax, Ay, Az), out=out)
     return Ep, Bp
 
 
@@ -385,7 +407,11 @@ def narrowband_relative_l2(exact: FieldTensorGrid, spec: NarrowbandSpec) -> floa
     the closed form sampled at the grid's time; it should scale linearly with
     sigma_k / kappa.
     """
-    closed = narrowband_grid(spec, exact.grid, exact.t)
+    return _relative_l2(exact, narrowband_grid(spec, exact.grid, exact.t))
+
+
+def _relative_l2(exact: FieldTensorGrid, closed: FieldTensorGrid) -> float:
+    """:func:`narrowband_relative_l2` against a closed-form grid already built."""
     return math.sqrt(
         float(np.sum((exact.E - closed.E) ** 2 + (exact.B - closed.B) ** 2))
         / float(np.sum(closed.E**2 + closed.B**2))

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -19,6 +21,7 @@ from photonamp.amplitudes import (
     op_from_json,
     replay,
 )
+from photonamp.fields import positive_frequency_field
 from photonamp.lorentz import (
     AxisAngle,
     azimuth_phase,
@@ -211,10 +214,32 @@ class TestInnerProduct:
         assert reversed_ip == pytest.approx(np.conj(base), abs=1e-6)
 
 
+class TestLifetime:
+    def test_origin_is_itself(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1)
+        assert psi.origin is psi
+        assert psi.rotate(AxisAngle([0, 1, 0], 0.4)).translate([1, 0, 0, 0]).origin is psi
+
+    def test_used_amplitudes_die_without_the_cyclic_collector(self):
+        gc.disable()
+        try:
+            psi = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1, npts=16)
+            moved = psi.boost([0.0, 0.0, 0.2])
+            norm_squared(psi)
+            expectation_momentum(moved)
+            positive_frequency_field(psi, [0.0, 0.0, 0.0, 0.0])
+            refs = [weakref.ref(psi), weakref.ref(moved)]
+            del psi, moved
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
 class TestRecordReplay:
     def test_replay_reproduces_pointwise(self, packet):
         rng = np.random.default_rng(5)
         chain = packet.boost([0.1, 0, 0.4]).rotate(AxisAngle([1, 0, 1], 0.7)).parity()
+        assert chain.origin is packet
         rebuilt = replay(chain.origin, chain.record)
         pts = random_momenta(rng)
         for lam in (1, -1):

@@ -34,6 +34,7 @@ from photonamp.fields import (
     vector_potential,
 )
 from photonamp.lorentz import AxisAngle
+from photonamp.polarization import polarization_spatial
 from photonamp.quadrature import BoxQuadrature
 from photonamp.verify import run_suite
 
@@ -163,6 +164,12 @@ class TestExactField:
         report = run_suite("fields", trials=1)
         margin = next(p for p in report.properties if p.name == "narrowband_accuracy_margin")
         assert not margin.passed
+
+    def test_verify_fields_twice_in_one_process_gives_the_same_report(self):
+        # verify's amplitudes are built afresh on every run, so nothing kept on
+        # one run's amplitudes can reach the next
+        first, second = run_suite("fields"), run_suite("fields")
+        assert first.properties == second.properties
 
     def test_exact_field_handedness(self, packet):
         # positive helicity: E(t) x E(t + dt) points along +z at a fixed point
@@ -365,6 +372,93 @@ class TestBatchedPoints:
     def test_rejects_points_without_four_components(self, packet):
         with pytest.raises(ValueError):
             positive_frequency_field(packet, np.zeros((2, 3)))
+
+
+def _coefficients_with_clock(psi, t):
+    """The node coefficients at time t built as one formula: the clock folded into
+    the weight, eps as a 4-vector and a complex cross product, with no cache."""
+    quad = psi.quad
+    box = BoxQuadrature(quad.center, fields.FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
+    pts = box.points()
+    omega = np.linalg.norm(pts, axis=-1)
+    base = fields.PREFACTOR * box.weights() / np.sqrt(omega) * np.exp(-1j * omega * t)
+    C = np.zeros((len(pts), 6), dtype=complex)
+    for lam in (1, -1):
+        if psi.component(lam) is None:
+            continue
+        eps4 = np.zeros((len(pts), 4), dtype=complex)
+        eps4[:, 1:] = polarization_spatial(pts, lam)
+        c = base * psi.evaluate(lam, pts)
+        for i in range(3):
+            C[:, i] += c * omega * eps4[:, 1 + i] - c * pts[:, i] * eps4[:, 0]
+        C[:, 3:] += c[:, None] * np.cross(pts, eps4[:, 1:])
+    return pts, C
+
+
+class TestNodeCoefficients:
+    def test_repeated_call_reuses_the_arrays(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        for tensor in (True, False):
+            _, omega, C = fields._node_coefficients(psi, tensor=tensor)
+            _, omega2, C2 = fields._node_coefficients(psi, tensor=tensor)
+            assert np.shares_memory(C, C2) and np.shares_memory(omega, omega2)
+        assert sorted(psi._nodes) == [False, True]
+
+    def test_gauge_shifted_call_leaves_the_cache_alone(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        gauge = lambda pts: (0.4 - 1.1j) * np.linalg.norm(pts, axis=-1)  # noqa: E731
+        fields._node_coefficients(psi, gauge=gauge)
+        assert psi._nodes == {}
+        kept = fields._node_coefficients(psi)
+        _, _, shifted = fields._node_coefficients(psi, gauge=gauge)
+        assert psi._nodes == {True: kept}
+        assert not np.shares_memory(shifted, kept[2])
+
+    def test_transformed_amplitude_gets_its_own_cache(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        _, _, C = fields._node_coefficients(psi)
+        moved = psi.rotate(AxisAngle([0, 1, 0], 0.3))
+        assert moved._nodes == {}
+        _, _, C_moved = fields._node_coefficients(moved)
+        assert not np.shares_memory(C, C_moved)
+        assert psi._nodes[True][2] is C
+
+    def test_cached_arrays_are_read_only(self, packet):
+        _, omega, C = fields._node_coefficients(packet)
+        with pytest.raises(ValueError):
+            C[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            omega[0] = 1.0
+
+    def test_later_time_grid_fill_matches_the_uncached_formula(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=20)
+        t = 0.7
+        grid = SpatialGrid.centered(6.0, 6, center=(0.3, -0.2, t))
+        _, _, kept = fields._node_coefficients(psi)
+        before = kept.copy()
+        Ep, Bp = fields.positive_frequency_grid(psi, grid, t)
+        assert np.array_equal(kept, before)
+        pts, C = _coefficients_with_clock(psi, t)
+        X = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1).reshape(-1, 3)
+        direct = -(np.exp(1j * (X @ pts.T)) @ C)
+        fill = np.concatenate([Ep, Bp], axis=-1).reshape(-1, 6)
+        assert np.max(np.abs(fill - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+    def test_separable_sum_matches_the_direct_phase(self, packet):
+        # points on the packet's path and away from it, t != 0, |x| up to 50,
+        # over two full blocks and a one-row block
+        rng = np.random.default_rng(11)
+        x = np.zeros((2 * POINT_BLOCK + 1, 4))
+        x[:, 0] = rng.uniform(-30.0, 30.0, len(x))
+        x[::2, 1:] = rng.normal(scale=2.0, size=(len(x[::2]), 3))
+        x[::2, 3] += x[::2, 0]
+        away = rng.normal(size=(len(x[1::2]), 3))
+        radii = np.linspace(5.0, 50.0, len(away))
+        x[1::2, 1:] = away * (radii / np.linalg.norm(away, axis=1))[:, None]
+        box, omega, C = fields._node_coefficients(packet)
+        direct = np.exp(-1j * (np.outer(x[:, 0], omega) - x[:, 1:] @ box.points().T)) @ C
+        separable = fields._sum_over_nodes(box, omega, C, x)
+        assert np.max(np.abs(separable - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class TestVectorPotential:
