@@ -19,7 +19,8 @@ from photonamp.fields import (
     NarrowbandSpec,
     SpatialGrid,
     field_expectation_grid,
-    narrowband_relative_l2,
+    narrowband_grid,
+    relative_l2,
 )
 
 
@@ -37,7 +38,7 @@ def main():
         psi = gaussian_wavepacket([0, 0, kappa], sigma, 1)
         spec = NarrowbandSpec(kappa, sigma)
         grid = SpatialGrid.centered(args.extent * spec.sigma_x, args.n)
-        rel = narrowband_relative_l2(field_expectation_grid(psi, grid, 0.0), spec)
+        rel = relative_l2(field_expectation_grid(psi, grid, 0.0), narrowband_grid(spec, grid, 0.0))
         print(f"{ratio:14.4f} {rel:12.5f} {rel / ratio:11.3f}")
 
 

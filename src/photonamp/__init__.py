@@ -43,7 +43,6 @@ from .amplitudes import (
     replay,
 )
 from .polarization import (
-    FieldTensorCoeff,
     PolarizationVector,
     covariance_residual,
     gauge_shift,

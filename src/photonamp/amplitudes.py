@@ -388,18 +388,15 @@ def norm_squared(psi: HelicityAmplitude, warn: bool = True) -> float:
     return _density_integrals(psi, warn)[0]
 
 
-def inner_product(
-    psi1: HelicityAmplitude, psi2: HelicityAmplitude, npts: int | None = None
-) -> complex:
+def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
     """Hermitian overlap sum_lam int psi1_lam^* psi2_lam d^3k.
 
-    Distinct quadrature boxes are merged into their union; pass ``npts`` to
-    refine when the union is much larger than either support.
+    Distinct quadrature boxes are merged into their union.
     """
-    if psi1.quad.same_box(psi2.quad) and npts is None:
+    if psi1.quad.same_box(psi2.quad):
         quad = psi1.quad
     else:
-        quad = union_box(psi1.quad, psi2.quad, npts)
+        quad = union_box(psi1.quad, psi2.quad)
     pts, w = quad.points(), quad.weights()
     total = 0.0 + 0.0j
     for lam in HELICITIES:

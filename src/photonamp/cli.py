@@ -8,7 +8,10 @@ transform  apply symmetry operations to a wavepacket descriptor (JSON file)
 fields     sample E/B on a grid (CSV) and report conservation integrals (JSON)
 localize   packet width in micrometers from photon energy and relative bandwidth
 
-Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. Angles are
+Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. An energy
+or relative width that is not positive, or fewer than 2 points per axis
+(``fields --n``, ``transform --npts``), is a usage error. ``verify`` checks
+each property at its own fixed tolerance, with no override. Angles are
 radians; energies cross the boundary in eV (natural units inside). JSON
 output carries ``"schema": 1`` and, unless ``--no-timestamp`` is given, a
 ``generated_at`` field (excluded so reports can be compared byte for byte).
@@ -55,18 +58,10 @@ from .verify import SUITE_NAMES, run_suite
 from .wigner import wigner_boost, wigner_rotation
 
 
-def _coerce(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"not JSON serializable: {type(value)!r}")
-
-
 def _emit(payload: dict, args) -> None:
     if not args.no_timestamp:
         payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True, default=_coerce)
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
@@ -95,7 +90,7 @@ def _positive(text: str) -> float:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, trials=args.trials, seed=args.seed, tol=args.tol)
+    report = run_suite(args.suite, trials=args.trials, seed=args.seed)
     _emit(report.to_dict(include_time=not args.no_timestamp), args)
     return 0 if report.passed else 1
 
@@ -283,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
     p.add_argument("--trials", type=_int_at_least(1, "at least 1 trial is needed"), default=1000)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--tol", type=float, default=None, help="override every tolerance")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("wigner", help="little-group angle for one transformation", parents=[common])
@@ -291,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis", type=lambda s: _parse_vec(s, 3), help="rotation axis x,y,z")
     p.add_argument("--angle", type=float, help="rotation angle (radians)")
     p.add_argument("--beta", type=lambda s: _parse_vec(s, 3), help="boost velocity x,y,z")
-    p.add_argument("--omega-ev", type=float, required=True, help="photon energy (eV)")
+    p.add_argument("--omega-ev", type=_positive, required=True, help="photon energy (eV)")
     p.add_argument("--theta", type=float, required=True, help="momentum polar angle")
     p.add_argument("--phi", type=float, required=True, help="momentum azimuth")
     p.set_defaults(func=_cmd_wigner)
@@ -304,12 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help='operation as JSON, e.g. \'{"type":"boost","beta":[0,0,0.5]}\' (repeatable)',
     )
-    p.add_argument("--npts", type=int, default=48, help="quadrature points per axis")
+    p.add_argument("--npts", type=_int_at_least(2, "need at least 2 quadrature points per axis"),
+                   default=48, help="quadrature points per axis (>= 2)")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("fields", help="sample E/B on a grid and integrate", parents=[common])
-    p.add_argument("--kappa-ev", type=float, required=True)
-    p.add_argument("--sigma-ratio", type=float, required=True)
+    p.add_argument("--kappa-ev", type=_positive, required=True)
+    p.add_argument("--sigma-ratio", type=_positive, required=True)
     p.add_argument("--n", type=_int_at_least(2, "a grid needs at least 2 points per axis"),
                    required=True, help="grid points per axis (>= 2)")
     p.add_argument(
@@ -322,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fields)
 
     p = sub.add_parser("localize", help="packet width in micrometers", parents=[common])
-    p.add_argument("--kappa-ev", type=float, required=True)
-    p.add_argument("--sigma-ratio", type=float, required=True)
+    p.add_argument("--kappa-ev", type=_positive, required=True)
+    p.add_argument("--sigma-ratio", type=_positive, required=True)
     p.set_defaults(func=_cmd_localize)
     return parser
 

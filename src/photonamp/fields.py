@@ -345,7 +345,7 @@ def field_expectation_grid(
 ) -> FieldTensorGrid:
     """Real <E>, <B> on the grid; tags the carrier with the packet's mean energy."""
     Ep, Bp = positive_frequency_grid(psi, grid, t)
-    kappa = float(expectation_momentum(psi, warn=False)[0])
+    kappa = energy_expectation(psi)  # before the real fields exist: its density pass adds to the peak
     return FieldTensorGrid(grid, t, 2.0 * Ep.real, 2.0 * Bp.real, kappa)
 
 
@@ -400,18 +400,13 @@ def narrowband_grid(
     return FieldTensorGrid(grid, t, E, B, spec.kappa)
 
 
-def narrowband_relative_l2(exact: FieldTensorGrid, spec: NarrowbandSpec) -> float:
-    """Relative L2 difference of grid fields from the closed form on the same grid.
+def relative_l2(exact: FieldTensorGrid, closed: FieldTensorGrid) -> float:
+    """Relative L2 difference of grid fields from a closed form on the same grid.
 
-    sqrt(sum |E - E_nb|^2 + |B - B_nb|^2) / sqrt(sum |E_nb|^2 + |B_nb|^2), with
-    the closed form sampled at the grid's time; it should scale linearly with
+    sqrt(sum |E - E_nb|^2 + |B - B_nb|^2) / sqrt(sum |E_nb|^2 + |B_nb|^2); against
+    :func:`narrowband_grid` at the grid's time it scales linearly with
     sigma_k / kappa.
     """
-    return _relative_l2(exact, narrowband_grid(spec, exact.grid, exact.t))
-
-
-def _relative_l2(exact: FieldTensorGrid, closed: FieldTensorGrid) -> float:
-    """:func:`narrowband_relative_l2` against a closed-form grid already built."""
     return math.sqrt(
         float(np.sum((exact.E - closed.E) ** 2 + (exact.B - closed.B) ** 2))
         / float(np.sum(closed.E**2 + closed.B**2))

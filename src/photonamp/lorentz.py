@@ -46,6 +46,9 @@ X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
+#: Tolerance of the lightlike, rotation and proper-orthochronous tests.
+_TOL = 1e-9
+
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -142,18 +145,18 @@ def four_momentum(kvec) -> np.ndarray:
     return np.concatenate([omega[..., None], k], axis=-1)
 
 
-def is_lightlike(k, tol: float = 1e-9):
+def is_lightlike(k):
     k = np.asarray(k, dtype=float)
     if k.ndim == 0 or k.shape[-1] != 4:
         return False
     energy = k[..., 0]
-    return _unstack((energy > 0.0) & (np.abs(minkowski(k, k)) <= tol * energy**2))
+    return _unstack((energy > 0.0) & (np.abs(minkowski(k, k)) <= _TOL * energy**2))
 
 
-def require_lightlike(k, tol: float = 1e-9) -> np.ndarray:
+def require_lightlike(k) -> np.ndarray:
     k = np.asarray(k, dtype=float)
     _require(
-        is_lightlike(k, tol),
+        is_lightlike(k),
         lambda at: f"momentum {k[at]!r} is not lightlike with positive energy",
     )
     return k
@@ -382,28 +385,28 @@ def _is_4x4(L) -> bool:
     return L.ndim >= 2 and L.shape[-2:] == (4, 4)
 
 
-def is_rotation(L, tol: float = 1e-9):
+def is_rotation(L):
     """True when L is a pure spatial rotation (trivial time row/column, det +1)."""
     L = np.asarray(L, dtype=float)
     if not _is_4x4(L):
         return False
     time_ok = (
-        (np.abs(L[..., 0, 0] - 1.0) <= tol)
-        & np.all(np.abs(L[..., 0, 1:]) <= tol, axis=-1)
-        & np.all(np.abs(L[..., 1:, 0]) <= tol, axis=-1)
+        (np.abs(L[..., 0, 0] - 1.0) <= _TOL)
+        & np.all(np.abs(L[..., 0, 1:]) <= _TOL, axis=-1)
+        & np.all(np.abs(L[..., 1:, 0]) <= _TOL, axis=-1)
     )
     R = L[..., 1:, 1:]
-    orthogonal = np.max(np.abs(_transpose(R) @ R - np.eye(3)), axis=(-2, -1)) <= tol
-    unit_det = np.abs(np.linalg.det(R) - 1.0) <= 10 * tol
+    orthogonal = np.max(np.abs(_transpose(R) @ R - np.eye(3)), axis=(-2, -1)) <= _TOL
+    unit_det = np.abs(np.linalg.det(R) - 1.0) <= 10 * _TOL
     return _unstack(time_ok & orthogonal & unit_det)
 
 
-def is_proper_orthochronous(L, tol: float = 1e-9):
+def is_proper_orthochronous(L):
     L = np.asarray(L, dtype=float)
     if not _is_4x4(L):
         return False
     return _unstack(
-        (np.asarray(metric_residual(L)) <= tol)
-        & (L[..., 0, 0] >= 1.0 - tol)
+        (np.asarray(metric_residual(L)) <= _TOL)
+        & (L[..., 0, 0] >= 1.0 - _TOL)
         & (np.linalg.det(L) > 0.0)
     )

@@ -51,36 +51,27 @@ class PolarizationVector:
     lam: int  # or an int array (...)
 
 
-@dataclass(frozen=True)
-class FieldTensorCoeff:
-    T: np.ndarray  # complex antisymmetric (..., 4, 4)
-    k: np.ndarray
-    lam: int
-
-
 def _check_lam(lam):
     _require(np.isin(lam, (1, -1)), "helicity must be +1 or -1")
     return lam
 
 
-def reference_polarization(lam: int, kappa: float = 1.0) -> PolarizationVector:
-    """Polarization vector of the reference momentum (kappa, 0, 0, kappa)."""
+def reference_polarization(lam: int) -> PolarizationVector:
+    """Polarization vector of the reference momentum (1, 0, 0, 1)."""
     _check_lam(lam)
-    k0 = np.array([kappa, 0.0, 0.0, kappa])
+    k0 = np.array([1.0, 0.0, 0.0, 1.0])
     return PolarizationVector(_EPS_REF[lam].copy(), k0, lam)
 
 
-def polarization(k, lam, kappa_ref: float = 1.0) -> PolarizationVector:
+def polarization(k, lam) -> PolarizationVector:
     """Canonical-gauge polarization vector for a general lightlike momentum.
 
-    Equals the standard rotation applied to the reference vector; the result
-    does not depend on ``kappa_ref`` (kept in the signature because the
-    canonical construction is phrased relative to a reference energy).
+    Equals the standard rotation applied to the reference vector, whatever
+    the reference energy: the z-boost leg acts trivially on transverse vectors.
     Momenta ``(..., 4)`` and helicities ``(...)`` broadcast to eps ``(..., 4)``.
     """
     _check_lam(lam)
     k = require_lightlike(k)
-    del kappa_ref  # the z-boost leg acts trivially on transverse vectors
     eps_ref = np.where(np.asarray(lam)[..., None] == 1, _EPS_REF[1], _EPS_REF[-1])
     eps = _apply(standard_rotation(k[..., 1:]).astype(complex), eps_ref)
     return PolarizationVector(eps, k, lam)
@@ -123,14 +114,13 @@ def gauge_shift(p: PolarizationVector, f) -> PolarizationVector:
     return PolarizationVector(p.eps + f[..., None] * p.k.astype(complex), p.k, p.lam)
 
 
-def tensor_coeff(p: PolarizationVector) -> FieldTensorCoeff:
-    """Gauge-invariant antisymmetric coefficient k^mu eps^nu - k^nu eps^mu."""
+def tensor_coeff(p: PolarizationVector) -> np.ndarray:
+    """Gauge-invariant antisymmetric coefficient k^mu eps^nu - k^nu eps^mu, complex (..., 4, 4)."""
     k = p.k.astype(complex)
-    T = k[..., :, None] * p.eps[..., None, :] - p.eps[..., :, None] * k[..., None, :]
-    return FieldTensorCoeff(T, p.k, p.lam)
+    return k[..., :, None] * p.eps[..., None, :] - p.eps[..., :, None] * k[..., None, :]
 
 
-def covariance_residual(Lambda, k, lam, kappa_ref: float = 1.0):
+def covariance_residual(Lambda, k, lam):
     """How well Lambda eps(k) = eps(Lambda k) e^{-i lam w} + (coef) (Lambda k) holds.
 
     The scalar coefficient of the gauge term along (Lambda k) is fitted by
@@ -145,9 +135,9 @@ def covariance_residual(Lambda, k, lam, kappa_ref: float = 1.0):
     _check_lam(lam)
     k = require_lightlike(k)
     k_out = _apply(Lambda, k)
-    w = wigner_boost(Lambda, k, kappa_ref).w
-    lhs = _apply(Lambda.astype(complex), polarization(k, lam, kappa_ref).eps)
-    eps_out = polarization(k_out, lam, kappa_ref).eps
+    w = wigner_boost(Lambda, k).w
+    lhs = _apply(Lambda.astype(complex), polarization(k, lam).eps)
+    eps_out = polarization(k_out, lam).eps
     diff = lhs - eps_out * np.exp(-1j * lam * np.asarray(w))[..., None]
     k_c = k_out.astype(complex)
     coef = _dot(np.conj(k_c), diff) / _dot(np.conj(k_c), k_c)

@@ -69,13 +69,11 @@ class BoxQuadrature:
         )
 
 
-def union_box(a: BoxQuadrature, b: BoxQuadrature, npts: int | None = None) -> BoxQuadrature:
-    """Smallest axis-aligned box containing both quadrature boxes."""
+def union_box(a: BoxQuadrature, b: BoxQuadrature) -> BoxQuadrature:
+    """Smallest axis-aligned box containing both quadrature boxes, at the finer npts."""
     lo = np.minimum(a.center - a.halfwidth, b.center - b.halfwidth)
     hi = np.maximum(a.center + a.halfwidth, b.center + b.halfwidth)
-    return BoxQuadrature(
-        0.5 * (lo + hi), 0.5 * (hi - lo), npts or max(a.npts, b.npts)
-    )
+    return BoxQuadrature(0.5 * (lo + hi), 0.5 * (hi - lo), max(a.npts, b.npts))
 
 
 #: Relative margin added to a mapped box, since the image of a box under a

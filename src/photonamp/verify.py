@@ -25,7 +25,6 @@ from .amplitudes import (
 from .fields import (
     NarrowbandSpec,
     SpatialGrid,
-    _relative_l2,
     bb_density,
     bb_energy_integral,
     energy_expectation,
@@ -35,6 +34,7 @@ from .fields import (
     maxwell_residual,
     narrowband_energy_momentum,
     narrowband_grid,
+    relative_l2,
     sipe_energy_integral,
     tensor_covariance_check,
 )
@@ -375,7 +375,7 @@ def _suite_polarization(rng, trials: int) -> list[PropertyResult]:
         k = _random_lightlike(rng, n)
         p = polarization(k, _random_helicity(rng, n))
         f = rng.normal(size=n) + 1j * rng.normal(size=n)
-        change = tensor_coeff(gauge_shift(p, f)).T - tensor_coeff(p).T
+        change = tensor_coeff(gauge_shift(p, f)) - tensor_coeff(p)
         worst_gauge = _worst(worst_gauge, np.abs(change))
 
     return [
@@ -420,7 +420,7 @@ def _suite_fields(rng, trials: int) -> list[PropertyResult]:
         # the closed form a quarter turn off, cos(phi) N(0) + sin(phi) N(pi/2) with
         # N(0) and N(pi/2) orthogonal and of equal norm at every point, is at least
         # sqrt(2) - rel away, so a slipped carrier phase fails the margin by itself
-        rel = _relative_l2(ftg, nb0)
+        rel = relative_l2(ftg, nb0)
         # strict phase-invariant cross-check: energy density field
         rel_u = math.sqrt(
             float(np.sum((ftg.energy_density() - nb0.energy_density()) ** 2))
@@ -509,10 +509,8 @@ _SUITES = {
 }
 
 
-def run_suite(
-    suite: str, trials: int = 1000, seed: int = 7, tol: float | None = None
-) -> VerifyReport:
-    """Run one named suite (or 'all'); ``tol`` overrides every tolerance."""
+def run_suite(suite: str, trials: int = 1000, seed: int = 7) -> VerifyReport:
+    """Run one named suite (or 'all') at each property's fixed tolerance."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {('all',) + SUITE_NAMES}")
     if trials < 1:
@@ -529,11 +527,7 @@ def run_suite(
         suite_times[name] = time.perf_counter() - suite_start
         for prop in results:
             properties.append(
-                PropertyResult(
-                    prefix + prop.name,
-                    float(prop.max_residual),
-                    float(tol if tol is not None else prop.tol),
-                )
+                PropertyResult(prefix + prop.name, float(prop.max_residual), float(prop.tol))
             )
     return VerifyReport(
         suite, trials, seed, properties, time.perf_counter() - start, suite_times

@@ -21,7 +21,7 @@ never needs the square root's branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,12 @@ from .little_group import decompose_little_group
 
 _DEGENERATE_TOL = 1e-12
 
+#: Largest decomposition residual accepted from the matrix route.
+_RESIDUAL_TOL = 1e-8
+
+#: Reference energy of the canonical transformations; w does not depend on it.
+_KAPPA_REF = 1.0
+
 
 @dataclass(frozen=True)
 class WignerData:
@@ -63,20 +69,20 @@ class WignerData:
 
     w: float
     phase_half: complex
-    alpha: np.ndarray = field(default_factory=lambda: np.zeros(2))
-    residual: float = 0.0
+    alpha: np.ndarray
+    residual: float
 
     def phase(self, lam=1):
         """Single-valued state phase exp(-i lam w)."""
         return _unstack(np.exp(-1j * lam * np.asarray(self.w)))
 
 
-def wigner_rotation(R, k, tol: float = 1e-8) -> WignerData:
+def wigner_rotation(R, k) -> WignerData:
     """Little-group angle w with R_z(w) = R0^{-1}[R k_hat] R R0[k_hat].
 
     ``R`` must be a pure rotation and ``k`` lightlike; stacks ``(..., 4, 4)``
     and ``(..., 4)`` broadcast. The decomposition residual is returned; it
-    exceeds ``tol`` only on misuse.
+    exceeds 1e-8 only on misuse.
     """
     R = np.asarray(R, dtype=float)
     _require(is_rotation(R), "transformation is not a pure rotation")
@@ -86,7 +92,7 @@ def wigner_rotation(R, k, tol: float = 1e-8) -> WignerData:
     w = _atan2(W[..., 2, 1], W[..., 1, 1])
     residual = np.max(np.abs(W - rotation_z(w)), axis=(-2, -1))
     _require(
-        residual <= tol,
+        residual <= _RESIDUAL_TOL,
         lambda at: f"rotation does not reduce to a z-rotation (residual {residual[at]:.3e})",
     )
     return WignerData(
@@ -94,7 +100,7 @@ def wigner_rotation(R, k, tol: float = 1e-8) -> WignerData:
     )
 
 
-def wigner_boost(Lambda, k, kappa_ref: float = 1.0, tol: float = 1e-8) -> WignerData:
+def wigner_boost(Lambda, k) -> WignerData:
     """Little-group data of L^{-1}(Lambda k) Lambda L(k) for proper orthochronous Lambda.
 
     Covers pure boosts and mixed boost-rotation products alike; the returned
@@ -105,8 +111,8 @@ def wigner_boost(Lambda, k, kappa_ref: float = 1.0, tol: float = 1e-8) -> Wigner
     _require(is_proper_orthochronous(Lambda), "transformation is not proper orthochronous")
     k = require_lightlike(k)
     k_out = _apply(Lambda, k)
-    W = lorentz_inverse(standard_lorentz(k_out, kappa_ref)) @ Lambda @ standard_lorentz(k, kappa_ref)
-    element = decompose_little_group(W, tol=tol)
+    W = lorentz_inverse(standard_lorentz(k_out, _KAPPA_REF)) @ Lambda @ standard_lorentz(k, _KAPPA_REF)
+    element = decompose_little_group(W, tol=_RESIDUAL_TOL)
     residual = np.max(np.abs(element.matrix() - W), axis=(-2, -1))
     half = np.exp(-0.5j * np.asarray(element.gamma))
     return WignerData(element.gamma, _unstack(half), element.alpha, _unstack(residual))

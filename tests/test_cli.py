@@ -298,7 +298,8 @@ def test_fields_unwritable_out_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [["--n", "1"], ["--n", "0"], ["--n", "-3"],
-                                 ["--extent", "0"], ["--extent", "-1"]])
+                                 ["--extent", "0"], ["--extent", "-1"],
+                                 ["--kappa-ev", "0"], ["--sigma-ratio", "0"]])
 def test_fields_bad_grid_size_is_a_usage_error(tmp_path, capsys, bad):
     argv = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "26",
             "--out", str(tmp_path / "fields.csv"), *bad]
@@ -332,9 +333,30 @@ def test_verify_deterministic_output(capsys):
 
 
 def test_verify_unknown_suite_usage_error(capsys):
+    # verify's tolerances are fixed: there is no option that overrides them
+    for bad in (["--suite", "bogus"], ["--tol", "1e300"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", *bad])
+        assert excinfo.value.code == 2
+
+
+WIGNER_BOOST = ["wigner", "--kind", "boost", "--beta", "0,0,0.6", "--theta", "1", "--phi", "0"]
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (WIGNER_BOOST, ["--omega-ev", "0"]),
+    (WIGNER_BOOST, ["--omega-ev", "-2"]),
+    (["localize", "--sigma-ratio", "0.01"], ["--kappa-ev", "0"]),
+    (["localize", "--kappa-ev", "3.3"], ["--sigma-ratio", "-0.01"]),
+    (["transform", "PACKET"], ["--npts", "1"]),
+], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
+        "localize-sigma-negative", "transform-npts-1"])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
+    argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--suite", "bogus"])
+        main([*argv, *bad])
     assert excinfo.value.code == 2
+    assert f"argument {bad[0]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("trials", [0, -3])

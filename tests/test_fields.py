@@ -28,6 +28,7 @@ from photonamp.fields import (
     narrowband_energy_momentum,
     narrowband_grid,
     positive_frequency_field,
+    relative_l2,
     sipe_energy_integral,
     sipe_wavefunction,
     tensor_covariance_check,
@@ -141,6 +142,16 @@ class TestExactField:
             scale = np.linalg.norm(En)
             assert np.max(np.abs(E - En)) <= 3e-2 * scale
             assert np.max(np.abs(B - Bn)) <= 3e-2 * scale
+
+    @pytest.mark.parametrize("ratio", [0.01, 0.003])
+    def test_narrowband_error_law(self, ratio):
+        # the closed form's relative L2 error is 1.117 sigma_k/kappa at t = 0, as
+        # scripts/narrowband_accuracy.py prints on its grid: 64^3, half-width 3.7 sigma_x
+        spec = NarrowbandSpec(KAPPA, ratio * KAPPA)
+        psi = gaussian_wavepacket([0, 0, KAPPA], spec.sigma_k, 1)
+        grid = SpatialGrid.centered(3.7 * spec.sigma_x, 64)
+        rel = relative_l2(field_expectation_grid(psi, grid), narrowband_grid(spec, grid))
+        assert rel / ratio == pytest.approx(1.117, abs=0.005)
 
     def test_carrier_phase_convention_is_zero_offset(self, narrow_packet):
         # among quarter-turn offsets of the carrier the plain form wins

@@ -129,7 +129,7 @@ class TestTensorCoefficient:
     def test_reference_momentum_matrix(self):
         kappa = 2.0
         p = polarization([kappa, 0, 0, kappa], 1)
-        T = tensor_coeff(p).T
+        T = tensor_coeff(p)
         e = reference_polarization(1).eps[1:]
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1:] = kappa * e
@@ -143,7 +143,7 @@ class TestTensorCoefficient:
         rng = np.random.default_rng(4)
         for _ in range(100):
             k = random_lightlike(rng)
-            T = tensor_coeff(polarization(k, -1)).T
+            T = tensor_coeff(polarization(k, -1))
             assert np.max(np.abs(T + T.T)) == 0.0
             k_low = METRIC @ k
             assert abs(k_low @ T @ k_low) <= 1e-12
@@ -154,9 +154,9 @@ class TestTensorCoefficient:
             k = random_lightlike(rng)
             lam = 1 if rng.random() < 0.5 else -1
             p = polarization(k, lam)
-            T = tensor_coeff(p).T
+            T = tensor_coeff(p)
             f = complex(rng.normal(), rng.normal())
-            T2 = tensor_coeff(gauge_shift(p, f)).T
+            T2 = tensor_coeff(gauge_shift(p, f))
             assert np.max(np.abs(T2 - T)) <= 1e-12
 
 
