@@ -29,6 +29,13 @@ trip returns the origin's box up to one pad. Every phase has modulus one, so
 the density is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed;
 an amplitude evaluates it on its box once and keeps the norm and momentum
 moments. The applied operations are kept as a replayable record.
+
+Momenta are (..., 3) arrays that may be column-major views: the box's nodes
+(``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
+preimage q of a Lorentz element is laid out the same way, so every per-axis
+read, from |k| to the moments, runs over a contiguous column. The callables
+given to the constructor receive such arrays and should index them, not
+assume C order.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .lorentz import (
     azimuth_phase,
     boost_matrix,
     four_momentum,
+    light_energy,
     lorentz_inverse,
     rapidity_from_beta,
     rotation_matrix,
@@ -147,14 +155,24 @@ class _Poincare:
         raise ValueError(f"unknown transformation kind: {op.kind!r}")
 
     def preimage(self, k: np.ndarray):
-        """(q, |k|, omega'/omega) at ``k``: q is Lambda^{-1} k, negated if ``flipped``."""
-        k4 = four_momentum(k)
-        omega = k4[..., 0]
+        """(q, |k|, omega'/omega) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``.
+
+        By columns (module docstring): the rows of Lambda^{-1} (|k|, k) fill one
+        (4, N) buffer, and q is the transpose of its last three.
+        """
+        omega = light_energy(k)
         q, ratio = k, 1.0
         if self.lorentz:
-            prev4 = k4 @ lorentz_inverse(self.Lam).T
-            q = prev4[..., 1:]
-            ratio = prev4[..., 0] / np.where(omega > 0.0, omega, 1.0)
+            inverse = lorentz_inverse(self.Lam)
+            columns = (k[:, 0], k[:, 1], k[:, 2])
+            prev = np.empty((4, len(k)))
+            term = np.empty(len(k))
+            for row, coefficients in zip(prev, inverse):
+                np.multiply(coefficients[0], omega, out=row)
+                for c, column in zip(coefficients[1:], columns):
+                    row += np.multiply(c, column, out=term)
+            q = prev[1:].T
+            ratio = prev[0] / np.where(omega > 0.0, omega, 1.0)
         return (-q if self.flipped else q), omega, ratio
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
@@ -175,7 +193,10 @@ class _Poincare:
         if self.reversal:
             value = np.conj(value)
         if translated:
-            value = value * np.exp(1j * (omega * self.a[0] - k @ self.a[1:]))
+            # k.a by columns: a matrix-vector product rounds a stack unlike its rows
+            t, ax, ay, az = self.a
+            k_dot_a = k[..., 0] * ax + k[..., 1] * ay + k[..., 2] * az
+            value = value * np.exp(1j * (omega * t - k_dot_a))
         return value * (factor if lam == 1 else np.conj(factor))
 
     def box(self, quad: BoxQuadrature) -> BoxQuadrature:
@@ -252,18 +273,24 @@ class HelicityAmplitude:
         return f if f is None or not self.record else partial(self.evaluate, lam)
 
     def evaluate(self, lam: int, kvec) -> np.ndarray:
-        """Component values at spatial momenta of shape (..., 3)."""
+        """Component values at spatial momenta of shape (..., 3).
+
+        Here and in ``density`` the momenta go through as an (N, 3) stack, so a
+        single momentum gives the bits of its row in any stack.
+        """
         kvec = np.asarray(kvec, dtype=float)
         f = self._source(lam)
         if f is None:
             return np.zeros(kvec.shape[:-1], dtype=complex)
-        return self._element.pullback(f, lam, kvec)
+        return self._element.pullback(f, lam, kvec.reshape(-1, 3)).reshape(kvec.shape[:-1])
 
     def density(self, kvec: np.ndarray):
         """(sum_lam |psi_lam|^2, |k|) at momenta (..., 3): (omega'/omega) sum |f(q)|^2."""
-        q, omega, ratio = self._element.preimage(kvec)
+        kvec = np.asarray(kvec, dtype=float)
+        q, omega, ratio = self._element.preimage(kvec.reshape(-1, 3))
         terms = (np.abs(np.asarray(f(q), dtype=complex)) ** 2 for f in self._base if f is not None)
-        return ratio * sum(terms), omega
+        shape = kvec.shape[:-1]
+        return (ratio * sum(terms)).reshape(shape), omega.reshape(shape)
 
     # -- symmetry operations -------------------------------------------------
 
@@ -345,8 +372,10 @@ def gaussian_wavepacket(
     inv_four_sigma2 = 1.0 / (4.0 * sigma_k**2)
 
     def g(k):
-        d = np.asarray(k, dtype=float) - kappa_vec
-        return norm_const * np.exp(-np.sum(d * d, axis=-1) * inv_four_sigma2) + 0.0j
+        # |k - kappa|^2 summed by hand, one column at a time, in np.sum's order
+        k = np.asarray(k, dtype=float)
+        dx, dy, dz = (k[..., i] - kappa_vec[i] for i in range(3))
+        return norm_const * np.exp(-(dx * dx + dy * dy + dz * dz) * inv_four_sigma2) + 0.0j
 
     quad = BoxQuadrature(kappa_vec, halfwidth_sigmas * sigma_k, npts)
     if helicity == 1:

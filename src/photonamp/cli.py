@@ -9,12 +9,14 @@ fields     sample E/B on a grid (CSV) and report conservation integrals (JSON)
 localize   packet width in micrometers from photon energy and relative bandwidth
 
 Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. An energy
-or relative width that is not positive, or fewer than 2 points per axis
-(``fields --n``, ``transform --npts``), is a usage error. ``verify`` checks
-each property at its own fixed tolerance, with no override. Angles are
-radians; energies cross the boundary in eV (natural units inside). JSON
-output carries ``"schema": 1`` and, unless ``--no-timestamp`` is given, a
-``generated_at`` field (excluded so reports can be compared byte for byte).
+or relative width that is not positive, fewer than 2 points per axis
+(``fields --n``, ``transform --npts``), a ``localize --sigma-ratio`` outside
+(0, 0.1), a ``wigner --beta`` with |beta| >= 1 and a zero ``wigner --axis``
+are usage errors. ``verify`` checks each property at its own fixed
+tolerance, with no override. Angles are radians; energies cross the
+boundary in eV (natural units inside). JSON output carries ``"schema": 1``
+and, unless ``--no-timestamp`` is given, a ``generated_at`` field (excluded
+so reports can be compared byte for byte).
 
 The ``fields`` CSV has the header ``x,y,z,Ex,Ey,Ez,Bx,By,Bz`` and one line per
 grid node, z fastest, ending in ``\r\n``. Each value is the shortest ``repr``
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +83,23 @@ def _int_at_least(low: int, message: str):
         return n
 
     return parse
+
+
+def _accepted_by(parse, check):
+    """``parse(text)``, refused as a usage error where ``check`` raises ValueError on it.
+
+    The bound stays with the library function that enforces it.
+    """
+
+    def accepted(text: str):
+        value = parse(text)
+        try:
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return accepted
 
 
 def _positive(text: str) -> float:
@@ -282,9 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wigner", help="little-group angle for one transformation", parents=[common])
     p.add_argument("--kind", required=True, choices=("rotation", "boost"))
-    p.add_argument("--axis", type=lambda s: _parse_vec(s, 3), help="rotation axis x,y,z")
+    vec3 = partial(_parse_vec, n=3)
+    p.add_argument("--axis", type=_accepted_by(vec3, lambda v: AxisAngle(np.array(v), 0.0)),
+                   help="rotation axis x,y,z, nonzero")
     p.add_argument("--angle", type=float, help="rotation angle (radians)")
-    p.add_argument("--beta", type=lambda s: _parse_vec(s, 3), help="boost velocity x,y,z")
+    p.add_argument("--beta", type=_accepted_by(vec3, lambda v: boost_matrix(np.array(v))),
+                   help="boost velocity x,y,z, with |beta| < 1")
     p.add_argument("--omega-ev", type=_positive, required=True, help="photon energy (eV)")
     p.add_argument("--theta", type=float, required=True, help="momentum polar angle")
     p.add_argument("--phi", type=float, required=True, help="momentum azimuth")
@@ -318,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("localize", help="packet width in micrometers", parents=[common])
     p.add_argument("--kappa-ev", type=_positive, required=True)
-    p.add_argument("--sigma-ratio", type=_positive, required=True)
+    p.add_argument("--sigma-ratio", type=_accepted_by(float, lambda r: localization_scale(1.0, r)),
+                   required=True, help="relative bandwidth, in (0, 0.1)")
     p.set_defaults(func=_cmd_localize)
     return parser
 

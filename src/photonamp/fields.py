@@ -46,7 +46,7 @@ from .amplitudes import HELICITIES, HelicityAmplitude, expectation_momentum
 from .lorentz import (
     AxisAngle,
     boost_matrix,
-    four_momentum,
+    light_energy,
     lorentz_inverse,
     rotation_matrix,
 )
@@ -128,7 +128,11 @@ class FieldTensorGrid:
     kappa: float | None = None
 
     def energy_density(self) -> np.ndarray:
-        return 0.5 * (np.sum(self.E * self.E, axis=-1) + np.sum(self.B * self.B, axis=-1))
+        # each |.|^2 summed by hand in np.sum's order, not by a reduction over 3 elements
+        E, B = self.E, self.B
+        e2 = E[..., 0] * E[..., 0] + E[..., 1] * E[..., 1] + E[..., 2] * E[..., 2]
+        b2 = B[..., 0] * B[..., 0] + B[..., 1] * B[..., 1] + B[..., 2] * B[..., 2]
+        return 0.5 * (e2 + b2)
 
     def poynting(self) -> np.ndarray:
         return np.cross(self.E, self.B)
@@ -195,7 +199,7 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
         psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
     )
     pts = box.points()
-    omega = four_momentum(pts)[:, 0].copy()  # a view would keep all of k4 alive
+    omega = light_energy(pts)
     base = PREFACTOR * box.weights() / np.sqrt(omega)
     C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
     for lam in HELICITIES:

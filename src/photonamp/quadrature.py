@@ -45,10 +45,16 @@ class BoxQuadrature:
         return tuple(self.halfwidth[i] * w for i in range(3))
 
     def points(self) -> np.ndarray:
-        """All nodes, shape (npts**3, 3), in meshgrid 'ij' flatten order."""
-        ax = self.axes()
-        grids = np.meshgrid(*ax, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
+        """All nodes, shape (npts**3, 3), in meshgrid 'ij' flatten order.
+
+        The array is the transpose of a (3, npts**3) buffer: a column-major
+        view whose x, y and z columns are each contiguous.
+        """
+        n = self.npts
+        x, y, z = self.axes()
+        columns = np.empty((3, n, n, n))
+        columns[0], columns[1], columns[2] = x[:, None, None], y[:, None], z
+        return columns.reshape(3, -1).T
 
     def weights(self) -> np.ndarray:
         wx, wy, wz = self.axis_weights()

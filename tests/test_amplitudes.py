@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from functools import reduce
 
@@ -27,6 +28,7 @@ from photonamp.lorentz import (
     azimuth_phase,
     boost_matrix,
     four_momentum,
+    lorentz_inverse,
     rapidity_from_beta,
     rotation3,
     rotation_matrix,
@@ -716,6 +718,72 @@ def mixed_record(rng, length) -> list[TransformOp]:
     kinds = [KINDS[i % len(KINDS)] for i in range(length)]
     rng.shuffle(kinds)
     return [generic_op(rng, kind) for kind in kinds]
+
+
+class TestColumnLayout:
+    """Nodes and Lorentz preimages are laid out by column; the values are unchanged."""
+
+    @pytest.mark.parametrize("npts", [2, 5, 48])
+    def test_points_equal_the_stacked_meshgrid_nodes(self, npts):
+        quad = BoxQuadrature([0.3, -0.2, 1.1], [0.2, 0.35, 0.5], npts)
+        grids = np.meshgrid(*quad.axes(), indexing="ij")
+        pts = quad.points()
+        assert np.array_equal(pts, np.stack([g.reshape(-1) for g in grids], axis=-1))
+        assert all(pts[:, i].flags.c_contiguous for i in range(3))
+
+    @pytest.mark.parametrize("kinds", [(), *[(kind,) for kind in KINDS], KINDS])
+    def test_single_momentum_gives_each_row_of_a_stack(self, kinds):
+        plus = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
+        minus = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, -1)
+        base = HelicityAmplitude(
+            plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad
+        )
+        rng = np.random.default_rng(810 + len(kinds))
+        amp = replay(base, [generic_op(rng, kind) for kind in kinds])
+        rows = random_momenta(rng, 9)
+        for stack in (rows, np.asfortranarray(rows)):
+            density, omega = amp.density(stack)
+            values = {lam: amp.evaluate(lam, stack) for lam in HELICITIES}
+            for i, k in enumerate(rows):
+                single_density, single_omega = amp.density(k)
+                assert np.array_equal(single_density, density[i])
+                assert np.array_equal(single_omega, omega[i])
+                for lam in HELICITIES:
+                    assert np.array_equal(amp.evaluate(lam, k), values[lam][i])
+
+    @pytest.mark.parametrize("record", [
+        [TransformOp("boost", {"beta": [0.3, -0.2, 0.45]})],
+        [TransformOp("rotate", {"axis": [0.2, 1.0, -0.4], "angle": 1.1})],
+        [TransformOp("boost", {"beta": [0.0, 0.1, -0.6]}), TransformOp("parity", {}),
+         TransformOp("rotate", {"axis": [1.0, 0.0, 0.3], "angle": -0.7})],
+    ], ids=["boost", "rotation", "boost-parity-rotation"])
+    def test_lorentz_density_matches_the_four_momentum_route(self, packet, record):
+        amp = replay(packet, record)
+        pts = amp.quad.points()
+        # the route the preimage replaced: the whole (N, 4) product with the
+        # inverse of the record's momentum map, P's flip included
+        moved = reduce(lambda M, op: momentum_matrix(op) @ M, record, np.eye(4))
+        k4 = four_momentum(pts)
+        prev4 = k4 @ lorentz_inverse(moved).T
+        reference = prev4[:, 0] / k4[:, 0] * np.abs(packet.psi_plus(prev4[:, 1:])) ** 2
+        density, omega = amp.density(pts)
+        assert np.array_equal(omega, k4[:, 0])
+        # the Gaussian's tails amplify a rounding-level change of q, so the
+        # pointwise tolerance is relative to the peak; the norm is held to 1e-14
+        assert_allclose(density, reference, rtol=1e-14, atol=1e-14 * reference.max())
+        w = amp.quad.weights()
+        assert_allclose(norm_squared(amp, warn=False), w @ reference, rtol=1e-14)
+
+    def test_unmoved_density_pass_keeps_no_four_momentum(self):
+        # the (N, 4) 4-momentum of a 48^3 box alone is 3.5 MB
+        amp = gaussian_wavepacket([0, 0, 1], 0.05, 1)
+        tracemalloc.start()
+        try:
+            expectation_momentum(amp, warn=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12.5e6
 
 
 class TestQuadratureBox:

@@ -341,6 +341,8 @@ def test_verify_unknown_suite_usage_error(capsys):
 
 
 WIGNER_BOOST = ["wigner", "--kind", "boost", "--beta", "0,0,0.6", "--theta", "1", "--phi", "0"]
+WIGNER_ROTATION = ["wigner", "--kind", "rotation", "--angle", "0.5", "--omega-ev", "2",
+                   "--theta", "1", "--phi", "0"]
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -349,8 +351,12 @@ WIGNER_BOOST = ["wigner", "--kind", "boost", "--beta", "0,0,0.6", "--theta", "1"
     (["localize", "--sigma-ratio", "0.01"], ["--kappa-ev", "0"]),
     (["localize", "--kappa-ev", "3.3"], ["--sigma-ratio", "-0.01"]),
     (["transform", "PACKET"], ["--npts", "1"]),
+    (["localize", "--kappa-ev", "3.3"], ["--sigma-ratio", "0.2"]),
+    (WIGNER_BOOST, ["--beta", "0,0,1.5"]),
+    (WIGNER_ROTATION, ["--axis", "0,0,0"]),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
-        "localize-sigma-negative", "transform-npts-1"])
+        "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
+        "wigner-superluminal-beta", "wigner-zero-axis"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     with pytest.raises(SystemExit) as excinfo:
