@@ -306,8 +306,6 @@ class HelicityAmplitude:
 
     def boost(self, beta) -> "HelicityAmplitude":
         beta = np.asarray(beta, dtype=float).reshape(3)
-        if float(beta @ beta) >= 1.0:
-            raise ValueError("superluminal boost")
         return self.apply(TransformOp("boost", {"beta": beta.tolist()}))
 
     def parity(self) -> "HelicityAmplitude":

@@ -8,11 +8,12 @@ transform  apply symmetry operations to a wavepacket descriptor (JSON file)
 fields     sample E/B on a grid (CSV) and report conservation integrals (JSON)
 localize   packet width in micrometers from photon energy and relative bandwidth
 
-Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. An energy
-or relative width that is not positive, fewer than 2 points per axis
-(``fields --n``, ``transform --npts``), a ``localize --sigma-ratio`` outside
-(0, 0.1), a ``wigner --beta`` with |beta| >= 1 and a zero ``wigner --axis``
-are usage errors. ``verify`` checks each property at its own fixed
+Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. A number
+that is not finite, an energy or relative width that is not positive, a
+negative ``verify --seed``, fewer than 2 points per axis (``fields --n``,
+``transform --npts``), a ``localize --sigma-ratio`` outside (0, 0.1), a
+``wigner --beta`` with |beta| >= 1 and a zero ``wigner --axis`` are usage
+errors. ``verify`` checks each property at its own fixed
 tolerance, with no override. Angles are radians; energies cross the
 boundary in eV (natural units inside). JSON output carries ``"schema": 1``
 and, unless ``--no-timestamp`` is given, a ``generated_at`` field (excluded
@@ -102,8 +103,15 @@ def _accepted_by(parse, check):
     return accepted
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("must be a finite number")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -297,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a property-verification suite", parents=[common])
     p.add_argument("--suite", default="all", choices=("all",) + SUITE_NAMES)
     p.add_argument("--trials", type=_int_at_least(1, "at least 1 trial is needed"), default=1000)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_int_at_least(0, "the seed must be non-negative"), default=7)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("wigner", help="little-group angle for one transformation", parents=[common])
@@ -305,12 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
     vec3 = partial(_parse_vec, n=3)
     p.add_argument("--axis", type=_accepted_by(vec3, lambda v: AxisAngle(np.array(v), 0.0)),
                    help="rotation axis x,y,z, nonzero")
-    p.add_argument("--angle", type=float, help="rotation angle (radians)")
+    p.add_argument("--angle", type=_finite, help="rotation angle (radians)")
     p.add_argument("--beta", type=_accepted_by(vec3, lambda v: boost_matrix(np.array(v))),
                    help="boost velocity x,y,z, with |beta| < 1")
     p.add_argument("--omega-ev", type=_positive, required=True, help="photon energy (eV)")
-    p.add_argument("--theta", type=float, required=True, help="momentum polar angle")
-    p.add_argument("--phi", type=float, required=True, help="momentum azimuth")
+    p.add_argument("--theta", type=_finite, required=True, help="momentum polar angle")
+    p.add_argument("--phi", type=_finite, required=True, help="momentum azimuth")
     p.set_defaults(func=_cmd_wigner)
 
     p = sub.add_parser("transform", help="apply operations to a wavepacket descriptor", parents=[common])
@@ -333,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--extent", type=_positive, default=6.0, help="half-extent in units of sigma_x"
     )
-    p.add_argument("--time", type=float, default=0.0)
+    p.add_argument("--time", type=_finite, default=0.0)
     p.add_argument("--mode", default="narrowband", choices=("exact", "narrowband"))
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--units", default="natural", choices=("natural", "ev-um"))

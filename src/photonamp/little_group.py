@@ -23,9 +23,7 @@ import numpy as np
 from .lorentz import (
     AxisAngle,
     Z_HAT,
-    _atan2,
     _require,
-    _tan,
     _unstack,
     boost_matrix,
     rotation_matrix,
@@ -65,7 +63,7 @@ def alpha_from_angles(theta, phi) -> np.ndarray:
     """Abelian parameter alpha = -2 cot(theta) (cos phi, sin phi) of the boost-rotation."""
     theta = _check_theta(theta)
     phi = np.asarray(phi, dtype=float)
-    scale = -2.0 / _tan(theta)
+    scale = -2.0 / np.tan(theta)
     return scale[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
 
 
@@ -134,7 +132,7 @@ def decompose_little_group(M, tol: float = 1e-10) -> LittleGroupElement:
     # picks out alpha' directly: image = (1+|a|^2, 2ax, 2ay, |a|^2-1).
     alpha_rot = 0.5 * image[..., 1:3]
     remainder = ibr_matrix(-alpha_rot) @ M
-    gamma = _atan2(remainder[..., 2, 1], remainder[..., 1, 1])
+    gamma = np.arctan2(remainder[..., 2, 1], remainder[..., 1, 1])
     cg, sg = np.cos(gamma), np.sin(gamma)
     ax, ay = alpha_rot[..., 0], alpha_rot[..., 1]
     alpha = np.stack([cg * ax + sg * ay, -sg * ax + cg * ay], axis=-1)

@@ -30,13 +30,14 @@ its leading axes:
 
 Matrices come out as ``(..., 4, 4)``, and scalars per row as ``(...)``. A
 single input gives a ``(4, 4)`` array, or a Python ``float`` or ``bool``; a
-stack gives, row by row, what the single calls give. Bad input raises
-``ValueError``; for a stack, the message ends with the first bad row.
+stack gives, row by row, what the single calls give. Both go through the same
+numpy ufuncs, so they share numpy's arithmetic, which may differ from Python's
+``math`` in the last bit. Bad input raises ``ValueError``; for a stack, the
+message ends with the first bad row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,28 +57,6 @@ _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 # -- stack helpers ----------------------------------------------------------
-
-
-def _per_element(func, nin: int = 1):
-    """The Python scalar function ``func`` applied to each element, as a float array.
-
-    numpy's SIMD kernels for atan2, the hyperbolic functions, tan, pow
-    and complex abs can differ from the C library in the last bit. Going
-    through the scalar function keeps a stack bit for bit equal to the single
-    calls it stands for, and a single call equal to plain Python arithmetic.
-    """
-    ufunc = np.frompyfunc(func, nin, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-_atan2 = _per_element(math.atan2, 2)
-_atanh = _per_element(math.atanh)
-_tanh = _per_element(math.tanh)
-_cosh = _per_element(math.cosh)
-_sinh = _per_element(math.sinh)
-_tan = _per_element(math.tan)
-_pow = _per_element(math.pow, 2)
-_cabs = _per_element(abs)
 
 
 def _unstack(x):
@@ -249,14 +228,14 @@ def rapidity_from_beta(beta) -> np.ndarray:
     b = _norm(beta)
     _require(b < 1.0, "superluminal boost")
     rest = (b == 0.0)[..., None]
-    return np.where(rest, 0.0, _atanh(b)[..., None] * beta / np.where(rest, 1.0, b[..., None]))
+    return np.where(rest, 0.0, np.arctanh(b)[..., None] * beta / np.where(rest, 1.0, b[..., None]))
 
 
 def beta_from_rapidity(zeta) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     z = _norm(zeta)
     rest = (z == 0.0)[..., None]
-    return np.where(rest, 0.0, _tanh(z)[..., None] * zeta / np.where(rest, 1.0, z[..., None]))
+    return np.where(rest, 0.0, np.tanh(z)[..., None] * zeta / np.where(rest, 1.0, z[..., None]))
 
 
 # -- the canonical frame of a lightlike momentum ----------------------------
@@ -272,8 +251,8 @@ def polar_azimuth(v):
     """(theta, phi) of a nonzero 3-vector: theta = atan2(|v_perp|, v_z), phi := 0 on the z-axis."""
     v = np.asarray(v, dtype=float)
     _require(np.any(v != 0.0, axis=-1), "zero vector has no direction")
-    theta = _atan2(_norm(v[..., :2]), v[..., 2])
-    phi = np.where(_on_polar_axis(v), 0.0, _atan2(v[..., 1], v[..., 0]))
+    theta = np.arctan2(_norm(v[..., :2]), v[..., 2])
+    phi = np.where(_on_polar_axis(v), 0.0, np.arctan2(v[..., 1], v[..., 0]))
     return _unstack(theta), _unstack(phi)
 
 
@@ -330,7 +309,7 @@ def standard_boost_z(omega, kappa_ref: float) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     _require((omega > 0.0) & (kappa_ref > 0.0), "energies must be positive")
-    omega2 = _pow(omega, 2.0)
+    omega2 = omega * omega
     beta = np.zeros(omega.shape + (3,))
     beta[..., 2] = (omega2 - kappa_ref**2) / (omega2 + kappa_ref**2)
     return boost_matrix(beta)
@@ -362,7 +341,7 @@ def sl2c_boost(zeta) -> np.ndarray:
     """Spin-1/2 boost exp(zeta . sigma / 2), the SL(2,C) partner of ``boost_matrix``."""
     zeta = np.asarray(zeta, dtype=float)
     z = _norm(zeta)
-    ch, sh = _cosh(0.5 * z)[..., None, None], _sinh(0.5 * z)[..., None, None]
+    ch, sh = np.cosh(0.5 * z)[..., None, None], np.sinh(0.5 * z)[..., None, None]
     return ch * np.eye(2, dtype=complex) + sh * _sigma_dot(zeta / np.where(z == 0.0, 1.0, z)[..., None])
 
 
@@ -373,7 +352,7 @@ def compose_axis_angle(r1: AxisAngle, r2: AxisAngle) -> AxisAngle:
     s = _norm(vec)
     trivial = s < 1e-15
     axis = np.where(trivial[..., None], Z_HAT, vec / np.where(trivial, 1.0, s)[..., None])
-    return AxisAngle(axis, np.where(trivial, 0.0, 2.0 * _atan2(s, u[..., 0, 0].real)))
+    return AxisAngle(axis, np.where(trivial, 0.0, 2.0 * np.arctan2(s, u[..., 0, 0].real)))
 
 
 # -- Lorentz matrices -------------------------------------------------------

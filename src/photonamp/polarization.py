@@ -24,9 +24,7 @@ import numpy as np
 
 from .lorentz import (
     _apply,
-    _cabs,
     _dot,
-    _pow,
     _require,
     _unstack,
     direction_spinor,
@@ -143,5 +141,5 @@ def covariance_residual(Lambda, k, lam):
     coef = _dot(np.conj(k_c), diff) / _dot(np.conj(k_c), k_c)
     scale = np.maximum(1.0, np.max(np.abs(lhs), axis=-1))
     residual = np.max(np.abs(diff - coef[..., None] * k_c), axis=-1) / scale
-    transversality = _cabs(minkowski(k_out, eps_out)) / np.maximum(1.0, _pow(k_out[..., 0], 2.0))
+    transversality = np.abs(minkowski(k_out, eps_out)) / np.maximum(1.0, k_out[..., 0] * k_out[..., 0])
     return _unstack(coef), _unstack(np.maximum(residual, transversality))

@@ -23,6 +23,7 @@ from .amplitudes import (
     norm_squared,
 )
 from .fields import (
+    CARRIER_POINTS_PER_WAVELENGTH,
     NarrowbandSpec,
     SpatialGrid,
     bb_density,
@@ -53,7 +54,6 @@ from .polarization import (
     reference_polarization,
     tensor_coeff,
 )
-from .quadrature import BoxQuadrature
 from .wigner import (
     wigner_boost,
     wigner_phase_boost_closed,
@@ -389,17 +389,15 @@ def _suite_polarization(rng, trials: int) -> list[PropertyResult]:
     ]
 
 
-def _linear_wavepacket(kappa: float, sigma: float, npts: int = 48) -> HelicityAmplitude:
+def _linear_wavepacket(kappa: float, sigma: float) -> HelicityAmplitude:
     """Equal-helicity superposition: linearly polarized packet along +z."""
-    center = np.array([0.0, 0.0, kappa])
-    norm_const = (2.0 * math.pi * sigma**2) ** (-0.75) / math.sqrt(2.0)
+    psi = gaussian_wavepacket([0.0, 0.0, kappa], sigma, 1)
+    g = psi.psi_plus
 
-    def g(k):
-        d = np.asarray(k, dtype=float) - center
-        return norm_const * np.exp(-np.sum(d * d, axis=-1) / (4.0 * sigma**2)) + 0.0j
+    def half(k):
+        return g(k) / math.sqrt(2.0)
 
-    quad = BoxQuadrature(center, 6.5 * sigma, npts)
-    return HelicityAmplitude(g, g, quad)
+    return HelicityAmplitude(half, half, psi.quad)
 
 
 def _suite_fields(rng, trials: int) -> list[PropertyResult]:
@@ -436,7 +434,7 @@ def _suite_fields(rng, trials: int) -> list[PropertyResult]:
 
     # conservation integrals on a carrier-resolving grid
     spec = NarrowbandSpec(kappa, 0.01 * kappa)
-    limit = (2.0 * math.pi / kappa) / 8.0
+    limit = (2.0 * math.pi / kappa) / CARRIER_POINTS_PER_WAVELENGTH
     n_req = math.ceil(12.0 * spec.sigma_x / limit) + 1
     grid = SpatialGrid.centered(6.0 * spec.sigma_x, n_req)
     P = narrowband_energy_momentum(spec, grid, 0.0)

@@ -28,8 +28,6 @@ import numpy as np
 from .lorentz import (
     AxisAngle,
     _apply,
-    _atan2,
-    _cabs,
     _norm,
     _require,
     _transpose,
@@ -89,7 +87,7 @@ def wigner_rotation(R, k) -> WignerData:
     k = require_lightlike(k)
     k_out = _apply(R, k)
     W = _transpose(standard_rotation(k_out[..., 1:])) @ R @ standard_rotation(k[..., 1:])
-    w = _atan2(W[..., 2, 1], W[..., 1, 1])
+    w = np.arctan2(W[..., 2, 1], W[..., 1, 1])
     residual = np.max(np.abs(W - rotation_z(w)), axis=(-2, -1))
     _require(
         residual <= _RESIDUAL_TOL,
@@ -138,15 +136,9 @@ def _normalized(num):
 
 
 def _strict(raw):
-    """Normalized half phases; a degenerate alignment raises instead of clamping.
-
-    Each part is divided by the modulus on its own, which is what Python's
-    ``complex / float`` does, so a single call gives the scalar arithmetic's
-    bits.
-    """
-    mag = _cabs(raw)
-    _require(mag > _DEGENERATE_TOL, "undefined half-phase")
-    return _unstack(raw.real / mag + 1j * (raw.imag / mag))
+    """Normalized half phases; a degenerate alignment raises instead of clamping."""
+    _require(np.abs(raw) > _DEGENERATE_TOL, "undefined half-phase")
+    return _unstack(_normalized(raw))
 
 
 def half_phase(A, kvec) -> np.ndarray:

@@ -343,6 +343,7 @@ def test_verify_unknown_suite_usage_error(capsys):
 WIGNER_BOOST = ["wigner", "--kind", "boost", "--beta", "0,0,0.6", "--theta", "1", "--phi", "0"]
 WIGNER_ROTATION = ["wigner", "--kind", "rotation", "--angle", "0.5", "--omega-ev", "2",
                    "--theta", "1", "--phi", "0"]
+FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "--out", "CSV"]
 
 
 @pytest.mark.parametrize("argv, bad", [
@@ -354,11 +355,22 @@ WIGNER_ROTATION = ["wigner", "--kind", "rotation", "--angle", "0.5", "--omega-ev
     (["localize", "--kappa-ev", "3.3"], ["--sigma-ratio", "0.2"]),
     (WIGNER_BOOST, ["--beta", "0,0,1.5"]),
     (WIGNER_ROTATION, ["--axis", "0,0,0"]),
+    (["localize", "--sigma-ratio", "0.01"], ["--kappa-ev", "inf"]),
+    (FIELDS, ["--time", "nan"]),
+    (FIELDS, ["--extent", "inf"]),
+    (WIGNER_ROTATION + ["--axis", "0,0,1"], ["--theta", "nan"]),
+    (WIGNER_ROTATION + ["--axis", "0,0,1"], ["--phi", "inf"]),
+    (WIGNER_ROTATION + ["--axis", "0,0,1"], ["--angle", "inf"]),
+    (WIGNER_BOOST, ["--omega-ev", "inf"]),
+    (["verify", "--suite", "little-group", "--trials", "1"], ["--seed", "-1"]),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
-        "wigner-superluminal-beta", "wigner-zero-axis"])
+        "wigner-superluminal-beta", "wigner-zero-axis", "localize-kappa-inf",
+        "fields-time-nan", "fields-extent-inf", "wigner-theta-nan", "wigner-phi-inf",
+        "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
+    argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, *bad])
     assert excinfo.value.code == 2

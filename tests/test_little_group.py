@@ -243,6 +243,12 @@ class TestStacks:
             one = decompose_little_group(M[i])
             assert abs(el.gamma[i] - one.gamma) <= 1e-15
             assert np.max(np.abs(el.alpha[i] - one.alpha)) <= 1e-15
+        singles = [decompose_little_group(one) for one in M]
+        assert np.array_equal(el.gamma, [one.gamma for one in singles])
+        assert np.array_equal(el.alpha, [one.alpha for one in singles])
+        assert np.array_equal(
+            alpha_from_angles(theta, phi), [alpha_from_angles(t, p) for t, p in zip(theta, phi)]
+        )
 
     def test_bad_row_is_named(self):
         M = ibr_matrix(np.zeros((4, 2)))

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from photonamp.lorentz import (
     AxisAngle,
     azimuth_phase,
+    beta_from_rapidity,
     boost_matrix,
     compose_axis_angle,
     direction_spinor,
@@ -16,10 +17,12 @@ from photonamp.lorentz import (
     metric_residual,
     minkowski,
     polar_azimuth,
+    rapidity_from_beta,
     rotation3,
     rotation_matrix,
     rotation_y,
     rotation_z,
+    sl2c_boost,
     standard_boost_z,
     standard_lorentz,
     standard_rotation,
@@ -301,6 +304,22 @@ class TestStacks:
             assert np.array_equal(build(r), [build(one) for one in singles])
         betas = rng.uniform(0.0, 0.95, size=(40, 1)) * random_units(rng, (40,))
         assert np.array_equal(boost_matrix(betas), [boost_matrix(b) for b in betas])
+        # a rest row and two rows on the polar axis take the special branches; each
+        # stack also goes in column-major, so every row is read through strides
+        betas = np.vstack([np.zeros(3), betas])
+        dirs = rng.normal(size=(40, 3))
+        dirs[:2, :2] = 0.0
+        for stack in (dirs, np.asfortranarray(dirs)):
+            theta, phi = polar_azimuth(stack)
+            assert np.array_equal(np.transpose([theta, phi]), [polar_azimuth(d) for d in stack])
+        zetas = rapidity_from_beta(betas)
+        for build, inputs in (
+            (rapidity_from_beta, betas), (beta_from_rapidity, zetas), (sl2c_boost, zetas)
+        ):
+            for stack in (inputs, np.asfortranarray(inputs)):
+                assert np.array_equal(build(stack), [build(one) for one in stack])
+        omegas = rng.uniform(0.3, 3.0, size=40)
+        assert np.array_equal(standard_boost_z(omegas, 1.3), [standard_boost_z(w, 1.3) for w in omegas])
 
     @pytest.mark.parametrize("batch", [(2,), (2, 3)])
     def test_composed_axis_angle_equals_single_calls(self, batch):

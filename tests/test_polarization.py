@@ -253,6 +253,8 @@ class TestStacks:
             one_coef, one_resid = covariance_residual(Lam[i], k[i], int(lam[i]))
             assert abs(coef[i] - one_coef) <= 1e-15
             assert abs(resid[i] - one_resid) <= 1e-15
+        singles = [covariance_residual(Lam[i], k[i], int(lam[i])) for i in range(30)]
+        assert np.array_equal(np.transpose([coef, resid]), singles)
 
     def test_spatial_stack_has_the_bits_of_single_calls(self):
         rng = np.random.default_rng(53)

@@ -239,6 +239,17 @@ class TestStacks:
             assert np.max(np.abs(boost.alpha[i] - wigner_boost(Lam[i], k[i]).alpha)) <= 1e-15
             assert abs(rot_closed[i] - wigner_phase_rotation_closed(one, k[i])) <= 1e-15
             assert abs(boost_closed[i] - wigner_phase_boost_closed(zeta[i], k[i])) <= 1e-15
+        assert np.array_equal(rot.w, [wigner_rotation(R[i], k[i]).w for i in range(30)])
+        # AxisAngle normalizes its axis, and ``one`` above normalizes r's axis twice:
+        # the stack and its single calls here take the same raw axes
+        axes = rng.normal(size=(30, 3))
+        assert np.array_equal(
+            wigner_phase_rotation_closed(AxisAngle(axes, r.angle), k),
+            [wigner_phase_rotation_closed(AxisAngle(axes[i], r.angle[i]), k[i]) for i in range(30)],
+        )
+        assert np.array_equal(
+            boost_closed, [wigner_phase_boost_closed(zeta[i], k[i]) for i in range(30)]
+        )
 
     def test_bad_row_is_named(self):
         rng = np.random.default_rng(43)
