@@ -27,8 +27,10 @@ Observables use a Gauss-Legendre box sized on first use, not once per op,
 from the origin's box through the same element (``_Poincare.box``): a round
 trip returns the origin's box up to one pad. Every phase has modulus one, so
 the density is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed;
-an amplitude evaluates it on its box once and keeps the norm and momentum
-moments. The applied operations are kept as a replayable record.
+an amplitude evaluates it on its box once, by slabs of a few x-planes
+(``BoxQuadrature.slabs``) and never the whole box at once, so no temporary
+is the size of the box, and keeps the norm and momentum moments. The
+applied operations are kept as a replayable record.
 
 Momenta are (..., 3) arrays that may be column-major views: the box's nodes
 (``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
@@ -40,9 +42,10 @@ assume C order.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,17 +93,26 @@ class TransformOp:
         return {"type": self.kind, **self.params}
 
 
+def _finite(values, name: str) -> list[float]:
+    values = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{name} must be finite")
+    return values
+
+
 def op_from_json(obj: dict) -> TransformOp:
+    """The op of a JSON object; a NaN or an infinity among its numbers is refused."""
     kind = obj.get("type")
     if kind == "translate":
-        return TransformOp("translate", {"a": [float(v) for v in obj["a"]]})
+        return TransformOp("translate", {"a": _finite(obj["a"], "translation")})
     if kind == "rotate":
         return TransformOp(
             "rotate",
-            {"axis": [float(v) for v in obj["axis"]], "angle": float(obj["angle"])},
+            {"axis": _finite(obj["axis"], "rotation axis"),
+             "angle": _finite([obj["angle"]], "rotation angle")[0]},
         )
     if kind == "boost":
-        return TransformOp("boost", {"beta": [float(v) for v in obj["beta"]]})
+        return TransformOp("boost", {"beta": _finite(obj["beta"], "boost velocity")})
     if kind in ("parity", "time_reverse"):
         return TransformOp(kind, {})
     raise ValueError(f"unknown transformation type: {kind!r}")
@@ -125,9 +137,18 @@ class _Poincare:
     parity: bool = False
     reversal: bool = False
 
-    # Lambda is not the identity; exactly one of P and T is set, so k -> -k
-    lorentz = property(lambda self: not np.array_equal(self.Lam, np.eye(4)))
+    # exactly one of P and T is set, so k -> -k
     flipped = property(lambda self: self.parity != self.reversal)
+
+    # kept per element: a density pass reads them once per slab
+    @cached_property
+    def lorentz(self) -> bool:
+        """Lambda is not the identity."""
+        return not np.array_equal(self.Lam, np.eye(4))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return lorentz_inverse(self.Lam)
 
     def then(self, op: TransformOp) -> "_Poincare":
         """This element followed by ``op``."""
@@ -157,23 +178,23 @@ class _Poincare:
     def preimage(self, k: np.ndarray):
         """(q, |k|, omega'/omega) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``.
 
-        By columns (module docstring): the rows of Lambda^{-1} (|k|, k) fill one
-        (4, N) buffer, and q is the transpose of its last three.
+        By columns (module docstring): the rows of Lambda^{-1} (|k|, k) fill
+        omega' and a (3, N) buffer, q is its transpose, and the flip and the
+        ratio are taken in place. Every buffer of a slab (``BoxQuadrature.slabs``)
+        then stays below glibc's 128 KiB mmap threshold.
         """
         omega = light_energy(k)
-        q, ratio = k, 1.0
-        if self.lorentz:
-            inverse = lorentz_inverse(self.Lam)
-            columns = (k[:, 0], k[:, 1], k[:, 2])
-            prev = np.empty((4, len(k)))
-            term = np.empty(len(k))
-            for row, coefficients in zip(prev, inverse):
-                np.multiply(coefficients[0], omega, out=row)
-                for c, column in zip(coefficients[1:], columns):
-                    row += np.multiply(c, column, out=term)
-            q = prev[1:].T
-            ratio = prev[0] / np.where(omega > 0.0, omega, 1.0)
-        return (-q if self.flipped else q), omega, ratio
+        if not self.lorentz:
+            return (-k if self.flipped else k), omega, 1.0
+        columns = (k[:, 0], k[:, 1], k[:, 2])
+        spatial, energy, term = np.empty((3, len(k))), np.empty(len(k)), np.empty(len(k))
+        for row, coefficients in zip((energy, *spatial), self._inverse):
+            np.multiply(coefficients[0], omega, out=row)
+            for c, column in zip(coefficients[1:], columns):
+                row += np.multiply(c, column, out=term)
+        if self.flipped:
+            np.negative(spatial, out=spatial)
+        return spatial.T, omega, np.divide(energy, np.where(omega > 0.0, omega, 1.0), out=energy)
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
         """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it."""
@@ -216,7 +237,7 @@ class HelicityAmplitude:
     """Pair of momentum-space helicity components with an attached quadrature box.
 
     The constructor takes callables mapping (..., 3) momentum arrays to
-    complex values, or None for an identically vanishing component;
+    complex or real values, or None for an identically vanishing component;
     ``psi_plus`` / ``psi_minus`` / ``component(lam)`` return the transformed
     components the same way. Instances are immutable; transformations return
     new objects sharing the constructor's callables and one fused element.
@@ -288,7 +309,7 @@ class HelicityAmplitude:
         """(sum_lam |psi_lam|^2, |k|) at momenta (..., 3): (omega'/omega) sum |f(q)|^2."""
         kvec = np.asarray(kvec, dtype=float)
         q, omega, ratio = self._element.preimage(kvec.reshape(-1, 3))
-        terms = (np.abs(np.asarray(f(q), dtype=complex)) ** 2 for f in self._base if f is not None)
+        terms = (_squared_modulus(f(q)) for f in self._base if f is not None)
         shape = kvec.shape[:-1]
         return (ratio * sum(terms)).reshape(shape), omega.reshape(shape)
 
@@ -339,6 +360,15 @@ class HelicityAmplitude:
         return HelicityAmplitude(rescaled(self.psi_plus), rescaled(self.psi_minus), self.quad)
 
 
+def _squared_modulus(value) -> np.ndarray:
+    """|value|^2, with the bits of abs(value) ** 2; a real value skips the complex abs."""
+    value = np.asarray(value)
+    if np.iscomplexobj(value):
+        return np.abs(value.astype(complex, copy=False)) ** 2
+    value = value.astype(float, copy=False)
+    return value * value
+
+
 def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
     """Re-apply a transformation record to ``base``; reproduces the owner pointwise."""
     return reduce(lambda amp, op: amp.apply(op), record, base)
@@ -360,8 +390,10 @@ def gaussian_wavepacket(
     centered on ``kappa_vec`` with momentum width ``sigma_k``.
     """
     kappa_vec = np.asarray(kappa_vec, dtype=float).reshape(3)
-    if sigma_k <= 0.0:
-        raise ValueError("sigma_k must be positive")
+    if not 0.0 < sigma_k < math.inf:
+        raise ValueError("sigma_k must be positive and finite")
+    if not np.isfinite(kappa_vec).all():
+        raise ValueError("central momentum must be finite")
     if np.linalg.norm(kappa_vec) == 0.0:
         raise ValueError("central momentum must be nonzero")
     if helicity not in HELICITIES:
@@ -373,7 +405,7 @@ def gaussian_wavepacket(
         # |k - kappa|^2 summed by hand, one column at a time, in np.sum's order
         k = np.asarray(k, dtype=float)
         dx, dy, dz = (k[..., i] - kappa_vec[i] for i in range(3))
-        return norm_const * np.exp(-(dx * dx + dy * dy + dz * dz) * inv_four_sigma2) + 0.0j
+        return norm_const * np.exp(-(dx * dx + dy * dy + dz * dz) * inv_four_sigma2)
 
     quad = BoxQuadrature(kappa_vec, halfwidth_sigmas * sigma_k, npts)
     if helicity == 1:
@@ -388,17 +420,21 @@ def _density_integrals(psi: HelicityAmplitude, warn: bool):
     """Norm and momentum moments of the amplitude's density on its own box.
 
     The phase-free density of ``HelicityAmplitude.density`` is evaluated once
-    per amplitude; what the observables need from it (the two integrals, its
-    peak and its largest boundary value) is kept on the amplitude, the array
-    itself is not. The boundary check runs, and may warn, on every call.
+    per amplitude, one slab of the box at a time; what the observables need
+    from it (the two integrals, its peak and its largest boundary value) is
+    summed over the slabs and kept on the amplitude, the array itself is not.
+    The boundary check runs, and may warn, on every call.
     """
     if psi._integrals is None:
-        pts, w = psi.quad.points(), psi.quad.weights()
-        density, omega = psi.density(pts)
-        weighted = w * density
-        momentum = np.array([float(weighted @ v) for v in (omega, *pts.T)])
-        boundary = float(density[psi.quad.boundary_mask()].max())
-        psi._integrals = (float(w @ density), momentum, float(density.max()), boundary)
+        sums, peaks, boundaries = np.zeros(5), [], []
+        for k, w, shell in psi.quad.slabs():
+            density, omega = psi.density(k)
+            weighted = w * density
+            sums += [w @ density, *(weighted @ v for v in (omega, *k.T))]
+            peaks.append(density.max())
+            boundaries.append(density[shell].max())
+        peak, boundary = float(np.max(peaks)), float(np.max(boundaries))
+        psi._integrals = (float(sums[0]), sums[1:], peak, boundary)
     norm, momentum, peak, boundary = psi._integrals
     if warn and peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
         warnings.warn(
@@ -424,12 +460,14 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
         quad = psi1.quad
     else:
         quad = union_box(psi1.quad, psi2.quad)
-    pts, w = quad.points(), quad.weights()
+    shared = [
+        lam for lam in HELICITIES
+        if psi1.component(lam) is not None and psi2.component(lam) is not None
+    ]
     total = 0.0 + 0.0j
-    for lam in HELICITIES:
-        if psi1.component(lam) is None or psi2.component(lam) is None:
-            continue
-        total += w @ (np.conj(psi1.evaluate(lam, pts)) * psi2.evaluate(lam, pts))
+    for k, w, _ in quad.slabs():
+        for lam in shared:
+            total += w @ (np.conj(psi1.evaluate(lam, k)) * psi2.evaluate(lam, k))
     return complex(total)
 
 

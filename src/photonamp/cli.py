@@ -12,9 +12,11 @@ Exit codes: 0 success, 1 numerical failure, 2 usage/parse error. A number
 that is not finite, an energy or relative width that is not positive, a
 negative ``verify --seed``, fewer than 2 points per axis (``fields --n``,
 ``transform --npts``), a ``localize --sigma-ratio`` outside (0, 0.1), a
-``wigner --beta`` with |beta| >= 1 and a zero ``wigner --axis`` are usage
-errors. ``verify`` checks each property at its own fixed
-tolerance, with no override. Angles are radians; energies cross the
+``wigner --beta`` with |beta| >= 1, a zero ``wigner --axis`` and a malformed
+``transform --op`` or descriptor, NaN and infinity included, are usage
+errors. Output is strict JSON: a result that is not finite is a numerical
+failure. ``verify`` checks each property at its own fixed tolerance, with no
+override. Angles are radians; energies cross the
 boundary in eV (natural units inside). JSON output carries ``"schema": 1``
 and, unless ``--no-timestamp`` is given, a ``generated_at`` field (excluded
 so reports can be compared byte for byte).
@@ -63,10 +65,14 @@ from .wigner import wigner_boost, wigner_rotation
 
 
 def _emit(payload: dict, args) -> None:
+    """Write ``payload`` as strict JSON, or raise ValueError (exit 1) if a value is not finite."""
     if not args.no_timestamp:
         payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ValueError("a result is not a finite number") from None
+    sys.stdout.write(text + "\n")
 
 
 def _parse_vec(text: str, n: int) -> list[float]:
@@ -117,6 +123,14 @@ def _positive(text: str) -> float:
     return value
 
 
+def _op(text: str):
+    """One ``--op``: a JSON object that ``op_from_json`` accepts, finite numbers only."""
+    try:
+        return op_from_json(json.loads(text))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed op {text!r}: {exc}") from None
+
+
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, trials=args.trials, seed=args.seed)
     _emit(report.to_dict(include_time=not args.no_timestamp), args)
@@ -164,11 +178,11 @@ def _cmd_transform(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read descriptor: {exc}", file=sys.stderr)
         return 2
+    extra_ops = args.op
     try:
-        extra_ops = [op_from_json(json.loads(text)) for text in args.op]
         psi = from_descriptor(descriptor, npts=args.npts)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        print(f"malformed descriptor or op: {exc}", file=sys.stderr)
+    except (KeyError, TypeError, ValueError) as exc:
+        print(f"malformed descriptor: {exc}", file=sys.stderr)
         return 2
 
     def summary(amp):
@@ -325,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="wavepacket descriptor JSON file")
     p.add_argument(
         "--op",
+        type=_op,
         action="append",
         default=[],
         help='operation as JSON, e.g. \'{"type":"boost","beta":[0,0,0.5]}\' (repeatable)',

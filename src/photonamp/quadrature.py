@@ -16,6 +16,12 @@ def _leggauss(n: int):
     return x, w
 
 
+#: Nodes per block of ``BoxQuadrature.slabs``: two planes of a 48^3 box. A
+#: (3, N) float buffer of a block then stays below glibc's 128 KiB mmap
+#: threshold, so a density pass does not map fresh pages for every slab.
+_SLAB_NODES = 4608
+
+
 @dataclass(frozen=True, eq=False)
 class BoxQuadrature:
     """Gauss-Legendre product rule on the box center +- halfwidth, npts per axis."""
@@ -60,12 +66,29 @@ class BoxQuadrature:
         wx, wy, wz = self.axis_weights()
         return (wx[:, None, None] * wy[None, :, None] * wz[None, None, :]).reshape(-1)
 
-    def boundary_mask(self) -> np.ndarray:
-        """Marks nodes with an extreme index on any axis (outermost shell)."""
-        idx = np.arange(self.npts)
-        edge = (idx == 0) | (idx == self.npts - 1)
-        ex, ey, ez = np.meshgrid(edge, edge, edge, indexing="ij")
-        return (ex | ey | ez).reshape(-1)
+    def slabs(self):
+        """(k, w, shell) for consecutive blocks of x-planes, in the order of ``points()``.
+
+        ``k`` holds the block's nodes, an (m npts^2, 3) column-major view laid
+        out as in ``points``; ``w`` their weights, the rows of ``weights()``;
+        ``shell`` marks the nodes of the outermost shell (an extreme index on
+        any axis). A block holds as many planes as fit in ``_SLAB_NODES``
+        nodes, at least one, so a sum over the slabs never allocates an array
+        the size of the box.
+        """
+        n = self.npts
+        (x, y, z), (wx, wy, wz) = self.axes(), self.axis_weights()
+        edge = np.zeros(n, dtype=bool)
+        edge[[0, -1]] = True
+        step = max(1, _SLAB_NODES // (n * n))
+        for start in range(0, n, step):
+            planes = slice(start, start + step)
+            m = x[planes].size
+            columns = np.empty((3, m, n, n))
+            columns[0], columns[1], columns[2] = x[planes, None, None], y[:, None], z
+            w = wx[planes, None, None] * wy[:, None] * wz
+            shell = edge[planes, None, None] | edge[:, None] | edge
+            yield columns.reshape(3, -1).T, w.reshape(-1), shell.reshape(-1)
 
     def same_box(self, other: "BoxQuadrature") -> bool:
         return (

@@ -593,20 +593,38 @@ class TestFusedElement:
 
 class TestDensityPass:
     def test_norm_and_momentum_share_one_evaluation(self):
-        calls = []
+        # the pass runs by slabs: each node reaches the callable once in all
+        nodes = []
         packet = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
 
         def counted(k):
-            calls.append(1)
+            nodes.append(len(k))
             return packet.psi_plus(k)
 
         amp = HelicityAmplitude(counted, None, packet.quad).boost([0.0, 0.0, 0.3])
         norm = norm_squared(amp, warn=False)
         p = expectation_momentum(amp, warn=False)
-        assert len(calls) == 1
+        assert sum(nodes) == amp.quad.npts ** 3
         assert norm_squared(amp, warn=False) == norm
         assert np.array_equal(expectation_momentum(amp, warn=False), p)
-        assert len(calls) == 1
+        assert sum(nodes) == amp.quad.npts ** 3
+
+    def test_real_values_give_the_bits_of_complex_ones(self, packet):
+        # a callable may return real values: they are squared as real numbers
+        real = packet.psi_plus
+        widened = HelicityAmplitude(lambda k: real(k) + 0.0j, None, packet.quad)
+        amp = HelicityAmplitude(real, None, packet.quad)
+        pts = packet.quad.points()
+        assert not np.iscomplexobj(real(pts))
+        for record in ([], [TransformOp("boost", {"beta": [0.1, 0.0, 0.4]}), TransformOp("parity", {})]):
+            moved, moved_widened = replay(amp, record), replay(widened, record)
+            assert all(
+                np.array_equal(a, b) for a, b in zip(moved.density(pts), moved_widened.density(pts))
+            )
+            for lam in HELICITIES:
+                values = moved.evaluate(lam, pts)
+                assert values.dtype == complex
+                assert np.array_equal(values, moved_widened.evaluate(lam, pts))
 
     def test_boundary_warning_on_every_call(self):
         small = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1, halfwidth_sigmas=3.0)
@@ -622,7 +640,7 @@ class TestDensityPass:
 
         def counted(lam, f):
             def g(k):
-                calls[lam].append(1)
+                calls[lam].append(len(k))
                 return f(k)
 
             return g if lam in helicities else None
@@ -652,8 +670,9 @@ class TestDensityPass:
             norm = norm_squared(amp, warn=False)
             p = expectation_momentum(amp, warn=False)
             assert phases == []
-            assert {lam: len(c) for lam, c in calls.items()} == {
-                lam: int(lam in helicities) for lam in (1, -1)
+            # each node once per present component, summed over the slabs
+            assert {lam: sum(c) for lam, c in calls.items()} == {
+                lam: amp.quad.npts ** 3 * int(lam in helicities) for lam in (1, -1)
             }
             density = sum(np.abs(amp.evaluate(lam, pts)) ** 2 for lam in HELICITIES)
             k4 = four_momentum(pts)
@@ -720,6 +739,16 @@ def mixed_record(rng, length) -> list[TransformOp]:
     return [generic_op(rng, kind) for kind in kinds]
 
 
+def _traced_peak(compute) -> int:
+    """tracemalloc's peak, in bytes, while ``compute()`` runs."""
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestColumnLayout:
     """Nodes and Lorentz preimages are laid out by column; the values are unchanged."""
 
@@ -777,13 +806,59 @@ class TestColumnLayout:
     def test_unmoved_density_pass_keeps_no_four_momentum(self):
         # the (N, 4) 4-momentum of a 48^3 box alone is 3.5 MB
         amp = gaussian_wavepacket([0, 0, 1], 0.05, 1)
-        tracemalloc.start()
-        try:
-            expectation_momentum(amp, warn=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12.5e6
+        assert _traced_peak(lambda: expectation_momentum(amp, warn=False)) < 2.5e6
+
+    def test_moved_density_pass_allocates_no_box_sized_array(self, packet):
+        # one (N,) float array of a 48^3 box alone is 0.9 MB
+        record = [TransformOp("boost", {"beta": [0.0, 0.1, -0.6]}), TransformOp("parity", {}),
+                  TransformOp("rotate", {"axis": [1.0, 0.0, 0.3], "angle": -0.7})]
+        amp = replay(packet, record)
+        amp.quad  # sized before the trace starts
+        assert _traced_peak(lambda: expectation_momentum(amp, warn=False)) < 2.5e6
+
+    def test_inner_product_allocates_no_box_sized_array(self, packet):
+        other = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, 1)
+        assert not packet.quad.same_box(other.quad)
+        assert _traced_peak(lambda: inner_product(packet, other)) < 2.5e6
+
+
+def _shell_mask(n):
+    """The old whole-box boundary mask: an extreme index on any axis."""
+    edge = (np.arange(n) == 0) | (np.arange(n) == n - 1)
+    ex, ey, ez = np.meshgrid(edge, edge, edge, indexing="ij")
+    return (ex | ey | ez).reshape(-1)
+
+
+class TestSlabs:
+    """Sums over slabs of x-planes agree with the whole box."""
+
+    @pytest.mark.parametrize("npts", [2, 5, 47, 48, 49])
+    def test_slabs_are_the_rows_of_the_whole_box(self, npts):
+        quad = BoxQuadrature([0.3, -0.2, 1.1], [0.2, 0.35, 0.5], npts)
+        nodes, weights, shells = zip(*quad.slabs())
+        assert np.array_equal(np.concatenate(nodes), quad.points())
+        assert np.array_equal(np.concatenate(weights), quad.weights())
+        assert np.array_equal(np.concatenate(shells), _shell_mask(npts))
+        assert all(len(k) % npts**2 == 0 for k in nodes)
+        assert all(k[:, i].flags.c_contiguous for k in nodes for i in range(3))
+
+    @pytest.mark.parametrize("npts", [5, 47, 48, 49])
+    @pytest.mark.parametrize("record", [
+        [],
+        [TransformOp("boost", {"beta": [0.0, 0.1, -0.6]}), TransformOp("parity", {}),
+         TransformOp("rotate", {"axis": [1.0, 0.0, 0.3], "angle": -0.7})],
+    ], ids=["unmoved", "boost-parity-rotation"])
+    def test_slab_sums_match_the_whole_box(self, npts, record):
+        amp = replay(gaussian_wavepacket([0.3, -0.2, KAPPA], SIGMA, 1, npts=npts), record)
+        pts, w = amp.quad.points(), amp.quad.weights()
+        density, omega = amp.density(pts)
+        norm = norm_squared(amp, warn=False)
+        p = expectation_momentum(amp, warn=False)
+        assert_allclose(norm, w @ density, rtol=1e-14)
+        assert_allclose(p, (w * density) @ np.column_stack((omega, pts)), rtol=1e-14)
+        peak, boundary = amp._integrals[2:]
+        assert peak == density.max()
+        assert boundary == density[_shell_mask(npts)].max()
 
 
 class TestQuadratureBox:

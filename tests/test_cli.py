@@ -363,11 +363,15 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (WIGNER_ROTATION + ["--axis", "0,0,1"], ["--angle", "inf"]),
     (WIGNER_BOOST, ["--omega-ev", "inf"]),
     (["verify", "--suite", "little-group", "--trials", "1"], ["--seed", "-1"]),
+    (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,0,1],"angle":Infinity}']),
+    (["transform", "PACKET"], ["--op", '{"type":"translate","a":[NaN,0,0,0]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,-Infinity]}']),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
         "wigner-superluminal-beta", "wigner-zero-axis", "localize-kappa-inf",
         "fields-time-nan", "fields-extent-inf", "wigner-theta-nan", "wigner-phi-inf",
-        "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative"])
+        "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative",
+        "transform-op-angle-inf", "transform-op-translate-nan", "transform-op-beta-inf"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
@@ -375,6 +379,27 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
         main([*argv, *bad])
     assert excinfo.value.code == 2
     assert f"argument {bad[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"kappa": [0.0, float("nan"), 1.0]},
+    {"sigma_k": float("inf")},
+    {"ops": [{"type": "rotate", "axis": [0, 1, 0], "angle": float("nan")}]},
+], ids=["kappa-nan", "sigma-inf", "op-angle-nan"])
+def test_transform_refuses_a_descriptor_that_is_not_finite(tmp_path, capsys, overrides):
+    # json writes these as NaN and Infinity, which json.loads reads back
+    assert main(["transform", str(descriptor_file(tmp_path, **overrides))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed descriptor" in captured.err
+
+
+def test_a_result_that_overflows_is_a_numerical_failure(capsys):
+    # 0.5 / (0.01 * 1e-320) overflows: strict JSON has no Infinity to print
+    assert main(["localize", "--kappa-ev", "1e-320", "--sigma-ratio", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite number" in captured.err
 
 
 @pytest.mark.parametrize("trials", [0, -3])
