@@ -23,14 +23,16 @@ k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
 ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
 p, all conjugated for lam = -1, and e^{i k.a}.
 
-Observables use a Gauss-Legendre box sized on first use, not once per op,
-from the origin's box through the same element (``_Poincare.box``): a round
-trip returns the origin's box up to one pad. Every phase has modulus one, so
-the density is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed;
-an amplitude evaluates it on its box once, by slabs of a few x-planes
-(``BoxQuadrature.slabs``) and never the whole box at once, so no temporary
-is the size of the box, and keeps the norm and momentum moments. The
-applied operations are kept as a replayable record.
+Observables use one rule per packet, the origin's Gauss-Legendre box: as
+d^3k/omega is Lorentz invariant and P and T keep it, the origin's nodes q
+carried to k = Lambda flip(|q|, q), flip negating q if exactly one bit is
+set, with weights w |k|/|q| (``_Poincare.carry``) are an exact change of
+variables, whatever the element. Every phase has modulus one, so the density
+is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its
+weighted value at a carried node is the origin's: the norm is the origin's
+and <k^mu> is Lambda flip(<q^mu>). Only an origin evaluates it, once, by
+slabs of a few x-planes (``BoxQuadrature.slabs``), so no temporary is the
+size of the box. The applied operations are kept as a replayable record.
 
 Momenta are (..., 3) arrays that may be column-major views: the box's nodes
 (``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
@@ -176,19 +178,28 @@ class _Poincare:
         raise ValueError(f"unknown transformation kind: {op.kind!r}")
 
     def preimage(self, k: np.ndarray):
-        """(q, |k|, omega'/omega) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``.
+        """(q, |k|, omega'/omega) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``."""
+        return self._through(self._inverse, k)
 
-        By columns (module docstring): the rows of Lambda^{-1} (|k|, k) fill
-        omega' and a (3, N) buffer, q is its transpose, and the flip and the
-        ratio are taken in place. Every buffer of a slab (``BoxQuadrature.slabs``)
-        then stays below glibc's 128 KiB mmap threshold.
+    def carry(self, q: np.ndarray):
+        """(k, |q|, |k|/|q|) at q (N, 3), for k = Lambda flip(|q|, q): ``preimage``'s inverse."""
+        # the flip follows the map, so g Lambda g then g gives Lambda g
+        return self._through(METRIC @ self.Lam @ METRIC if self.flipped else self.Lam, q)
+
+    def _through(self, M: np.ndarray, k: np.ndarray):
+        """(k', |k|, omega'/|k|) for k' the spatial part of M (|k|, k), negated if ``flipped``.
+
+        By columns (module docstring): the rows of M (|k|, k) fill omega' and
+        a (3, N) buffer, k' is its transpose, and the flip and the ratio are
+        taken in place. Every buffer of a slab (``BoxQuadrature.slabs``) then
+        stays below glibc's 128 KiB mmap threshold.
         """
         omega = light_energy(k)
         if not self.lorentz:
             return (-k if self.flipped else k), omega, 1.0
         columns = (k[:, 0], k[:, 1], k[:, 2])
         spatial, energy, term = np.empty((3, len(k))), np.empty(len(k)), np.empty(len(k))
-        for row, coefficients in zip((energy, *spatial), self._inverse):
+        for row, coefficients in zip((energy, *spatial), M):
             np.multiply(coefficients[0], omega, out=row)
             for c, column in zip(coefficients[1:], columns):
                 row += np.multiply(c, column, out=term)
@@ -273,7 +284,7 @@ class HelicityAmplitude:
 
     @property
     def quad(self) -> BoxQuadrature:
-        """The origin's box through the element (``_Poincare.box``), sized on first read."""
+        """The fields' box, the origin's through the element (``_Poincare.box``): lazily sized."""
         if self._quad is None:
             self._quad = self._element.box(self.origin._quad)
         return self._quad
@@ -416,26 +427,35 @@ def gaussian_wavepacket(
 # -- observables -------------------------------------------------------------
 
 
-def _density_integrals(psi: HelicityAmplitude, warn: bool):
-    """Norm and momentum moments of the amplitude's density on its own box.
+def _carried_integrals(psi: HelicityAmplitude):
+    """(norm, <k^mu>, peak, boundary) of ``density`` on the origin's nodes carried forward.
 
-    The phase-free density of ``HelicityAmplitude.density`` is evaluated once
-    per amplitude, one slab of the box at a time; what the observables need
-    from it (the two integrals, its peak and its largest boundary value) is
-    summed over the slabs and kept on the amplitude, the array itself is not.
-    The boundary check runs, and may warn, on every call.
+    Summed slab by slab; the array is not kept. For an origin this is its
+    density pass; for a transformed amplitude, through the element's preimage,
+    it checks the origin's integrals carried in closed form.
     """
-    if psi._integrals is None:
-        sums, peaks, boundaries = np.zeros(5), [], []
-        for k, w, shell in psi.quad.slabs():
-            density, omega = psi.density(k)
-            weighted = w * density
-            sums += [w @ density, *(weighted @ v for v in (omega, *k.T))]
-            peaks.append(density.max())
-            boundaries.append(density[shell].max())
-        peak, boundary = float(np.max(peaks)), float(np.max(boundaries))
-        psi._integrals = (float(sums[0]), sums[1:], peak, boundary)
-    norm, momentum, peak, boundary = psi._integrals
+    sums, peaks, boundaries = np.zeros(5), [], []
+    for q, w, shell in psi.origin.quad.slabs():
+        k, _, ratio = psi._element.carry(q)
+        density, omega = psi.density(k)
+        w = w * ratio
+        weighted = w * density
+        sums += [w @ density, *(weighted @ v for v in (omega, *k.T))]
+        peaks.append(density.max())
+        boundaries.append(density[shell].max())
+    return float(sums[0]), sums[1:], float(np.max(peaks)), float(np.max(boundaries))
+
+
+def _density_integrals(psi: HelicityAmplitude, warn: bool):
+    """Norm and <k^mu>: the origin's, and Lambda flip(<q^mu>) (module docstring).
+
+    Only an origin keeps ``_integrals``. The boundary check, whether the
+    origin's box clips the origin, runs, and may warn, on every call.
+    """
+    origin, element = psi.origin, psi._element
+    if origin._integrals is None:
+        origin._integrals = _carried_integrals(origin)
+    norm, momentum, peak, boundary = origin._integrals
     if warn and peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
         warnings.warn(
             "quadrature box may clip the amplitude support "
@@ -443,29 +463,33 @@ def _density_integrals(psi: HelicityAmplitude, warn: bool):
             QuadratureDomainWarning,
             stacklevel=3,
         )
-    return norm, momentum.copy()
+    return norm, element.Lam @ (METRIC @ momentum if element.flipped else momentum)
 
 
 def norm_squared(psi: HelicityAmplitude, warn: bool = True) -> float:
-    """Summed momentum-space integral of |psi|^2 over the attached box."""
+    """Summed momentum-space integral of |psi|^2, on the origin's box."""
     return _density_integrals(psi, warn)[0]
 
 
 def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
     """Hermitian overlap sum_lam int psi1_lam^* psi2_lam d^3k.
 
-    Distinct quadrature boxes are merged into their union.
+    Summed on psi1's origin box carried by psi1's element, an exact rule for
+    psi1 (module docstring); first merged with psi2's origin box into their
+    union where the two elements share Lambda and the flip.
     """
-    if psi1.quad.same_box(psi2.quad):
-        quad = psi1.quad
-    else:
-        quad = union_box(psi1.quad, psi2.quad)
+    e1, e2 = psi1._element, psi2._element
+    quad, other = psi1.origin.quad, psi2.origin.quad
+    if e1.flipped == e2.flipped and np.array_equal(e1.Lam, e2.Lam) and not quad.same_box(other):
+        quad = union_box(quad, other)
     shared = [
         lam for lam in HELICITIES
         if psi1.component(lam) is not None and psi2.component(lam) is not None
     ]
     total = 0.0 + 0.0j
-    for k, w, _ in quad.slabs():
+    for q, w, _ in quad.slabs():
+        k, _, ratio = e1.carry(q)
+        w = w * ratio
         for lam in shared:
             total += w @ (np.conj(psi1.evaluate(lam, k)) * psi2.evaluate(lam, k))
     return complex(total)

@@ -158,8 +158,9 @@ def require_lightlike(k) -> np.ndarray:
 class AxisAngle:
     """Rotation by ``angle`` (radians) about the unit 3-vector ``axis``.
 
-    The axis is normalized on construction; a zero axis is rejected. A stack
-    pairs axes ``(..., 3)`` with angles ``(...)``.
+    The axis is normalized once: one of unit norm to rounding, as another
+    ``AxisAngle``'s, keeps its bits. A zero axis is rejected. A stack pairs
+    axes ``(..., 3)`` with angles ``(...)``.
     """
 
     axis: np.ndarray
@@ -171,7 +172,8 @@ class AxisAngle:
             raise ValueError("rotation axis must be a nonzero 3-vector")
         n = _norm(axis)
         _require(n >= 1e-12, "rotation axis must be a nonzero 3-vector")
-        object.__setattr__(self, "axis", axis / n[..., None])
+        unit = np.abs(n - 1.0) <= 4.0 * np.finfo(float).eps
+        object.__setattr__(self, "axis", np.where(unit[..., None], axis, axis / n[..., None]))
         object.__setattr__(self, "angle", _unstack(np.asarray(self.angle, dtype=float)))
 
 

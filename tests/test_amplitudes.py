@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 from functools import reduce
 
@@ -32,6 +33,7 @@ from photonamp.lorentz import (
     rapidity_from_beta,
     rotation3,
     rotation_matrix,
+    su2_matrix,
 )
 from photonamp.quadrature import BoxQuadrature, mapped_box
 from photonamp.wigner import boost_half_phase, half_phase, rotation_half_phase
@@ -593,7 +595,8 @@ class TestFusedElement:
 
 class TestDensityPass:
     def test_norm_and_momentum_share_one_evaluation(self):
-        # the pass runs by slabs: each node reaches the callable once in all
+        # the pass runs by slabs, on origins only: each node of an origin's box
+        # reaches the callable once in all, whatever records are applied to it
         nodes = []
         packet = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1)
 
@@ -601,13 +604,22 @@ class TestDensityPass:
             nodes.append(len(k))
             return packet.psi_plus(k)
 
-        amp = HelicityAmplitude(counted, None, packet.quad).boost([0.0, 0.0, 0.3])
+        base = HelicityAmplitude(counted, None, packet.quad)
+        amp = base.boost([0.0, 0.0, 0.3])
         norm = norm_squared(amp, warn=False)
         p = expectation_momentum(amp, warn=False)
-        assert sum(nodes) == amp.quad.npts ** 3
+        assert sum(nodes) == packet.quad.npts ** 3
         assert norm_squared(amp, warn=False) == norm
         assert np.array_equal(expectation_momentum(amp, warn=False), p)
-        assert sum(nodes) == amp.quad.npts ** 3
+        assert sum(nodes) == packet.quad.npts ** 3
+        record = mixed_record(np.random.default_rng(590), 32)
+        other = HelicityAmplitude(counted, None, packet.quad)
+        for origin in (base, other):
+            for length in range(33):
+                prefix = replay(origin, record[:length])
+                norm_squared(prefix, warn=False)
+                expectation_momentum(prefix, warn=False)
+        assert sum(nodes) == 2 * packet.quad.npts ** 3
 
     def test_real_values_give_the_bits_of_complex_ones(self, packet):
         # a callable may return real values: they are squared as real numbers
@@ -661,19 +673,19 @@ class TestDensityPass:
         )
         rng = np.random.default_rng(700 + len(helicities) + helicities[0])
         records = [[generic_op(rng, kind)] for kind in KINDS]
+        passed = {1: 0, -1: 0}
         for record in records + [mixed_record(rng, 8), mixed_record(rng, 32)]:
             amp = replay(base, record)
-            pts, w = amp.quad.points(), amp.quad.weights()
+            pts, w = carried_nodes(amp)
             for lam in (1, -1):
                 calls[lam].clear()
             phases.clear()
             norm = norm_squared(amp, warn=False)
             p = expectation_momentum(amp, warn=False)
             assert phases == []
-            # each node once per present component, summed over the slabs
-            assert {lam: sum(c) for lam, c in calls.items()} == {
-                lam: amp.quad.npts ** 3 * int(lam in helicities) for lam in (1, -1)
-            }
+            for lam in (1, -1):
+                passed[lam] += sum(calls[lam])
+            # the full pullback, every phase included, on the carried nodes
             density = sum(np.abs(amp.evaluate(lam, pts)) ** 2 for lam in HELICITIES)
             k4 = four_momentum(pts)
             # k_x and k_y may sit at rounding level next to omega, so the
@@ -681,6 +693,15 @@ class TestDensityPass:
             ref = (w * density) @ k4
             assert_allclose(norm, w @ density, rtol=1e-13)
             assert_allclose(p, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
+        # each node of the origin's box once per present component, summed over
+        # the slabs of the origin's one pass, for all the records together
+        assert passed == {lam: base.quad.npts ** 3 * int(lam in helicities) for lam in (1, -1)}
+
+
+def carried_nodes(amp):
+    """The origin's nodes carried forward by the amplitude's element, and their weights."""
+    k, _, ratio = amp._element.carry(amp.origin.quad.points())
+    return k, amp.origin.quad.weights() * ratio
 
 
 # -- the quadrature box, sized once from the origin through the element --------
@@ -788,7 +809,7 @@ class TestColumnLayout:
     ], ids=["boost", "rotation", "boost-parity-rotation"])
     def test_lorentz_density_matches_the_four_momentum_route(self, packet, record):
         amp = replay(packet, record)
-        pts = amp.quad.points()
+        pts, w = carried_nodes(amp)
         # the route the preimage replaced: the whole (N, 4) product with the
         # inverse of the record's momentum map, P's flip included
         moved = reduce(lambda M, op: momentum_matrix(op) @ M, record, np.eye(4))
@@ -800,7 +821,6 @@ class TestColumnLayout:
         # the Gaussian's tails amplify a rounding-level change of q, so the
         # pointwise tolerance is relative to the peak; the norm is held to 1e-14
         assert_allclose(density, reference, rtol=1e-14, atol=1e-14 * reference.max())
-        w = amp.quad.weights()
         assert_allclose(norm_squared(amp, warn=False), w @ reference, rtol=1e-14)
 
     def test_unmoved_density_pass_keeps_no_four_momentum(self):
@@ -850,13 +870,13 @@ class TestSlabs:
     ], ids=["unmoved", "boost-parity-rotation"])
     def test_slab_sums_match_the_whole_box(self, npts, record):
         amp = replay(gaussian_wavepacket([0.3, -0.2, KAPPA], SIGMA, 1, npts=npts), record)
-        pts, w = amp.quad.points(), amp.quad.weights()
+        pts, w = carried_nodes(amp)
         density, omega = amp.density(pts)
         norm = norm_squared(amp, warn=False)
         p = expectation_momentum(amp, warn=False)
         assert_allclose(norm, w @ density, rtol=1e-14)
         assert_allclose(p, (w * density) @ np.column_stack((omega, pts)), rtol=1e-14)
-        peak, boundary = amp._integrals[2:]
+        peak, boundary = amplitudes._carried_integrals(amp)[2:]
         assert peak == density.max()
         assert boundary == density[_shell_mask(npts)].max()
 
@@ -918,3 +938,58 @@ class TestQuadratureBox:
                 amp, carried = amp.apply(op), _carried_box(carried, op)
             assert np.array_equal(amp.quad.center, carried.center)
             assert np.array_equal(amp.quad.halfwidth, carried.halfwidth)
+
+
+README_OPS = [
+    TransformOp("boost", {"beta": [0.0, 0.0, 0.5]}),
+    TransformOp("rotate", {"axis": [0, 1, 0], "angle": 0.3}),
+    TransformOp("translate", {"a": [1.0, 0.0, 0.0, 0.0]}),
+    TransformOp("parity", {}),
+    TransformOp("time_reverse", {}),
+]
+
+
+class TestCarriedNodes:
+    """Every transformed observable comes from the origin's nodes, carried forward."""
+
+    @pytest.mark.parametrize("record", [
+        (README_OPS * 7)[:32],
+        [TransformOp("boost", {"beta": [0.0, 0.0, -0.99]})],
+        [TransformOp("boost", {"beta": [0.734, 0.389, 0.341]})],
+    ], ids=["readme-32", "deboost", "oblique-boost"])
+    def test_strong_records_keep_norm_and_map_momentum(self, packet, record):
+        amp = replay(packet, record)
+        norm, p = norm_squared(amp), expectation_momentum(amp)
+        origin_p = expectation_momentum(packet)
+        mapped = reduce(lambda acc, op: momentum_matrix(op) @ acc, record, origin_p)
+        assert abs(norm - 1.0) <= 1e-9
+        assert np.max(np.abs(p - mapped)) <= 1e-9 * mapped[0]
+        carried_norm, carried_p = amplitudes._carried_integrals(amp)[:2]
+        assert abs(carried_norm - norm) <= 1e-12
+        assert np.max(np.abs(carried_p - p)) <= 1e-12 * mapped[0]
+        assert np.max(np.abs(carried_p - mapped)) <= 1e-12 * mapped[0]
+
+    def test_broad_boosted_packet_keeps_its_norm_without_warning(self):
+        amp = gaussian_wavepacket([0.0, 0.0, 1.0], 0.5, 1).boost([0.0, 0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(norm_squared(amp) - 1.0) <= 1e-9
+            expectation_momentum(amp)
+
+    def test_non_covariant_overlap_converges(self):
+        # the de-boosted packet against a narrow one centred on its mean momentum
+        def overlap(npts):
+            moved = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1, npts=npts)
+            moved = moved.boost([0.0, 0.0, -0.99])
+            image = expectation_momentum(moved)[1:]
+            return inner_product(moved, gaussian_wavepacket(image, 0.01, 1, npts=npts))
+
+        assert abs(overlap(64) - overlap(128)) <= 1e-8
+
+    def test_applied_rotation_is_the_given_one(self, packet):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):
+            r = AxisAngle(rng.normal(size=3), float(rng.uniform(-np.pi, np.pi)))
+            element = packet.rotate(r)._element
+            assert np.array_equal(element.Lam, rotation_matrix(r))
+            assert np.array_equal(element.A, su2_matrix(r))
