@@ -208,7 +208,13 @@ class _Poincare:
         return spatial.T, omega, np.divide(energy, np.where(omega > 0.0, omega, 1.0), out=energy)
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
-        """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it."""
+        """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it.
+
+        A complex product whose second factor is a temporary is an explicit
+        ``np.multiply``: on an array above 256 KiB, ``a * temporary`` lets numpy
+        reuse the temporary and compute b * a, which its complex multiply rounds
+        unlike a * b, so a large stack would not keep the bits of its rows.
+        """
         translated, lorentz = self.a.any(), self.lorentz
         if not (translated or lorentz or self.parity or self.reversal):
             return np.asarray(f(k), dtype=complex)
@@ -218,7 +224,7 @@ class _Poincare:
             factor = np.sqrt(ratio) * half_phase(self.A, prev) ** 2
         if self.flipped:
             eiphi = azimuth_phase(prev)
-            factor = factor * np.conj(eiphi * eiphi)
+            factor = np.multiply(factor, np.conj(eiphi * eiphi))
         if self.parity:
             factor = PHOTON_PARITY * factor
         value = np.asarray(f(q), dtype=complex)
@@ -228,8 +234,8 @@ class _Poincare:
             # k.a by columns: a matrix-vector product rounds a stack unlike its rows
             t, ax, ay, az = self.a
             k_dot_a = k[..., 0] * ax + k[..., 1] * ay + k[..., 2] * az
-            value = value * np.exp(1j * (omega * t - k_dot_a))
-        return value * (factor if lam == 1 else np.conj(factor))
+            value = np.multiply(value, np.exp(1j * (omega * t - k_dot_a)))
+        return np.multiply(value, factor if lam == 1 else np.conj(factor))
 
     def box(self, quad: BoxQuadrature) -> BoxQuadrature:
         """The origin's box ``quad`` carried through the whole element at once.
@@ -356,9 +362,11 @@ class HelicityAmplitude:
     def normalized(self) -> "HelicityAmplitude":
         """Rescale so the summed momentum-space density integrates to one.
 
-        Not a symmetry operation: the result starts a fresh record.
+        The origin is rescaled, on its own box, and the record replayed on it:
+        every operation keeps the norm, so the result's is the rescaled origin's.
         """
-        total = norm_squared(self, warn=False)
+        origin = self.origin
+        total = norm_squared(origin, warn=False)
         if total <= 0.0:
             raise ValueError("cannot normalize an amplitude with vanishing norm")
         scale = 1.0 / np.sqrt(total)
@@ -368,7 +376,8 @@ class HelicityAmplitude:
                 return None
             return lambda k, f=f: scale * f(k)
 
-        return HelicityAmplitude(rescaled(self.psi_plus), rescaled(self.psi_minus), self.quad)
+        unit = HelicityAmplitude(*map(rescaled, origin._base), origin.quad)
+        return replay(unit, self.record)
 
 
 def _squared_modulus(value) -> np.ndarray:

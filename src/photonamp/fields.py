@@ -27,8 +27,13 @@ the tensor-product Gauss-Legendre box: e^{i k.x} is the outer product of three
 one-axis exponentials, and e^{-i omega t} is formed once per distinct time.
 Grid fills exploit the tensor-product structure of both the momentum box and
 the Cartesian spatial grid, reducing the Fourier sum to three small tensor
-contractions per field component. The narrowband conservation integrals
-factorize over the three axes and are summed in separable form.
+contractions per field component. They contract one component at a time, so
+a fill on an n^3 grid holds the real fields (or the one real density summed
+from them), the node coefficients, which are built slab by slab of the field
+box, and one complex (n, n, n) component with its contraction's temporaries:
+no complex copy of the fields or of the coefficients. The narrowband
+conservation integrals factorize over the three axes and are summed in
+separable form.
 
 Everything is in natural units; only ``localization_scale`` and the CLI
 convert to laboratory units via hbar*c.
@@ -180,6 +185,14 @@ _MU = np.array([0, 0, 0, 2, 3, 1])
 _NU = np.array([1, 2, 3, 3, 1, 2])
 
 
+def _cross_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
+    """Component i of a x b for (..., 3) arrays, in np.cross's arithmetic: a_j b_k - a_k b_j."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    out = a[..., j] * b[..., k]
+    out -= a[..., k] * b[..., j]
+    return out
+
+
 def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     """Spacetime-independent node coefficients of the positive-frequency momentum integral.
 
@@ -190,6 +203,11 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     The e^{-i omega_n t} factor is left to the sums. ``gauge`` shifts every eps
     by gauge(k) k before either is formed.
 
+    Built slab by slab (``BoxQuadrature.slabs``): each slab's rows of ``omega``
+    and ``C`` are written in place, and every temporary is the size of a slab.
+    A row's bits do not depend on the rows beside it, so ``C`` is the
+    whole-box build's.
+
     Without a gauge the arrays are kept on the amplitude, one entry per form,
     and are read-only: later calls return the same arrays.
     """
@@ -198,32 +216,40 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     box = BoxQuadrature(
         psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
     )
-    pts = box.points()
-    omega = light_energy(pts)
-    base = PREFACTOR * box.weights() / np.sqrt(omega)
-    C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
-        eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
-        if gauge is not None:
-            g = np.asarray(gauge(pts), dtype=complex)
-            eps, eps0 = eps + g[:, None] * pts, g * omega
-        c = base * psi.evaluate(lam, pts)
-        if tensor:
-            # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps,
-            # the cross product taken of the real and imaginary parts of eps
-            C[:, :3] += (c * omega)[:, None] * eps
-            if eps0 is not None:
-                C[:, :3] -= (c * eps0)[:, None] * pts
-            k_cross_eps = np.empty_like(eps)
-            k_cross_eps.real = np.cross(pts, eps.real)
-            k_cross_eps.imag = np.cross(pts, eps.imag)
-            C[:, 3:] += c[:, None] * k_cross_eps
-        else:
-            C[:, 1:] += c[:, None] * eps
-            if eps0 is not None:
-                C[:, 0] += c * eps0
+    omega = np.empty(box.npts**3)
+    C = np.zeros((len(omega), 6 if tensor else 4), dtype=complex)
+    helicities = [lam for lam in HELICITIES if psi.component(lam) is not None]
+    start = 0
+    for pts, w, _ in box.slabs():
+        rows = slice(start, start + len(pts))
+        start = rows.stop
+        om, Cs = omega[rows], C[rows]
+        om[:] = light_energy(pts)
+        base = PREFACTOR * w / np.sqrt(om)
+        for lam in helicities:
+            eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
+            if gauge is not None:
+                g = np.asarray(gauge(pts), dtype=complex)
+                eps, eps0 = eps + g[:, None] * pts, g * om
+            c = base * psi.evaluate(lam, pts)
+            # column by column: a broadcast over rows of 3 would loop 3 values at a time
+            if tensor:
+                # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps,
+                # the cross product taken of the real and imaginary parts of eps
+                c_omega = c * om
+                k_cross_eps = np.empty(len(pts), dtype=complex)
+                for i in range(3):
+                    Cs[:, i] += c_omega * eps[:, i]
+                    if eps0 is not None:
+                        Cs[:, i] -= (c * eps0) * pts[:, i]
+                    k_cross_eps.real = _cross_component(pts, eps.real, i)
+                    k_cross_eps.imag = _cross_component(pts, eps.imag, i)
+                    Cs[:, 3 + i] += c * k_cross_eps
+            else:
+                for i in range(3):
+                    Cs[:, 1 + i] += c * eps[:, i]
+                if eps0 is not None:
+                    Cs[:, 0] += c * eps0
     omega.flags.writeable = C.flags.writeable = False
     if gauge is None:
         psi._nodes[tensor] = (box, omega, C)
@@ -322,35 +348,66 @@ def vector_potential(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
 
 
 def _contract(C: np.ndarray, Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray) -> np.ndarray:
-    t1 = np.tensordot(C, Az, axes=(2, 0))  # (kx, ky, Z)
-    t2 = np.tensordot(t1, Ay, axes=(1, 0))  # (kx, Z, Y)
-    t3 = np.tensordot(t2, Ax, axes=(0, 0))  # (Z, Y, X)
-    return np.transpose(t3, (2, 1, 0))
+    # each step rebinds t, so one intermediate is freed before the next is formed
+    t = np.tensordot(C, Az, axes=(2, 0))  # (kx, ky, Z)
+    t = np.tensordot(t, Ay, axes=(1, 0))  # (kx, Z, Y)
+    t = np.tensordot(t, Ax, axes=(0, 0))  # (Z, Y, X)
+    return np.transpose(t, (2, 1, 0))
+
+
+def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, components=range(6)):
+    """Yield -E^{(+)} and -B^{(+)} on the grid, one (n, n, n) complex component at a time.
+
+    Component i is sum_n e^{i(k_n.x - omega_n t)} C[n, i], in the order of
+    ``components`` (0-2 for E, 3-5 for B), yielded as (i, component). Only
+    column i of the kept ``C``, times e^{-i omega t} when t != 0, and the
+    component are live at once, if the caller drops each component before it
+    asks for the next: no loop helper such as zip or enumerate may hold it.
+    """
+    box, omega, C = _node_coefficients(psi)
+    nq = box.npts
+    Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
+    clock = np.exp(-1j * omega * t) if t != 0.0 else None
+    for i in components:
+        column = C[:, i] if clock is None else C[:, i] * clock  # the kept C has no clock
+        yield i, _contract(column.reshape(nq, nq, nq), Ax, Ay, Az)
+
+
+def _squared_modulus(component: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|component|^2 written into ``out``, with the bits of np.abs(component) ** 2."""
+    np.abs(component, out=out)
+    return np.square(out, out=out)
 
 
 def positive_frequency_grid(
     psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each."""
-    box, omega, C = _node_coefficients(psi)
-    if t != 0.0:
-        C = C * np.exp(-1j * omega * t)[:, None]  # a temporary: the kept C has no clock
-    nq = box.npts
-    Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
     Ep = np.empty(grid.shape + (3,), dtype=complex)
     Bp = np.empty_like(Ep)
-    for i, out in enumerate([*np.moveaxis(Ep, -1, 0), *np.moveaxis(Bp, -1, 0)]):
-        np.negative(_contract(C[:, i].reshape(nq, nq, nq), Ax, Ay, Az), out=out)
+    outs = [*np.moveaxis(Ep, -1, 0), *np.moveaxis(Bp, -1, 0)]
+    for i, component in _grid_components(psi, grid, t):
+        np.negative(component, out=outs[i])
+        del component  # freed before the next one is contracted
     return Ep, Bp
 
 
 def field_expectation_grid(
     psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0
 ) -> FieldTensorGrid:
-    """Real <E>, <B> on the grid; tags the carrier with the packet's mean energy."""
-    Ep, Bp = positive_frequency_grid(psi, grid, t)
-    kappa = energy_expectation(psi)  # before the real fields exist: its density pass adds to the peak
-    return FieldTensorGrid(grid, t, 2.0 * Ep.real, 2.0 * Bp.real, kappa)
+    """Real <E>, <B> on the grid; tags the carrier with the packet's mean energy.
+
+    Each field component is -2 Re of one contracted component, written in
+    place: no complex field is kept.
+    """
+    kappa = energy_expectation(psi)
+    E = np.empty(grid.shape + (3,))
+    B = np.empty_like(E)
+    outs = [*np.moveaxis(E, -1, 0), *np.moveaxis(B, -1, 0)]
+    for i, component in _grid_components(psi, grid, t):
+        np.multiply(component.real, -2.0, out=outs[i])
+        del component  # freed before the next one is contracted
+    return FieldTensorGrid(grid, t, E, B, kappa)
 
 
 # -- narrowband closed form ----------------------------------------------------
@@ -399,8 +456,8 @@ def narrowband_grid(
     """Closed-form fields sampled on a (materializable) spatial grid."""
     _warn_if_spreading(spec, t)
     gx, gy, gz = grid.axes()
-    X, Y, Z = np.meshgrid(gx, gy, gz, indexing="ij")
-    E, B = _narrowband_EB(spec, X, Y, Z, t, phase_offset)
+    # broadcast axes: the carrier's cos and sin run on the n values of z alone
+    E, B = _narrowband_EB(spec, gx[:, None, None], gy[None, :, None], gz, t, phase_offset)
     return FieldTensorGrid(grid, t, E, B, spec.kappa)
 
 
@@ -439,12 +496,15 @@ def _trapezoid_integral(values: np.ndarray, grid: SpatialGrid) -> float:
 
 
 def energy_momentum_integrals(ftg: FieldTensorGrid) -> np.ndarray:
-    """(int u, int E x B) over the grid by trapezoidal quadrature, as a 4-vector."""
+    """(int u, int E x B) over the grid by trapezoidal quadrature, as a 4-vector.
+
+    The Poynting vector is formed and summed one component at a time.
+    """
     if ftg.kappa is not None:
         _require_carrier_resolved(ftg.grid, ftg.kappa)
-    S = ftg.poynting()
     energy = _trapezoid_integral(ftg.energy_density(), ftg.grid)
-    return np.array([energy, *(_trapezoid_integral(S[..., i], ftg.grid) for i in range(3))])
+    flux = [_trapezoid_integral(_cross_component(ftg.E, ftg.B, i), ftg.grid) for i in range(3)]
+    return np.array([energy, *flux])
 
 
 def narrowband_energy_momentum(
@@ -479,16 +539,36 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
     """Spatial integral of the proposed density |sqrt(2) E^{(+)}|^2; equals <H>.
 
     Independent position-space route to the energy: compare with
-    :func:`energy_expectation`.
+    :func:`energy_expectation`. Only the three E components are contracted.
     """
-    Ep, _ = positive_frequency_grid(psi, grid, t)
-    return _trapezoid_integral(2.0 * np.sum(np.abs(Ep) ** 2, axis=-1), grid)
+    density, square = np.empty(grid.shape), np.empty(grid.shape)
+    for i, component in _grid_components(psi, grid, t, range(3)):
+        if i == 0:
+            _squared_modulus(component, density)
+        else:
+            density += _squared_modulus(component, square)
+        del component  # freed before the next one is contracted
+    density *= 2.0
+    return _trapezoid_integral(density, grid)
 
 
 def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> np.ndarray:
-    """|E^{(+)}|^2 + |B^{(+)}|^2 on the grid (carrier-free, envelope-smooth)."""
-    Ep, Bp = positive_frequency_grid(psi, grid, t)
-    return np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1)
+    """|E^{(+)}|^2 + |B^{(+)}|^2 on the grid (carrier-free, envelope-smooth).
+
+    Summed in np.sum's order over the last axis of the complex fields, one
+    (E_i, B_i) pair at a time: (|E_0|^2 + |B_0|^2) + (|E_1|^2 + |B_1|^2) + ...
+    """
+    density, pair, square = (np.empty(grid.shape) for _ in range(3))
+    for i, component in _grid_components(psi, grid, t, (0, 3, 1, 4, 2, 5)):
+        target = density if i in (0, 3) else pair
+        if i < 3:
+            _squared_modulus(component, target)
+        else:
+            target += _squared_modulus(component, square)
+            if target is pair:
+                density += pair
+        del component  # freed before the next one is contracted
+    return density
 
 
 def bb_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:

@@ -18,7 +18,9 @@ def _leggauss(n: int):
 
 #: Nodes per block of ``BoxQuadrature.slabs``: two planes of a 48^3 box. A
 #: (3, N) float buffer of a block then stays below glibc's 128 KiB mmap
-#: threshold, so a density pass does not map fresh pages for every slab.
+#: threshold, so a density pass does not map fresh pages for every slab. It
+#: also sets the block of the field node build (``fields._node_coefficients``),
+#: whose (N, 3) complex polarization temporaries are twice that size.
 _SLAB_NODES = 4608
 
 

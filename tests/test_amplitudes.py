@@ -881,6 +881,25 @@ class TestSlabs:
         assert boundary == density[_shell_mask(npts)].max()
 
 
+    @pytest.mark.parametrize("kinds", [*[(kind,) for kind in KINDS], KINDS])
+    def test_large_stack_keeps_the_bits_of_its_slabs(self, kinds):
+        # above 256 KiB numpy may compute a * temporary in the temporary's
+        # buffer as temporary * a, which its complex multiply rounds otherwise
+        plus = gaussian_wavepacket([0.0, 0.0, KAPPA], SIGMA, 1, npts=40)
+        minus = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, -1)
+        base = HelicityAmplitude(
+            plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad
+        )
+        rng = np.random.default_rng(860 + len(kinds))
+        amp = replay(base, [generic_op(rng, kind) for kind in kinds])
+        quad = plus.quad
+        assert quad.npts**3 * 16 > 256 * 1024
+        for lam in HELICITIES:
+            whole = amp.evaluate(lam, quad.points())
+            slabs = np.concatenate([amp.evaluate(lam, k) for k, _, _ in quad.slabs()])
+            assert np.array_equal(whole, slabs)
+
+
 class TestQuadratureBox:
     def test_round_trips_return_the_origin_box(self, packet):
         there, back = AxisAngle([0, 1, 0], 0.4), AxisAngle([0, 1, 0], -0.4)
@@ -968,6 +987,23 @@ class TestCarriedNodes:
         assert abs(carried_norm - norm) <= 1e-12
         assert np.max(np.abs(carried_p - p)) <= 1e-12 * mapped[0]
         assert np.max(np.abs(carried_p - mapped)) <= 1e-12 * mapped[0]
+
+    @pytest.mark.parametrize("record", [
+        (README_OPS * 7)[:32],
+        [TransformOp("boost", {"beta": [0.0, 0.0, -0.99]})],
+    ], ids=["readme-32", "deboost"])
+    def test_normalized_replays_the_record_on_the_rescaled_origin(self, packet, record):
+        doubled = HelicityAmplitude(lambda k: 2.0 * packet.psi_plus(k), None, packet.quad)
+        amp = replay(doubled, record)
+        unit = amp.normalized()
+        assert unit.record == amp.record
+        assert unit.origin.quad is doubled.quad
+        assert abs(norm_squared(unit) - 1.0) <= 1e-9
+        scale = 1.0 / math.sqrt(norm_squared(doubled))
+        pts = carried_nodes(amp)[0][::997]
+        for lam in HELICITIES:
+            assert_allclose(unit.evaluate(lam, pts), scale * amp.evaluate(lam, pts),
+                            rtol=1e-13, atol=1e-300)
 
     def test_broad_boosted_packet_keeps_its_norm_without_warning(self):
         amp = gaussian_wavepacket([0.0, 0.0, 1.0], 0.5, 1).boost([0.0, 0.0, 0.5])

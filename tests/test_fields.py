@@ -6,7 +6,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from photonamp import fields
-from photonamp.amplitudes import HelicityAmplitude, gaussian_wavepacket
+from photonamp.amplitudes import (
+    HELICITIES,
+    HelicityAmplitude,
+    TransformOp,
+    expectation_momentum,
+    gaussian_wavepacket,
+    replay,
+)
 from photonamp.fields import (
     HBARC_EV_UM,
     POINT_BLOCK,
@@ -34,10 +41,11 @@ from photonamp.fields import (
     tensor_covariance_check,
     vector_potential,
 )
-from photonamp.lorentz import AxisAngle
+from photonamp.lorentz import AxisAngle, light_energy
 from photonamp.polarization import polarization_spatial
 from photonamp.quadrature import BoxQuadrature
 from photonamp.verify import run_suite
+from test_amplitudes import _traced_peak
 
 KAPPA = 1.0
 
@@ -470,6 +478,155 @@ class TestNodeCoefficients:
         direct = np.exp(-1j * (np.outer(x[:, 0], omega) - x[:, 1:] @ box.points().T)) @ C
         separable = fields._sum_over_nodes(box, omega, C, x)
         assert np.max(np.abs(separable - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def _whole_box_coefficients(psi, gauge=None, tensor=True):
+    """(omega, C) built over the whole field box at once: the build before slabs."""
+    quad = psi.quad
+    box = BoxQuadrature(quad.center, fields.FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
+    pts = box.points()
+    omega = light_energy(pts)
+    base = fields.PREFACTOR * box.weights() / np.sqrt(omega)
+    C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
+    for lam in HELICITIES:
+        if psi.component(lam) is None:
+            continue
+        eps, eps0 = polarization_spatial(pts, lam), None
+        if gauge is not None:
+            g = np.asarray(gauge(pts), dtype=complex)
+            eps, eps0 = eps + g[:, None] * pts, g * omega
+        c = base * psi.evaluate(lam, pts)
+        if tensor:
+            C[:, :3] += (c * omega)[:, None] * eps
+            if eps0 is not None:
+                C[:, :3] -= (c * eps0)[:, None] * pts
+            k_cross_eps = np.empty_like(eps)
+            k_cross_eps.real = np.cross(pts, eps.real)
+            k_cross_eps.imag = np.cross(pts, eps.imag)
+            C[:, 3:] += c[:, None] * k_cross_eps
+        else:
+            C[:, 1:] += c[:, None] * eps
+            if eps0 is not None:
+                C[:, 0] += c * eps0
+    return omega, C
+
+
+def _two_helicity_packet(npts):
+    plus = gaussian_wavepacket([0.1, -0.2, KAPPA], 0.05, 1, npts=npts)
+    minus = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 0.065, -1, npts=npts)
+    return HelicityAmplitude(
+        plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad
+    )
+
+
+_GAUGE = lambda pts: (0.4 - 1.1j) * np.linalg.norm(pts, axis=-1)  # noqa: E731
+_EVERY_KIND = [
+    TransformOp("boost", {"beta": [0.1, 0.2, 0.5]}),
+    TransformOp("parity", {}),
+    TransformOp("rotate", {"axis": [0.0, 1.0, 0.2], "angle": 0.3}),
+    TransformOp("translate", {"a": [0.3, 1.0, -2.0, 0.5]}),
+    TransformOp("time_reverse", {}),
+]
+
+
+class TestSlabBuild:
+    """The node coefficients built slab by slab are the whole-box build's, bit for bit."""
+
+    # 31 nodes per axis: four planes per slab and a last slab of three
+    @pytest.mark.parametrize("helicity, gauge, tensor, record", [
+        (1, None, True, []),
+        (-1, None, True, []),
+        (1, _GAUGE, True, []),
+        (1, None, False, []),
+        (-1, _GAUGE, False, []),
+        (0, None, True, _EVERY_KIND),
+        (0, _GAUGE, False, _EVERY_KIND),
+    ], ids=["plus", "minus", "gauge", "potential", "potential-gauge", "transformed",
+            "transformed-potential-gauge"])
+    def test_slab_build_matches_the_whole_box_build(self, helicity, gauge, tensor, record):
+        if helicity:
+            psi = gaussian_wavepacket([0.1, -0.2, KAPPA], 0.05, helicity, npts=31)
+        else:
+            psi = replay(_two_helicity_packet(31), record)
+        box, omega, C = fields._node_coefficients(psi, gauge=gauge, tensor=tensor)
+        whole_omega, whole_C = _whole_box_coefficients(psi, gauge=gauge, tensor=tensor)
+        assert len(list(box.slabs())) > 1
+        assert np.array_equal(omega, whole_omega)
+        assert np.array_equal(C, whole_C)
+
+    @pytest.mark.parametrize("t", [0.0, 0.7])
+    def test_fills_match_the_whole_box_formulas(self, t):
+        # the clock applied to a copy of all of C, and the complex fields kept
+        psi = replay(_two_helicity_packet(20), _EVERY_KIND[:3])
+        grid = SpatialGrid.centered(6.0, 11, center=(0.3, -0.2, t))
+        box, omega, C = fields._node_coefficients(psi)
+        clocked = C * np.exp(-1j * omega * t)[:, None]
+        Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
+        n = box.npts
+        fill = [-fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)]
+        # C order, as the complex fields were kept: a trapezoid sum follows the layout
+        Ep, Bp = (np.ascontiguousarray(np.stack(fill[j : j + 3], axis=-1)) for j in (0, 3))
+        got = fields.positive_frequency_grid(psi, grid, t)
+        assert np.array_equal(got[0], Ep) and np.array_equal(got[1], Bp)
+        ftg = field_expectation_grid(psi, grid, t)
+        assert np.array_equal(ftg.E, 2.0 * Ep.real) and np.array_equal(ftg.B, 2.0 * Bp.real)
+        assert sipe_energy_integral(psi, grid, t) == fields._trapezoid_integral(
+            2.0 * np.sum(np.abs(Ep) ** 2, axis=-1), grid
+        )
+        assert np.array_equal(
+            bb_density_grid(psi, grid, t), np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1)
+        )
+
+    def test_poynting_components_are_np_cross(self):
+        rng = np.random.default_rng(23)
+        grid = SpatialGrid.centered(2.0, 9)
+        E, B = rng.normal(size=(2,) + grid.shape + (3,)) * 10.0 ** rng.integers(-6, 6, (2, 9, 9, 9, 3))
+        ftg = FieldTensorGrid(grid, 0.0, E, B)
+        S = np.cross(E, B)
+        assert np.array_equal(ftg.poynting(), S)
+        for i in range(3):
+            assert np.array_equal(fields._cross_component(E, B, i), S[..., i])
+        energy = fields._trapezoid_integral(ftg.energy_density(), grid)
+        flux = [fields._trapezoid_integral(S[..., i], grid) for i in range(3)]
+        assert np.array_equal(energy_momentum_integrals(ftg), [energy, *flux])
+
+    def test_narrowband_grid_from_broadcast_axes_matches_the_meshgrid(self):
+        spec = NarrowbandSpec(KAPPA, 0.05)
+        grid = SpatialGrid.centered(3.0 * spec.sigma_x, 17, center=(0.1, -0.3, 0.4))
+        ftg = narrowband_grid(spec, grid, 0.4, phase_offset=0.3)
+        X, Y, Z = np.meshgrid(*grid.axes(), indexing="ij")
+        E, B = fields._narrowband_EB(spec, X, Y, Z, 0.4, 0.3)
+        assert np.array_equal(ftg.E, E) and np.array_equal(ftg.B, B)
+
+
+class TestGridMemory:
+    """No field path holds a complex copy of the grid or box-sized build temporaries."""
+
+    def test_node_build_temporaries_are_slab_sized(self):
+        # the whole-box build traced about 23 MiB above what it keeps
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        psi.quad
+        peak = _traced_peak(lambda: fields._node_coefficients(psi))
+        _, omega, C = fields._node_coefficients(psi)
+        assert peak - (omega.nbytes + C.nbytes) < 2 * 2**20
+
+    def test_fields_csv_fill_holds_no_complex_field(self):
+        # 66^3: the complex pair alone was 26 MiB, and the fill traced 50.5 MiB;
+        # one complex component is 4.4 MiB, so a second one kept alive fails
+        spec = NarrowbandSpec(3.3, 0.08 * 3.3)
+        psi = gaussian_wavepacket([0.0, 0.0, 3.3], spec.sigma_k, 1)
+        expectation_momentum(psi, warn=False)
+        grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
+        assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 35 * 2**20
+
+    def test_energy_closures_hold_one_complex_component(self):
+        # verify's closure grid, 72^3: the closures traced 57.3 and 51.3 MiB,
+        # and one complex component is 5.7 MiB
+        psi = gaussian_wavepacket([0.0, 0.0, KAPPA], 0.01 * KAPPA, 1)
+        expectation_momentum(psi, warn=False)
+        grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
+        assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 29 * 2**20
+        assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 21 * 2**20
 
 
 class TestVectorPotential:
