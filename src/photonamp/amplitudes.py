@@ -32,7 +32,9 @@ is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its
 weighted value at a carried node is the origin's: the norm is the origin's
 and <k^mu> is Lambda flip(<q^mu>). Only an origin evaluates it, once, by
 slabs of a few x-planes (``BoxQuadrature.slabs``), so no temporary is the
-size of the box. The applied operations are kept as a replayable record.
+size of the box. Per node a slab computes |q| once, each |f_lam(q)|^2 and
+their sum, and w times it; an origin has no Lorentz part, so no ratio is
+applied. The applied operations are kept as a replayable record.
 
 Momenta are (..., 3) arrays that may be column-major views: the box's nodes
 (``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
@@ -53,6 +55,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lorentz import (
+    IDENTITY2,
+    IDENTITY4,
     METRIC,
     AxisAngle,
     azimuth_phase,
@@ -133,8 +137,8 @@ class _Poincare:
     evaluates the element as the module docstring sets out.
     """
 
-    A: np.ndarray = field(default_factory=lambda: np.eye(2, dtype=complex))
-    Lam: np.ndarray = field(default_factory=lambda: np.eye(4))
+    A: np.ndarray = field(default_factory=lambda: IDENTITY2)
+    Lam: np.ndarray = field(default_factory=lambda: IDENTITY4)
     a: np.ndarray = field(default_factory=lambda: np.zeros(4))
     parity: bool = False
     reversal: bool = False
@@ -146,7 +150,7 @@ class _Poincare:
     @cached_property
     def lorentz(self) -> bool:
         """Lambda is not the identity."""
-        return not np.array_equal(self.Lam, np.eye(4))
+        return not np.array_equal(self.Lam, IDENTITY4)
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -178,34 +182,36 @@ class _Poincare:
         raise ValueError(f"unknown transformation kind: {op.kind!r}")
 
     def preimage(self, k: np.ndarray):
-        """(q, |k|, omega'/omega) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``."""
-        return self._through(self._inverse, k)
+        """(q, |k|, omega'/omega or None) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``."""
+        q, ratio = self._through(self._inverse, k, omega := light_energy(k))
+        return q, omega, ratio
 
     def carry(self, q: np.ndarray):
-        """(k, |q|, |k|/|q|) at q (N, 3), for k = Lambda flip(|q|, q): ``preimage``'s inverse."""
+        """(k, |k|/|q| or None) at q (N, 3), for k = Lambda flip(|q|, q): ``preimage``'s inverse."""
         # the flip follows the map, so g Lambda g then g gives Lambda g
-        return self._through(METRIC @ self.Lam @ METRIC if self.flipped else self.Lam, q)
+        M = METRIC @ self.Lam @ METRIC if self.flipped else self.Lam
+        return self._through(M, q, light_energy(q) if self.lorentz else None)
 
-    def _through(self, M: np.ndarray, k: np.ndarray):
-        """(k', |k|, omega'/|k|) for k' the spatial part of M (|k|, k), negated if ``flipped``.
+    def _through(self, M: np.ndarray, k: np.ndarray, omega):
+        """(k', omega'/omega) for k' the spatial part of M (omega, k), negated if ``flipped``.
 
-        By columns (module docstring): the rows of M (|k|, k) fill omega' and
-        a (3, N) buffer, k' is its transpose, and the flip and the ratio are
-        taken in place. Every buffer of a slab (``BoxQuadrature.slabs``) then
-        stays below glibc's 128 KiB mmap threshold.
+        ``omega`` is |k|. With no Lorentz part the ratio is 1, given as None so
+        that no caller multiplies by it. Else by columns (module docstring): the
+        rows of M (omega, k) fill omega' and a (3, N) buffer, k' is its
+        transpose, and the flip and the ratio are taken in place. Every buffer
+        of a slab (``BoxQuadrature.slabs``) then stays below glibc's 128 KiB
+        mmap threshold.
         """
-        omega = light_energy(k)
         if not self.lorentz:
-            return (-k if self.flipped else k), omega, 1.0
-        columns = (k[:, 0], k[:, 1], k[:, 2])
+            return (-k if self.flipped else k), None
         spatial, energy, term = np.empty((3, len(k))), np.empty(len(k)), np.empty(len(k))
         for row, coefficients in zip((energy, *spatial), M):
             np.multiply(coefficients[0], omega, out=row)
-            for c, column in zip(coefficients[1:], columns):
+            for c, column in zip(coefficients[1:], k.T):
                 row += np.multiply(c, column, out=term)
         if self.flipped:
             np.negative(spatial, out=spatial)
-        return spatial.T, omega, np.divide(energy, np.where(omega > 0.0, omega, 1.0), out=energy)
+        return spatial.T, np.divide(energy, np.where(omega > 0.0, omega, 1.0), out=energy)
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
         """Component ``lam`` of the transformed state at ``k``; ``f`` is the origin's feeding it.
@@ -326,9 +332,9 @@ class HelicityAmplitude:
         """(sum_lam |psi_lam|^2, |k|) at momenta (..., 3): (omega'/omega) sum |f(q)|^2."""
         kvec = np.asarray(kvec, dtype=float)
         q, omega, ratio = self._element.preimage(kvec.reshape(-1, 3))
-        terms = (_squared_modulus(f(q)) for f in self._base if f is not None)
+        total = reduce(np.add, (_squared_modulus(f(q)) for f in self._base if f is not None))
         shape = kvec.shape[:-1]
-        return (ratio * sum(terms)).reshape(shape), omega.reshape(shape)
+        return (total if ratio is None else ratio * total).reshape(shape), omega.reshape(shape)
 
     # -- symmetry operations -------------------------------------------------
 
@@ -445,9 +451,9 @@ def _carried_integrals(psi: HelicityAmplitude):
     """
     sums, peaks, boundaries = np.zeros(5), [], []
     for q, w, shell in psi.origin.quad.slabs():
-        k, _, ratio = psi._element.carry(q)
+        k, ratio = psi._element.carry(q)
         density, omega = psi.density(k)
-        w = w * ratio
+        w = w if ratio is None else w * ratio
         weighted = w * density
         sums += [w @ density, *(weighted @ v for v in (omega, *k.T))]
         peaks.append(density.max())
@@ -497,8 +503,8 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
     ]
     total = 0.0 + 0.0j
     for q, w, _ in quad.slabs():
-        k, _, ratio = e1.carry(q)
-        w = w * ratio
+        k, ratio = e1.carry(q)
+        w = w if ratio is None else w * ratio
         for lam in shared:
             total += w @ (np.conj(psi1.evaluate(lam, k)) * psi2.evaluate(lam, k))
     return complex(total)

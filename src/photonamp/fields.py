@@ -491,8 +491,8 @@ def _require_carrier_resolved(grid: SpatialGrid, kappa: float):
 
 
 def _trapezoid_integral(values: np.ndarray, grid: SpatialGrid) -> float:
-    """Trapezoid-rule integral over ``grid`` of ``values`` sampled on its nodes."""
-    return float(np.einsum("xyz,x,y,z->", values, *grid.trapezoid_weights()))
+    """Trapezoid-rule integral of ``values`` on ``grid``'s nodes, summed in C order in any layout."""
+    return float(np.einsum("xyz,x,y,z->", np.ascontiguousarray(values), *grid.trapezoid_weights()))
 
 
 def energy_momentum_integrals(ftg: FieldTensorGrid) -> np.ndarray:

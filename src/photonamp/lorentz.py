@@ -43,6 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+IDENTITY2, IDENTITY3, IDENTITY4 = np.eye(2, dtype=complex), np.eye(3), np.eye(4)
+for _eye in (IDENTITY2, IDENTITY3, IDENTITY4):
+    _eye.setflags(write=False)  # shared by every call
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -100,7 +103,7 @@ def _apply(M, v) -> np.ndarray:
 
 def _identity(shape) -> np.ndarray:
     """A writable stack of 4x4 identities."""
-    return np.broadcast_to(np.eye(4), tuple(shape) + (4, 4)).copy()
+    return np.broadcast_to(IDENTITY4, tuple(shape) + (4, 4)).copy()
 
 
 def _transpose(L) -> np.ndarray:
@@ -186,7 +189,7 @@ def rotation3(r: AxisAngle) -> np.ndarray:
     zero = np.zeros_like(x)
     cross = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
     cross = cross.reshape(n.shape[:-1] + (3, 3))
-    return c * np.eye(3) + s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
+    return c * IDENTITY3 + s * cross + (1.0 - c) * (n[..., :, None] * n[..., None, :])
 
 
 def rotation_matrix(r: AxisAngle) -> np.ndarray:
@@ -221,7 +224,7 @@ def boost_matrix(beta) -> np.ndarray:
     out[..., 0, 1:] = out[..., 1:, 0] = gamma[..., None] * beta
     scale = (gamma - 1.0) / np.where(rest, 1.0, b2)
     out[..., 1:, 1:] += scale[..., None, None] * (beta[..., :, None] * beta[..., None, :])
-    return np.where(rest[..., None, None], np.eye(4), out)
+    return np.where(rest[..., None, None], IDENTITY4, out)
 
 
 def rapidity_from_beta(beta) -> np.ndarray:
@@ -336,7 +339,7 @@ def su2_matrix(r: AxisAngle) -> np.ndarray:
     """Spin-1/2 rotation matrix exp(-i angle (axis . sigma)/2), Condon-Shortley basis."""
     half = 0.5 * np.asarray(r.angle)
     c, s = np.cos(half)[..., None, None], np.sin(half)[..., None, None]
-    return c * np.eye(2, dtype=complex) - 1j * s * _sigma_dot(r.axis)
+    return c * IDENTITY2 - 1j * s * _sigma_dot(r.axis)
 
 
 def sl2c_boost(zeta) -> np.ndarray:
@@ -344,7 +347,7 @@ def sl2c_boost(zeta) -> np.ndarray:
     zeta = np.asarray(zeta, dtype=float)
     z = _norm(zeta)
     ch, sh = np.cosh(0.5 * z)[..., None, None], np.sinh(0.5 * z)[..., None, None]
-    return ch * np.eye(2, dtype=complex) + sh * _sigma_dot(zeta / np.where(z == 0.0, 1.0, z)[..., None])
+    return ch * IDENTITY2 + sh * _sigma_dot(zeta / np.where(z == 0.0, 1.0, z)[..., None])
 
 
 def compose_axis_angle(r1: AxisAngle, r2: AxisAngle) -> AxisAngle:
@@ -387,7 +390,7 @@ def is_rotation(L):
         & np.all(np.abs(L[..., 1:, 0]) <= _TOL, axis=-1)
     )
     R = L[..., 1:, 1:]
-    orthogonal = np.max(np.abs(_transpose(R) @ R - np.eye(3)), axis=(-2, -1)) <= _TOL
+    orthogonal = np.max(np.abs(_transpose(R) @ R - IDENTITY3), axis=(-2, -1)) <= _TOL
     unit_det = np.abs(np.linalg.det(R) - 1.0) <= 10 * _TOL
     return _unstack(time_ok & orthogonal & unit_det)
 

@@ -16,11 +16,11 @@ def _leggauss(n: int):
     return x, w
 
 
-#: Nodes per block of ``BoxQuadrature.slabs``: two planes of a 48^3 box. A
-#: (3, N) float buffer of a block then stays below glibc's 128 KiB mmap
-#: threshold, so a density pass does not map fresh pages for every slab. It
-#: also sets the block of the field node build (``fields._node_coefficients``),
-#: whose (N, 3) complex polarization temporaries are twice that size.
+#: Nodes per block of ``BoxQuadrature.slabs``: two planes of a 48^3 box. The
+#: block's (3, N) nodes, and each per-node array an origin's density pass makes
+#: once (|q|, the density, w and w times it), stay below glibc's 128 KiB mmap
+#: threshold. It also sets the block of the field node build
+#: (``fields._node_coefficients``), whose complex temporaries are twice that.
 _SLAB_NODES = 4608
 
 
@@ -82,14 +82,15 @@ class BoxQuadrature:
         (x, y, z), (wx, wy, wz) = self.axes(), self.axis_weights()
         edge = np.zeros(n, dtype=bool)
         edge[[0, -1]] = True
+        # once per box: the x-y weights, keeping (wx wy) wz, and an inner plane's shell
+        wxy, face = wx[:, None] * wy, edge[:, None] | edge
         step = max(1, _SLAB_NODES // (n * n))
         for start in range(0, n, step):
             planes = slice(start, start + step)
-            m = x[planes].size
-            columns = np.empty((3, m, n, n))
+            columns = np.empty((3, x[planes].size, n, n))
             columns[0], columns[1], columns[2] = x[planes, None, None], y[:, None], z
-            w = wx[planes, None, None] * wy[:, None] * wz
-            shell = edge[planes, None, None] | edge[:, None] | edge
+            w = wxy[planes, :, None] * wz
+            shell = edge[planes, None, None] | face
             yield columns.reshape(3, -1).T, w.reshape(-1), shell.reshape(-1)
 
     def same_box(self, other: "BoxQuadrature") -> bool:

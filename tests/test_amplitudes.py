@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonamp import amplitudes
+from photonamp import amplitudes, quadrature
 from photonamp.amplitudes import (
     HELICITIES,
     HelicityAmplitude,
@@ -29,6 +29,7 @@ from photonamp.lorentz import (
     azimuth_phase,
     boost_matrix,
     four_momentum,
+    light_energy,
     lorentz_inverse,
     rapidity_from_beta,
     rotation3,
@@ -700,8 +701,9 @@ class TestDensityPass:
 
 def carried_nodes(amp):
     """The origin's nodes carried forward by the amplitude's element, and their weights."""
-    k, _, ratio = amp._element.carry(amp.origin.quad.points())
-    return k, amp.origin.quad.weights() * ratio
+    k, ratio = amp._element.carry(amp.origin.quad.points())
+    w = amp.origin.quad.weights()
+    return k, w if ratio is None else w * ratio
 
 
 # -- the quadrature box, sized once from the origin through the element --------
@@ -898,6 +900,68 @@ class TestSlabs:
             whole = amp.evaluate(lam, quad.points())
             slabs = np.concatenate([amp.evaluate(lam, k) for k, _, _ in quad.slabs()])
             assert np.array_equal(whole, slabs)
+
+
+def _whole_box_integrals(origin):
+    """An origin's (norm, <k^mu>, peak, boundary) from whole-box node arrays.
+
+    Only the dot products are summed block by block, in the slabs' blocks of
+    x-planes, so the result can be compared bit for bit with the density pass.
+    """
+    quad = origin.quad
+    n = quad.npts
+    pts, w = quad.points(), quad.weights()
+    callables = [f for f in (origin.psi_plus, origin.psi_minus) if f is not None]
+    density = sum(np.abs(f(pts)) ** 2 for f in callables)
+    omega = np.linalg.norm(pts, axis=-1)
+    block = max(1, quadrature._SLAB_NODES // n**2) * n**2
+    sums = np.zeros(5)
+    for start in range(0, n**3, block):
+        rows = slice(start, start + block)
+        weighted = w[rows] * density[rows]
+        sums += [w[rows] @ density[rows], weighted @ omega[rows],
+                 *(weighted @ pts[rows, i] for i in range(3))]
+    boundary = density[_shell_mask(n)].max()
+    return float(sums[0]), sums[1:], float(density.max()), float(boundary)
+
+
+def _origin(helicities, npts):
+    """An origin with one callable, or with two of different centre, width and phase."""
+    plus = gaussian_wavepacket([0.3, -0.2, KAPPA], SIGMA, 1, npts=npts)
+    if helicities == 1:
+        return plus
+    minus = gaussian_wavepacket([0.34, -0.23, 0.95 * KAPPA], 1.3 * SIGMA, -1)
+    return HelicityAmplitude(plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad)
+
+
+class TestOriginPass:
+    """An origin's density pass computes each node quantity once and keeps its bits."""
+
+    @pytest.mark.parametrize("npts", [2, 5, 47, 48, 49])
+    @pytest.mark.parametrize("helicities", [1, 2])
+    def test_origin_pass_keeps_the_whole_box_bits(self, npts, helicities):
+        origin = _origin(helicities, npts)
+        norm, momentum, peak, boundary = amplitudes._carried_integrals(origin)
+        ref_norm, ref_momentum, ref_peak, ref_boundary = _whole_box_integrals(origin)
+        assert norm == ref_norm
+        assert np.array_equal(momentum, ref_momentum)
+        assert peak == ref_peak and boundary == ref_boundary
+
+    def test_origin_pass_computes_each_node_energy_once(self, monkeypatch):
+        nodes = []
+
+        def counted(k):
+            nodes.append(np.asarray(k)[..., 0].size)
+            return light_energy(k)
+
+        monkeypatch.setattr(amplitudes, "light_energy", counted)
+        origin = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1)
+        norm_squared(origin, warn=False)
+        assert sum(nodes) == origin.quad.npts**3
+        # a Lorentz element still needs |q| to carry a node and |k| for its preimage
+        nodes.clear()
+        amplitudes._carried_integrals(origin.boost([0.0, 0.1, -0.6]).parity())
+        assert sum(nodes) == 2 * origin.quad.npts**3
 
 
 class TestQuadratureBox:

@@ -241,6 +241,16 @@ class TestConservationIntegrals:
         ftg = FieldTensorGrid(grid, 0.0, np.zeros(shape), np.zeros(shape))
         assert_allclose(energy_momentum_integrals(ftg), np.zeros(4), atol=0)
 
+    def test_integrals_keep_their_bits_in_any_field_layout(self):
+        # einsum sums in memory order: Fortran-ordered fields must not round otherwise
+        rng = np.random.default_rng(31)
+        grid = SpatialGrid.centered(2.0, 11)
+        E, B = rng.normal(size=(2,) + grid.shape + (3,))
+        c_order = FieldTensorGrid(grid, 0.0, E, B)
+        f_order = FieldTensorGrid(grid, 0.0, np.asfortranarray(E), np.asfortranarray(B))
+        assert f_order.E.flags.f_contiguous and not f_order.E.flags.c_contiguous
+        assert np.array_equal(energy_momentum_integrals(f_order), energy_momentum_integrals(c_order))
+
     @staticmethod
     def _resolved_grid(spec, center=(0.0, 0.0, 0.0)):
         limit = (2 * math.pi / KAPPA) / 8
