@@ -23,18 +23,19 @@ k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
 ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
 p, all conjugated for lam = -1, and e^{i k.a}.
 
-Observables use one rule per packet, the origin's Gauss-Legendre box: as
-d^3k/omega is Lorentz invariant and P and T keep it, the origin's nodes q
-carried to k = Lambda flip(|q|, q), flip negating q if exactly one bit is
-set, with weights w |k|/|q| (``_Poincare.carry``) are an exact change of
-variables, whatever the element. Every phase has modulus one, so the density
-is (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its
-weighted value at a carried node is the origin's: the norm is the origin's
-and <k^mu> is Lambda flip(<q^mu>). Only an origin evaluates it, once, by
-slabs of a few x-planes (``BoxQuadrature.slabs``), so no temporary is the
-size of the box. Per node a slab computes |q| once, each |f_lam(q)|^2 and
-their sum, and w times it; an origin has no Lorentz part, so no ratio is
-applied. The applied operations are kept as a replayable record.
+Observables and fields (:mod:`photonamp.fields`) use one rule per packet,
+the origin's Gauss-Legendre box (``quad``): as d^3k/omega is Lorentz
+invariant and P and T keep it, the origin's nodes q carried to
+k = Lambda flip(|q|, q), flip negating q if exactly one bit is set, with
+weights w |k|/|q| (``_Poincare.carried``) are an exact change of variables,
+whatever the element. Every phase has modulus one, so the density is
+(omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its weighted
+value at a carried node is the origin's: the norm is the origin's and <k^mu>
+is Lambda flip(<q^mu>). Only an origin evaluates it, once, by slabs of a few
+x-planes (``BoxQuadrature.slabs``), so no temporary is the size of the box.
+Per node a slab computes |q| once, each |f_lam(q)|^2 and their sum, and w
+times it; an origin has no Lorentz part, so no ratio is applied. The applied
+operations are kept as a replayable record.
 
 Momenta are (..., 3) arrays that may be column-major views: the box's nodes
 (``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
@@ -61,7 +62,6 @@ from .lorentz import (
     AxisAngle,
     azimuth_phase,
     boost_matrix,
-    four_momentum,
     light_energy,
     lorentz_inverse,
     rapidity_from_beta,
@@ -69,7 +69,7 @@ from .lorentz import (
     sl2c_boost,
     su2_matrix,
 )
-from .quadrature import BoxQuadrature, mapped_box, union_box
+from .quadrature import BoxQuadrature, union_box
 from .wigner import half_phase
 
 HELICITIES = (1, -1)
@@ -192,6 +192,17 @@ class _Poincare:
         M = METRIC @ self.Lam @ METRIC if self.flipped else self.Lam
         return self._through(M, q, light_energy(q) if self.lorentz else None)
 
+    def origin_point(self, x: np.ndarray) -> np.ndarray:
+        """(y^0, s y) at spacetime points x (N, 4), for y = Lambda^{-1} x and s = -1 if ``flipped``.
+
+        k.x = (|q|, q).(y^0, s y) for k carried from q. By columns, as in ``_through``.
+        """
+        if not (self.lorentz or self.flipped):
+            return x
+        t, x1, x2, x3 = x.T
+        M = METRIC @ self._inverse if self.flipped else self._inverse
+        return np.stack([a * t + b * x1 + c * x2 + d * x3 for a, b, c, d in M], axis=-1)
+
     def _through(self, M: np.ndarray, k: np.ndarray, omega):
         """(k', omega'/omega) for k' the spatial part of M (omega, k), negated if ``flipped``.
 
@@ -243,17 +254,11 @@ class _Poincare:
             value = np.multiply(value, np.exp(1j * (omega * t - k_dot_a)))
         return np.multiply(value, factor if lam == 1 else np.conj(factor))
 
-    def box(self, quad: BoxQuadrature) -> BoxQuadrature:
-        """The origin's box ``quad`` carried through the whole element at once.
-
-        Flipped through zero if ``flipped``, then, if ``lorentz``, the padded
-        bounding box of its image under k -> Lambda k on the light cone.
-        """
-        if self.flipped:
-            quad = BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-        if not self.lorentz:
-            return quad
-        return mapped_box(quad, lambda pts: (four_momentum(pts) @ self.Lam.T)[..., 1:])
+    def carried(self, quad: BoxQuadrature):
+        """(q, k, w, shell) per slab of ``quad``: nodes q, carried to k, weights times |k|/|q|."""
+        for q, w, shell in quad.slabs():
+            k, ratio = self.carry(q)
+            yield q, k, (w if ratio is None else w * ratio), shell
 
 
 class HelicityAmplitude:
@@ -274,7 +279,7 @@ class HelicityAmplitude:
         self,
         psi_plus: Optional[Callable],
         psi_minus: Optional[Callable],
-        quad: BoxQuadrature,
+        quad: Optional[BoxQuadrature],
         record: tuple = (),
         origin: "HelicityAmplitude | None" = None,
     ):
@@ -282,7 +287,7 @@ class HelicityAmplitude:
             raise ValueError("at least one helicity component must be present")
         self._base = (psi_plus, psi_minus)
         self._element = _Poincare()
-        self._quad = quad
+        self._quad = quad  # None for a record: ``quad`` is its origin's
         self.record = tuple(record)
         # None for an origin: a reference to itself would free it only by the cyclic GC
         self._origin = origin
@@ -296,10 +301,8 @@ class HelicityAmplitude:
 
     @property
     def quad(self) -> BoxQuadrature:
-        """The fields' box, the origin's through the element (``_Poincare.box``): lazily sized."""
-        if self._quad is None:
-            self._quad = self._element.box(self.origin._quad)
-        return self._quad
+        """The origin's box, for every record: observables and fields sum on its nodes, carried."""
+        return self.origin._quad
 
     psi_plus = property(lambda self: self.component(1))
     psi_minus = property(lambda self: self.component(-1))
@@ -359,9 +362,7 @@ class HelicityAmplitude:
         return self.apply(TransformOp("time_reverse", {}))
 
     def apply(self, op: TransformOp) -> "HelicityAmplitude":
-        # a translation leaves Lambda, P and T, and so the box, as they are
-        quad = self._quad if op.kind == "translate" else None
-        out = HelicityAmplitude(*self._base, quad, self.record + (op,), self.origin)
+        out = HelicityAmplitude(*self._base, None, self.record + (op,), self.origin)
         out._element = self._element.then(op)
         return out
 
@@ -450,10 +451,8 @@ def _carried_integrals(psi: HelicityAmplitude):
     it checks the origin's integrals carried in closed form.
     """
     sums, peaks, boundaries = np.zeros(5), [], []
-    for q, w, shell in psi.origin.quad.slabs():
-        k, ratio = psi._element.carry(q)
+    for _, k, w, shell in psi._element.carried(psi.quad):
         density, omega = psi.density(k)
-        w = w if ratio is None else w * ratio
         weighted = w * density
         sums += [w @ density, *(weighted @ v for v in (omega, *k.T))]
         peaks.append(density.max())
@@ -494,7 +493,7 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
     union where the two elements share Lambda and the flip.
     """
     e1, e2 = psi1._element, psi2._element
-    quad, other = psi1.origin.quad, psi2.origin.quad
+    quad, other = psi1.quad, psi2.quad
     if e1.flipped == e2.flipped and np.array_equal(e1.Lam, e2.Lam) and not quad.same_box(other):
         quad = union_box(quad, other)
     shared = [
@@ -502,9 +501,7 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
         if psi1.component(lam) is not None and psi2.component(lam) is not None
     ]
     total = 0.0 + 0.0j
-    for q, w, _ in quad.slabs():
-        k, ratio = e1.carry(q)
-        w = w if ratio is None else w * ratio
+    for _, k, w, _ in e1.carried(quad):
         for lam in shared:
             total += w @ (np.conj(psi1.evaluate(lam, k)) * psi2.evaluate(lam, k))
     return complex(total)

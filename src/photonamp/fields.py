@@ -20,20 +20,20 @@ order in sigma_k/kappa and valid for |t| well inside (kappa/sigma_k) sigma_x.
 Every field observable starts from one set of spacetime-independent node
 coefficients: per momentum node, the six components of the antisymmetric
 coefficient (or, for the potential, the polarization vector itself) weighted
-by the amplitude and the quadrature. They are built once per amplitude and
-form, and kept on it. Pointwise functions accept one spacetime point or an
-array of them and sum those coefficients against a phase that is separable on
-the tensor-product Gauss-Legendre box: e^{i k.x} is the outer product of three
-one-axis exponentials, and e^{-i omega t} is formed once per distinct time.
-Grid fills exploit the tensor-product structure of both the momentum box and
-the Cartesian spatial grid, reducing the Fourier sum to three small tensor
-contractions per field component. They contract one component at a time, so
-a fill on an n^3 grid holds the real fields (or the one real density summed
-from them), the node coefficients, which are built slab by slab of the field
-box, and one complex (n, n, n) component with its contraction's temporaries:
-no complex copy of the fields or of the coefficients. The narrowband
-conservation integrals factorize over the three axes and are summed in
-separable form.
+by the amplitude and the quadrature, built slab by slab once per amplitude and
+form, and kept on it. The nodes are the origin's field box carried forward by
+the element, as for every observable (:mod:`photonamp.amplitudes`). For k
+carried from q, k.x = (|q|, q).y at y = (y^0, s y), y = Lambda^{-1} x and
+s = -1 if exactly one of P and T is set, so pointwise sums take a phase that
+is separable on the origin's Gauss-Legendre box: e^{i q.y} is the outer
+product of three one-axis exponentials, and e^{-i |q| y^0} is formed once per
+distinct time. Grid fills reduce the Fourier sum to three small tensor
+contractions per field component, one component at a time, so a fill on an
+n^3 grid holds the real fields (or the one real density summed from them),
+the node coefficients and one complex (n, n, n) component with its
+contraction's temporaries. A rotated or boosted packet's grid is not
+separable and is refused. The narrowband conservation integrals factorize
+over the three axes and are summed in separable form.
 
 Everything is in natural units; only ``localization_scale`` and the CLI
 convert to laboratory units via hbar*c.
@@ -196,35 +196,35 @@ def _cross_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
 def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     """Spacetime-independent node coefficients of the positive-frequency momentum integral.
 
-    Returns ``(box, omega, C)`` on the field box. Row n of ``C`` holds
-    PREFACTOR w_n / sqrt(omega_n) sum_lam psi_lam(k_n) times, with ``tensor``,
-    the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}) of
-    k^mu eps^nu - k^nu eps^mu, or otherwise the four components of eps^mu.
-    The e^{-i omega_n t} factor is left to the sums. ``gauge`` shifts every eps
-    by gauge(k) k before either is formed.
+    Returns ``(box, omega, C)``, ``box`` the origin's field box, whose nodes q
+    are carried to k (``_Poincare.carried``). Row n of ``C`` holds
+    PREFACTOR w_n / sqrt(|k_n|) sum_lam psi_lam(k_n), w_n carried, times, with
+    ``tensor``, the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12})
+    of k^mu eps^nu - k^nu eps^mu, or otherwise the four components of eps^mu.
+    ``omega`` is |q_n|: the sums take the phase e^{-i k.x} on ``box``'s axes
+    (``_sum_over_nodes``). ``gauge`` shifts every eps by gauge(k) k.
 
-    Built slab by slab (``BoxQuadrature.slabs``): each slab's rows of ``omega``
-    and ``C`` are written in place, and every temporary is the size of a slab.
-    A row's bits do not depend on the rows beside it, so ``C`` is the
-    whole-box build's.
+    Built slab by slab: each slab's rows of ``omega`` and ``C`` are written in
+    place, and every temporary is the size of a slab. A row's bits do not
+    depend on the rows beside it, so ``C`` is the whole-box build's.
 
     Without a gauge the arrays are kept on the amplitude, one entry per form,
     and are read-only: later calls return the same arrays.
     """
     if gauge is None and tensor in psi._nodes:
         return psi._nodes[tensor]
-    box = BoxQuadrature(
-        psi.quad.center, FIELD_BOX_SCALE * psi.quad.halfwidth, psi.quad.npts
-    )
+    quad, element = psi.quad, psi._element
+    box = BoxQuadrature(quad.center, FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
     omega = np.empty(box.npts**3)
     C = np.zeros((len(omega), 6 if tensor else 4), dtype=complex)
     helicities = [lam for lam in HELICITIES if psi.component(lam) is not None]
     start = 0
-    for pts, w, _ in box.slabs():
+    for q, pts, w, _ in element.carried(box):
         rows = slice(start, start + len(pts))
         start = rows.stop
-        om, Cs = omega[rows], C[rows]
-        om[:] = light_energy(pts)
+        Cs = C[rows]
+        omega[rows] = light_energy(q)
+        om = light_energy(pts) if element.lorentz else omega[rows]
         base = PREFACTOR * w / np.sqrt(om)
         for lam in helicities:
             eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
@@ -256,19 +256,21 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     return box, omega, C
 
 
-def _sum_over_nodes(box: BoxQuadrature, omega, C, x) -> np.ndarray:
-    """sum_n exp(-i(omega_n t - k_n.x)) C_n at every spacetime point of ``x``.
+def _sum_over_nodes(psi: HelicityAmplitude, x, gauge=None, tensor: bool = True) -> np.ndarray:
+    """sum_n e^{-i k_n.x} C_n over ``psi``'s node coefficients at every spacetime point of ``x``.
 
     ``x`` has shape (4,) or (..., 4); the result has shape (..., C.shape[1]).
     Points go through in blocks of POINT_BLOCK, one phase-matrix product each.
-    Rows of ``C`` are the nodes of ``box`` in its flatten order, so e^{i k.x}
-    is the outer product of one exponential per axis of ``box``; e^{-i omega t}
-    is formed once for each distinct t, and kept from one block to the next.
+    k_n.x is (|q_n|, q_n).y at y = ``_Poincare.origin_point(x)``, x itself for
+    an untransformed packet, so e^{i q.y} is the outer product of one
+    exponential per axis of the origin's box, and e^{-i omega y^0} is formed
+    once for each distinct y^0, kept between blocks.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (4,):
         raise ValueError(f"spacetime points need a last axis of length 4, got {x.shape}")
-    flat = x.reshape(-1, 4)
+    box, omega, C = _node_coefficients(psi, gauge, tensor)
+    flat = psi._element.origin_point(x.reshape(-1, 4))
     axes = box.axes()
     out = np.empty((len(flat), C.shape[1]), dtype=complex)
     clocks = {}
@@ -304,7 +306,7 @@ def positive_frequency_field(psi: HelicityAmplitude, x, gauge=None) -> np.ndarra
     polarization vector by f(k) k; observables built from the antisymmetric
     coefficient are unchanged by it.
     """
-    comps = _sum_over_nodes(*_node_coefficients(psi, gauge), x)
+    comps = _sum_over_nodes(psi, x, gauge)
     S = np.zeros(comps.shape[:-1] + (4, 4), dtype=complex)
     S[..., _MU, _NU] = comps
     S[..., _NU, _MU] = -comps
@@ -341,7 +343,7 @@ def vector_potential(psi: HelicityAmplitude, x, gauge=None) -> np.ndarray:
     gauge the time component vanishes. Gauge shifts move the potential but not
     the reconstructed field strengths.
     """
-    return 2j * _sum_over_nodes(*_node_coefficients(psi, gauge, tensor=False), x)
+    return 2j * _sum_over_nodes(psi, x, gauge, tensor=False)
 
 
 # -- tensor-product grid fills -------------------------------------------------
@@ -364,9 +366,13 @@ def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, compon
     component are live at once, if the caller drops each component before it
     asks for the next: no loop helper such as zip or enumerate may hold it.
     """
+    element = psi._element
+    if element.lorentz:
+        raise ValueError("a rotated or boosted packet has no separable grid fill; evaluate it "
+                         "pointwise with field_expectation_exact or positive_frequency_field")
     box, omega, C = _node_coefficients(psi)
-    nq = box.npts
-    Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
+    nq, s = box.npts, -1.0 if element.flipped else 1.0  # k.x = q.(s x): module docstring
+    Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
     clock = np.exp(-1j * omega * t) if t != 0.0 else None
     for i in components:
         column = C[:, i] if clock is None else C[:, i] * clock  # the kept C has no clock
@@ -615,17 +621,13 @@ def tensor_covariance_check(
     """Relative mismatch between transformed-state fields and tensor-mapped fields.
 
     Evaluates <F> of the boosted/rotated amplitude at ``x`` against
-    L <F(L^{-1} x)> L^T of the original; local tensor covariance makes the two
-    agree to quadrature accuracy.
+    L <F(L^{-1} x)> L^T of the original. Both sum on the original's nodes, one
+    side carried with the Wigner phases and eps(k), so they agree to rounding.
     """
     if (beta is None) == (rotation is None):
         raise ValueError("specify exactly one of beta or rotation")
-    if beta is not None:
-        L = boost_matrix(beta)
-        transformed = psi.boost(beta)
-    else:
-        L = rotation_matrix(rotation)
-        transformed = psi.rotate(rotation)
+    L = boost_matrix(beta) if rotation is None else rotation_matrix(rotation)
+    transformed = psi.boost(beta) if rotation is None else psi.rotate(rotation)
     x = np.asarray(x, dtype=float).reshape(4)
     F1 = field_expectation_exact(transformed, x)
     F2 = L @ field_expectation_exact(psi, lorentz_inverse(L) @ x) @ L.T

@@ -36,7 +36,7 @@ from photonamp.lorentz import (
     rotation_matrix,
     su2_matrix,
 )
-from photonamp.quadrature import BoxQuadrature, mapped_box
+from photonamp.quadrature import BoxQuadrature
 from photonamp.wigner import boost_half_phase, half_phase, rotation_half_phase
 
 KAPPA = 1.0
@@ -126,7 +126,7 @@ class TestTransformations:
         flipped = packet.parity()
         assert flipped.psi_plus is None
         assert flipped.psi_minus is not None
-        assert_allclose(flipped.quad.center, -packet.quad.center)
+        assert flipped.quad is packet.quad
 
     def test_double_time_reversal_is_identity(self, packet):
         rng = np.random.default_rng(3)
@@ -706,24 +706,7 @@ def carried_nodes(amp):
     return k, w if ratio is None else w * ratio
 
 
-# -- the quadrature box, sized once from the origin through the element --------
-
-
-def _carried_box(quad, op):
-    """The box after ``op`` as the padded image of the previous box, op by op.
-
-    The library no longer carries the box this way; for a single op it must
-    give the same box bit for bit.
-    """
-    if op.kind == "rotate":
-        R3 = rotation3(AxisAngle(np.array(op.params["axis"]), op.params["angle"]))
-        return mapped_box(quad, lambda pts: pts @ R3.T)
-    if op.kind == "boost":
-        B = boost_matrix(np.asarray(op.params["beta"], dtype=float))
-        return mapped_box(quad, lambda pts: (four_momentum(pts) @ B.T)[..., 1:])
-    if op.kind in ("parity", "time_reverse"):
-        return BoxQuadrature(-quad.center, quad.halfwidth, quad.npts)
-    return quad
+# -- the quadrature box, the origin's for every record -------------------------
 
 
 def generic_op(rng, kind) -> TransformOp:
@@ -835,7 +818,6 @@ class TestColumnLayout:
         record = [TransformOp("boost", {"beta": [0.0, 0.1, -0.6]}), TransformOp("parity", {}),
                   TransformOp("rotate", {"axis": [1.0, 0.0, 0.3], "angle": -0.7})]
         amp = replay(packet, record)
-        amp.quad  # sized before the trace starts
         assert _traced_peak(lambda: expectation_momentum(amp, warn=False)) < 2.5e6
 
     def test_inner_product_allocates_no_box_sized_array(self, packet):
@@ -985,42 +967,12 @@ class TestQuadratureBox:
             assert np.max(np.abs(expectation_momentum(amp) - mapped)) <= 1e-9, f"{length} ops"
 
     def test_each_box_is_the_origin_box_through_its_element(self, packet):
-        # a translation keeps the box it is given rather than recomputing it
+        # the element carries the origin box's nodes; no record has a box of its own
         rng = np.random.default_rng(500)
         amp = packet
         for _ in range(24):
             amp = amp.apply(generic_op(rng, rng.choice(KINDS)))
-            box = amp._element.box(packet.quad)
-            assert np.array_equal(amp.quad.center, box.center)
-            assert np.array_equal(amp.quad.halfwidth, box.halfwidth)
-
-    def test_box_is_sized_at_the_first_observable(self, packet, monkeypatch):
-        calls = []
-
-        def counted(box, point_map):
-            calls.append(1)
-            return mapped_box(box, point_map)
-
-        monkeypatch.setattr(amplitudes, "mapped_box", counted)
-        amp = replay(packet, mixed_record(np.random.default_rng(600), 32))
-        assert calls == []
-        norm_squared(amp, warn=False)
-        expectation_momentum(amp, warn=False)
-        assert amp.quad is amp.quad
-        assert len(calls) == 1
-
-    @pytest.mark.parametrize("kinds", [*((k,) for k in KINDS), ("parity", "rotate")])
-    def test_single_op_box_equals_the_carried_box(self, kinds):
-        rng = np.random.default_rng(400)
-        for _ in range(50):
-            kappa = rng.normal(size=3)
-            origin = gaussian_wavepacket(kappa, rng.uniform(0.02, 0.2) * np.linalg.norm(kappa), 1)
-            amp, carried = origin, origin.quad
-            for kind in kinds:
-                op = generic_op(rng, kind)
-                amp, carried = amp.apply(op), _carried_box(carried, op)
-            assert np.array_equal(amp.quad.center, carried.center)
-            assert np.array_equal(amp.quad.halfwidth, carried.halfwidth)
+            assert amp.quad is packet.quad
 
 
 README_OPS = [

@@ -41,7 +41,7 @@ from photonamp.fields import (
     tensor_covariance_check,
     vector_potential,
 )
-from photonamp.lorentz import AxisAngle, light_energy
+from photonamp.lorentz import METRIC, AxisAngle, light_energy
 from photonamp.polarization import polarization_spatial
 from photonamp.quadrature import BoxQuadrature
 from photonamp.verify import run_suite
@@ -310,8 +310,8 @@ class TestMaxwellResiduals:
 
 class TestLocalCovariance:
     def test_identity(self, packet):
-        # a zero boost fuses to the identity element, which keeps the origin's
-        # quadrature box, so both sides integrate on the same nodes
+        # every element sums on the origin's nodes carried forward; a zero boost
+        # fuses to the identity, which carries each node to itself
         assert tensor_covariance_check(packet, [0.1, 1, 0, 2], beta=[0, 0, 0]) <= 1e-10
 
     def test_rotation(self, packet):
@@ -486,17 +486,23 @@ class TestNodeCoefficients:
         x[1::2, 1:] = away * (radii / np.linalg.norm(away, axis=1))[:, None]
         box, omega, C = fields._node_coefficients(packet)
         direct = np.exp(-1j * (np.outer(x[:, 0], omega) - x[:, 1:] @ box.points().T)) @ C
-        separable = fields._sum_over_nodes(box, omega, C, x)
+        separable = fields._sum_over_nodes(packet, x)
         assert np.max(np.abs(separable - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def _whole_box_coefficients(psi, gauge=None, tensor=True):
-    """(omega, C) built over the whole field box at once: the build before slabs."""
+    """(omega, C) built over the whole field box at once: the build before slabs.
+
+    The origin's field box, its nodes q carried forward and its weights times
+    |k|/|q| as ``carried_nodes`` does; ``omega`` is |q|, and each row is built
+    at k with |k|.
+    """
     quad = psi.quad
     box = BoxQuadrature(quad.center, fields.FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
-    pts = box.points()
-    omega = light_energy(pts)
-    base = fields.PREFACTOR * box.weights() / np.sqrt(omega)
+    pts, ratio = psi._element.carry(box.points())
+    w = box.weights() if ratio is None else box.weights() * ratio
+    omega, omega_k = light_energy(box.points()), light_energy(pts)
+    base = fields.PREFACTOR * w / np.sqrt(omega_k)
     C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
     for lam in HELICITIES:
         if psi.component(lam) is None:
@@ -504,10 +510,10 @@ def _whole_box_coefficients(psi, gauge=None, tensor=True):
         eps, eps0 = polarization_spatial(pts, lam), None
         if gauge is not None:
             g = np.asarray(gauge(pts), dtype=complex)
-            eps, eps0 = eps + g[:, None] * pts, g * omega
+            eps, eps0 = eps + g[:, None] * pts, g * omega_k
         c = base * psi.evaluate(lam, pts)
         if tensor:
-            C[:, :3] += (c * omega)[:, None] * eps
+            C[:, :3] += (c * omega_k)[:, None] * eps
             if eps0 is not None:
                 C[:, :3] -= (c * eps0)[:, None] * pts
             k_cross_eps = np.empty_like(eps)
@@ -566,12 +572,13 @@ class TestSlabBuild:
 
     @pytest.mark.parametrize("t", [0.0, 0.7])
     def test_fills_match_the_whole_box_formulas(self, t):
-        # the clock applied to a copy of all of C, and the complex fields kept
-        psi = replay(_two_helicity_packet(20), _EVERY_KIND[:3])
+        # the clock applied to a copy of all of C, and the complex fields kept; a
+        # parity and a translation have no Lorentz part, and the flip negates the grid
+        psi = replay(_two_helicity_packet(20), _EVERY_KIND[1::2])
         grid = SpatialGrid.centered(6.0, 11, center=(0.3, -0.2, t))
         box, omega, C = fields._node_coefficients(psi)
         clocked = C * np.exp(-1j * omega * t)[:, None]
-        Ax, Ay, Az = (np.exp(1j * np.outer(k, g)) for k, g in zip(box.axes(), grid.axes()))
+        Ax, Ay, Az = (np.exp(1j * np.outer(k, -g)) for k, g in zip(box.axes(), grid.axes()))
         n = box.npts
         fill = [-fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)]
         # C order, as the complex fields were kept: a trapezoid sum follows the layout
@@ -607,6 +614,98 @@ class TestSlabBuild:
         X, Y, Z = np.meshgrid(*grid.axes(), indexing="ij")
         E, B = fields._narrowband_EB(spec, X, Y, Z, 0.4, 0.3)
         assert np.array_equal(ftg.E, E) and np.array_equal(ftg.B, B)
+
+
+def _field_points(n, seed):
+    """n spacetime points about the packets' path: |t| < 2, x within a few units."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(scale=3.0, size=(n, 4))
+    x[:, 0] = rng.uniform(-2.0, 2.0, n)
+    x[:, 3] += x[:, 0]
+    return x
+
+
+def _direct_field(psi, box, x):
+    """<F> at the points x (m, 4) summed over ``box``'s own nodes, slab by slab.
+
+    2 Re sum_n PREFACTOR w_n / sqrt(omega_n) sum_lam psi_lam(k_n)
+    (k^mu eps^nu - k^nu eps^mu) e^{-i k_n.x}, with nothing kept or carried.
+    """
+    F = np.zeros((len(x), 4, 4))
+    for k, w, _ in box.slabs():
+        omega = light_energy(k)
+        k4 = np.column_stack([omega, k])
+        phase = np.exp(-1j * (np.outer(x[:, 0], omega) - x[:, 1:] @ k.T))
+        for lam in HELICITIES:
+            if psi.component(lam) is None:
+                continue
+            eps4 = np.zeros((len(k), 4), dtype=complex)
+            eps4[:, 1:] = polarization_spatial(k, lam)
+            c = fields.PREFACTOR * w / np.sqrt(omega) * psi.evaluate(lam, k)
+            T = k4[:, :, None] * eps4[:, None, :] - eps4[:, :, None] * k4[:, None, :]
+            F += 2.0 * np.einsum("mn,n,nab->mab", phase, c, T).real
+    return F
+
+
+class TestCarriedFields:
+    """A transformed packet's fields, summed on its origin's field box carried forward."""
+
+    def test_parity_maps_the_field(self):
+        psi, x = _two_helicity_packet(48), _field_points(12, 31)
+        expected = METRIC @ field_expectation_exact(psi, x @ METRIC) @ METRIC
+        got = field_expectation_exact(psi.parity(), x)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_time_reversal_maps_the_field(self):
+        psi, x = _two_helicity_packet(48), _field_points(12, 32)
+        expected = METRIC @ field_expectation_exact(psi, x * [-1.0, 1.0, 1.0, 1.0]) @ METRIC
+        got = field_expectation_exact(psi.time_reverse(), x)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_mixed_record_matches_a_direct_sum_on_its_own_box(self):
+        # both components well inside the origin's field box, whose clipped tail
+        # (about e^{-9.75^2/4} of the field) is then the only difference
+        plus = gaussian_wavepacket([0.1, -0.2, KAPPA], 0.05, 1)
+        minus = gaussian_wavepacket([0.12, -0.18, 0.98 * KAPPA], 0.04, -1)
+        base = HelicityAmplitude(plus.psi_plus, lambda k: (0.6 - 0.8j) * minus.psi_minus(k), plus.quad)
+        psi = replay(base, [_EVERY_KIND[0], _EVERY_KIND[2], _EVERY_KIND[3], _EVERY_KIND[1]])
+        # its own box: the bounding box of the carried field box, 96 nodes per axis
+        box, _, _ = fields._node_coefficients(psi)
+        k = psi._element.carry(box.points())[0]
+        lo, hi = k.min(axis=0), k.max(axis=0)
+        own = BoxQuadrature(0.5 * (lo + hi), 0.51 * (hi - lo), 96)
+        x = _field_points(4, 33)
+        expected = _direct_field(psi, own, x)
+        got = field_expectation_exact(psi, x)
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("kind", [dict(rotation=AxisAngle([0.3, 1.0, 0.2], 0.7)),
+                                      dict(beta=[0.2, -0.1, 0.4])], ids=["rotation", "boost"])
+    def test_covariance_to_rounding(self, kind):
+        psi = _two_helicity_packet(48)
+        assert tensor_covariance_check(psi, [0.2, 1.0, -2.0, 3.0], **kind) <= 1e-13
+
+    @pytest.mark.parametrize("op", [_EVERY_KIND[0], _EVERY_KIND[2]], ids=["boost", "rotation"])
+    def test_grid_fill_of_a_rotated_or_boosted_packet_is_refused(self, op):
+        psi = replay(gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=16), [op])
+        grid = SpatialGrid.centered(6.0, 5)
+        for fill in (fields.positive_frequency_grid, field_expectation_grid,
+                     sipe_energy_integral, bb_density_grid):
+            with pytest.raises(ValueError, match="field_expectation_exact or positive_frequency_field"):
+                fill(psi, grid, 0.3)
+
+    @pytest.mark.parametrize("record", [[3, 1], [3, 4], [3, 1, 4]],
+                             ids=["parity", "time-reversal", "both"])
+    def test_flipped_grid_fill_matches_pointwise(self, record):
+        psi = replay(_two_helicity_packet(24), [_EVERY_KIND[i] for i in record])
+        t = 0.6
+        grid = SpatialGrid.centered(8.0, 7, center=(0.3, -0.2, t))
+        Ep, Bp = fields.positive_frequency_grid(psi, grid, t)
+        X = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+        S = positive_frequency_field(psi, np.concatenate([np.full(grid.shape + (1,), t), X], axis=-1))
+        pointwise = np.concatenate([-S[..., 0, 1:], -S[..., [2, 3, 1], [3, 1, 2]]], axis=-1)
+        fill = np.concatenate([Ep, Bp], axis=-1)
+        assert np.max(np.abs(fill - pointwise)) <= 1e-12 * np.max(np.abs(pointwise))
 
 
 class TestGridMemory:
