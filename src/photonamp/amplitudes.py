@@ -100,6 +100,9 @@ class TransformOp:
 
 
 def _finite(values, name: str) -> list[float]:
+    """``values`` as floats; a bool, a string, a NaN or an infinity is refused, naming ``name``."""
+    if any(isinstance(v, (bool, str)) for v in values):
+        raise ValueError(f"{name} must be numbers, not {values!r}")
     values = [float(v) for v in values]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{name} must be finite")
@@ -525,9 +528,9 @@ def from_descriptor(descriptor: dict, npts: int = 48) -> HelicityAmplitude:
     if descriptor.get("units") != "eV":
         raise ValueError('descriptor must declare "units": "eV"')
     psi = gaussian_wavepacket(
-        descriptor["kappa"],
-        float(descriptor["sigma_k"]),
-        int(descriptor["helicity"]),
+        _finite(descriptor["kappa"], "kappa"),
+        _finite([descriptor["sigma_k"]], "sigma_k")[0],
+        _finite([descriptor["helicity"]], "helicity")[0],
         npts=npts,
     )
     for raw in descriptor.get("ops", []):

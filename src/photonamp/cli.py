@@ -13,8 +13,9 @@ that is not finite, an energy or relative width that is not positive, a
 negative ``verify --seed``, fewer than 2 points per axis (``fields --n``,
 ``transform --npts``), a ``localize --sigma-ratio`` outside (0, 0.1), a
 ``wigner --beta`` with |beta| >= 1, a zero ``wigner --axis`` and a malformed
-``transform --op`` or descriptor, NaN and infinity included, are usage
-errors. Output is strict JSON: a result that is not finite is a numerical
+``transform --op`` or descriptor (a NaN, an infinity, a bool or a string for a
+number, or a helicity other than +-1) are usage errors. Output is strict
+JSON: a result that is not finite is a numerical
 failure. ``verify`` checks each property at its own fixed tolerance, with no
 override. Angles are radians; energies cross the
 boundary in eV (natural units inside). JSON output carries ``"schema": 1``

@@ -221,8 +221,8 @@ def _suite_little_group(rng, trials: int) -> list[PropertyResult]:
 
 
 def _suite_wigner(rng, trials: int) -> list[PropertyResult]:
-    # each phase two ways: matrix decomposition against the closed form, which
-    # raises on a degenerate alignment rather than clamping it
+    # each phase two ways: matrix decomposition against the closed form, both
+    # with phi := 0 on the polar axis
     worst_rot = worst_boost = worst_rec = worst_cocycle = worst_about_k = 0.0
     for n in _blocks(trials):
         r = _random_axis_angle(rng, n)

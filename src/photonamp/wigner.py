@@ -10,10 +10,10 @@ Two evaluation paths are provided and cross-validated in the test suite:
 * matrix decomposition of the frame-referred transformation
   (``wigner_rotation`` / ``wigner_boost``), and
 * closed-form half-angle phases exp(-i w/2) of any SL(2,C) element, vectorized
-  over momenta (``half_phase``), with strict one-transformation wrappers
-  ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``. They take
+  over momenta (``half_phase``), with one-transformation wrappers
+  ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``. It takes
   k_hat only from ``lorentz.direction_spinor``, the matrix route only from
-  ``standard_rotation``, so each path checks the other.
+  ``standard_rotation``, so each checks the other; both fix phi := 0 on the axis.
 
 Only the squared half-phase is single-valued; photon physics (lambda = +-1)
 never needs the square root's branch.
@@ -28,7 +28,6 @@ import numpy as np
 from .lorentz import (
     AxisAngle,
     _apply,
-    _norm,
     _require,
     _transpose,
     _unstack,
@@ -44,8 +43,6 @@ from .lorentz import (
     su2_matrix,
 )
 from .little_group import decompose_little_group
-
-_DEGENERATE_TOL = 1e-12
 
 #: Largest decomposition residual accepted from the matrix route.
 _RESIDUAL_TOL = 1e-8
@@ -116,39 +113,22 @@ def wigner_boost(Lambda, k) -> WignerData:
     return WignerData(element.gamma, _unstack(half), element.alpha, _unstack(residual))
 
 
-def _half_raw(A, kvec) -> np.ndarray:
-    """Unnormalized exp(-i w/2): the first row of ``A`` on ``direction_spinor(kvec)``."""
-    c, sigma = direction_spinor(kvec)
-    return A[..., 0, 0] * c + A[..., 0, 1] * sigma
-
-
-def _boost_half_raw(zeta, kvec) -> np.ndarray:
-    """``_half_raw`` of the boost of rapidity ``zeta``; exactly 1 where zeta = 0."""
-    zeta = np.asarray(zeta, dtype=float)
-    return np.where(_norm(zeta) == 0.0, 1.0, _half_raw(sl2c_boost(zeta), kvec))
-
-
-def _normalized(num):
-    mag = np.abs(num)
-    return np.where(mag > _DEGENERATE_TOL, num, 1.0) / np.where(
-        mag > _DEGENERATE_TOL, mag, 1.0
-    )
-
-
-def _strict(raw):
-    """Normalized half phases; a degenerate alignment raises instead of clamping."""
-    _require(np.abs(raw) > _DEGENERATE_TOL, "undefined half-phase")
-    return _unstack(_normalized(raw))
-
-
 def half_phase(A, kvec) -> np.ndarray:
     """Closed-form exp(-i w/2) of the SL(2,C) element ``A`` at the *initial* momenta ``kvec`` (..., 3).
 
     ``A`` is any product of ``su2_matrix`` and ``sl2c_boost`` factors, and the
     phase is a cocycle: half_phase(A2 A1, k) = half_phase(A2, Lambda1 k)
-    half_phase(A1, k). Degenerate (measure-zero) alignments are clamped to 1.
+    half_phase(A1, k). chi = A direction_spinor(k) is exp(-i w/2) times a
+    positive multiple of direction_spinor(Lambda k): real and positive in its
+    first entry off the south pole, 1 in its second on it. So the phase is
+    chi_0/|chi_0|, or chi_1/|chi_1| where chi_0 is exactly 0 (A is invertible).
     """
-    return _normalized(_half_raw(A, kvec))
+    c, sigma = direction_spinor(kvec)
+    raw = A[..., 0, 0] * c + A[..., 0, 1] * sigma
+    pole = raw == 0.0
+    if pole.any():
+        raw = np.where(pole, A[..., 1, 0] * c + A[..., 1, 1] * sigma, raw)
+    return raw / np.abs(raw)
 
 
 def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
@@ -158,18 +138,16 @@ def rotation_half_phase(r: AxisAngle, kvec) -> np.ndarray:
 
 def boost_half_phase(zeta, kvec) -> np.ndarray:
     """``half_phase`` of a pure boost of rapidity 3-vector ``zeta``, exactly 1 at zero rapidity."""
-    return _normalized(_boost_half_raw(zeta, kvec))
+    return half_phase(sl2c_boost(zeta), kvec)
 
 
 def wigner_phase_rotation_closed(r: AxisAngle, k):
-    """Closed-form half phase exp(-i w/2) for a rotation; raises on degenerate alignment.
+    """Closed-form half phase exp(-i w/2) for a rotation ``r`` at the lightlike ``k``.
 
     Takes one rotation and momentum, or stacks of them (``AxisAngle`` with
-    ``(..., 3)`` axes, ``k`` of shape ``(..., 4)``); the error names the first
-    degenerate row.
+    ``(..., 3)`` axes, ``k`` of shape ``(..., 4)``).
     """
-    k = require_lightlike(k)
-    return _strict(_half_raw(su2_matrix(r), k[..., 1:]))
+    return _unstack(rotation_half_phase(r, require_lightlike(k)[..., 1:]))
 
 
 def wigner_phase_boost_closed(zeta, k):
@@ -178,5 +156,4 @@ def wigner_phase_boost_closed(zeta, k):
     Stacks of ``zeta`` ``(..., 3)`` and ``k`` ``(..., 4)`` broadcast, as for
     ``wigner_phase_rotation_closed``.
     """
-    k = require_lightlike(k)
-    return _strict(_boost_half_raw(zeta, k[..., 1:]))
+    return _unstack(boost_half_phase(zeta, require_lightlike(k)[..., 1:]))

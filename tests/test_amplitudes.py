@@ -285,10 +285,38 @@ class TestDescriptors:
         with pytest.raises(ValueError, match="unknown transformation"):
             op_from_json({"type": "squeeze"})
 
+    def test_unknown_op_kind_is_refused_by_apply(self, packet):
+        with pytest.raises(ValueError, match="unknown transformation kind: 'bogus'"):
+            packet.apply(TransformOp("bogus", {}))
+
     def test_ops_serialize_back(self):
         op = op_from_json({"type": "boost", "beta": [0, 0, 0.5]})
         assert op == TransformOp("boost", {"beta": [0.0, 0.0, 0.5]})
         assert op.to_json() == {"type": "boost", "beta": [0.0, 0.0, 0.5]}
+
+
+class TestRefusedInput:
+    @pytest.mark.parametrize("halfwidth, npts, message", [
+        (0.0, 8, "box halfwidths must be positive"),
+        ([0.1, -0.1, 0.1], 8, "box halfwidths must be positive"),
+        (0.1, 1, "need at least 2 quadrature points per axis"),
+    ], ids=["zero-halfwidth", "negative-halfwidth", "one-point"])
+    def test_box_quadrature(self, halfwidth, npts, message):
+        with pytest.raises(ValueError, match=message):
+            BoxQuadrature([0.0, 0.0, 1.0], halfwidth, npts)
+
+    def test_amplitude_needs_a_component(self, packet):
+        with pytest.raises(ValueError, match="at least one helicity component"):
+            HelicityAmplitude(None, None, packet.quad)
+
+    def test_evaluate_needs_a_helicity(self, packet):
+        with pytest.raises(ValueError, match="helicity must be"):
+            packet.evaluate(0, [0.0, 0.0, 1.0])
+
+    def test_normalized_refuses_a_vanishing_norm(self, packet):
+        zero = HelicityAmplitude(lambda k: np.zeros(np.shape(k)[:-1]), None, packet.quad)
+        with pytest.raises(ValueError, match="vanishing norm"):
+            zero.normalized()
 
 
 # -- the nested pullbacks, kept as the oracle of the fused element --------------

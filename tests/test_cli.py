@@ -77,6 +77,9 @@ def test_wigner_missing_parameters(capsys):
         ["wigner", "--kind", "rotation", "--omega-ev", "1.0", "--theta", "1.0", "--phi", "0.0"]
     )
     assert code == 2
+    code = main(["wigner", "--kind", "boost", "--omega-ev", "1.0", "--theta", "1.0", "--phi", "0.0"])
+    assert code == 2
+    assert "boost needs --beta" in capsys.readouterr().err
 
 
 def descriptor_file(tmp_path, **overrides):
@@ -338,6 +341,8 @@ def test_verify_unknown_suite_usage_error(capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", *bad])
         assert excinfo.value.code == 2
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        verify.run_suite("bogus")
 
 
 WIGNER_BOOST = ["wigner", "--kind", "boost", "--beta", "0,0,0.6", "--theta", "1", "--phi", "0"]
@@ -355,6 +360,7 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (["localize", "--kappa-ev", "3.3"], ["--sigma-ratio", "0.2"]),
     (WIGNER_BOOST, ["--beta", "0,0,1.5"]),
     (WIGNER_ROTATION, ["--axis", "0,0,0"]),
+    (WIGNER_ROTATION, ["--axis", "1,2"]),
     (["localize", "--sigma-ratio", "0.01"], ["--kappa-ev", "inf"]),
     (FIELDS, ["--time", "nan"]),
     (FIELDS, ["--extent", "inf"]),
@@ -366,12 +372,15 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,0,1],"angle":Infinity}']),
     (["transform", "PACKET"], ["--op", '{"type":"translate","a":[NaN,0,0,0]}']),
     (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,-Infinity]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,1,0],"angle":"0.5"}']),
+    (["transform", "PACKET"], ["--op", '{"type":"translate","a":[true,0,0,0]}']),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
-        "wigner-superluminal-beta", "wigner-zero-axis", "localize-kappa-inf",
+        "wigner-superluminal-beta", "wigner-zero-axis", "wigner-axis-of-two", "localize-kappa-inf",
         "fields-time-nan", "fields-extent-inf", "wigner-theta-nan", "wigner-phi-inf",
         "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative",
-        "transform-op-angle-inf", "transform-op-translate-nan", "transform-op-beta-inf"])
+        "transform-op-angle-inf", "transform-op-translate-nan", "transform-op-beta-inf",
+        "transform-op-angle-string", "transform-op-translate-bool"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
@@ -392,6 +401,25 @@ def test_transform_refuses_a_descriptor_that_is_not_finite(tmp_path, capsys, ove
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed descriptor" in captured.err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"helicity": 1.5}, "helicity"),
+    ({"helicity": True}, "helicity"),
+    ({"helicity": "1"}, "helicity"),
+    ({"sigma_k": "0.05"}, "sigma_k"),
+    ({"kappa": ["0", False, 1]}, "kappa"),
+    ({"ops": [{"type": "rotate", "axis": [0, 1, 0], "angle": "0.5"}]}, "rotation angle"),
+    ({"ops": [{"type": "translate", "a": [True, 0, 0, 0]}]}, "translation"),
+], ids=["helicity-1.5", "helicity-true", "helicity-string", "sigma-string",
+        "kappa-string-and-bool", "op-angle-string", "op-translate-bool"])
+def test_transform_refuses_a_descriptor_value_that_is_not_a_number(tmp_path, capsys, overrides, field):
+    # each of these used to be read as a number and exit 0
+    assert main(["transform", str(descriptor_file(tmp_path, **overrides))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed descriptor" in captured.err
+    assert field in captured.err
 
 
 def test_a_result_that_overflows_is_a_numerical_failure(capsys):

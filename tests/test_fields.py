@@ -41,10 +41,11 @@ from photonamp.fields import (
     tensor_covariance_check,
     vector_potential,
 )
-from photonamp.lorentz import METRIC, AxisAngle, light_energy
+from photonamp.lorentz import METRIC, AxisAngle, light_energy, rotation_matrix
 from photonamp.polarization import polarization_spatial
 from photonamp.quadrature import BoxQuadrature
 from photonamp.verify import run_suite
+from photonamp.wigner import wigner_rotation
 from test_amplitudes import _traced_peak
 
 KAPPA = 1.0
@@ -308,6 +309,18 @@ class TestMaxwellResiduals:
             assert (div[i], cyc[i]) == single
 
 
+class TestRefusedInput:
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, [0.1, 0.0, 0.1]])
+    def test_grid_spacing(self, spacing):
+        with pytest.raises(ValueError, match="grid spacing must be positive"):
+            SpatialGrid([0.0, 0.0, 0.0], spacing, 4)
+
+    @pytest.mark.parametrize("kappa, sigma", [(0.0, 0.05), (-1.0, 0.05), (1.0, 0.0), (1.0, -0.05)])
+    def test_narrowband_spec(self, kappa, sigma):
+        with pytest.raises(ValueError, match="kappa and sigma_k must be positive"):
+            NarrowbandSpec(kappa, sigma)
+
+
 class TestLocalCovariance:
     def test_identity(self, packet):
         # every element sums on the origin's nodes carried forward; a zero boost
@@ -327,6 +340,16 @@ class TestLocalCovariance:
     def test_requires_exactly_one_transformation(self, packet):
         with pytest.raises(ValueError):
             tensor_covariance_check(packet, [0, 0, 0, 0])
+
+    def test_rotation_of_a_packet_with_nodes_on_the_south_pole(self):
+        # odd npts puts one column of nodes exactly on -z, where the rotated
+        # amplitude takes its Wigner phase with phi := 0 like the matrix route
+        psi = gaussian_wavepacket([0, 0, -1], 0.05, 1, npts=49)
+        r = AxisAngle([0, 0, 1], 0.5)
+        assert tensor_covariance_check(psi, [0.3, 0.2, -0.1, 0.4], rotation=r) <= 1e-13
+        south = [0.0, 0.0, -1.0]
+        want = wigner_rotation(rotation_matrix(r), [1.0, *south]).phase(1) * psi.evaluate(1, south)
+        assert abs(psi.rotate(r).evaluate(1, south) - want) <= 1e-15 * abs(want)
 
 
 class TestPositiveFrequency:

@@ -12,6 +12,8 @@ from photonamp.lorentz import (
     compose_axis_angle,
     direction_spinor,
     four_momentum,
+    is_lightlike,
+    is_proper_orthochronous,
     is_rotation,
     lorentz_inverse,
     metric_residual,
@@ -252,6 +254,22 @@ def test_polar_azimuth_pole_convention():
 def test_is_rotation_detects_boosts():
     assert is_rotation(rotation_y(0.4))
     assert not is_rotation(boost_matrix([0, 0, 0.4]))
+
+
+def test_axis_that_is_not_a_3_vector_is_refused():
+    with pytest.raises(ValueError, match="rotation axis must be a nonzero 3-vector"):
+        AxisAngle([1.0, 0.0], 0.1)
+    with pytest.raises(ValueError, match="rotation axis must be a nonzero 3-vector"):
+        AxisAngle(1.0, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (4, 3), (3, 4), (4,)])
+def test_predicates_of_a_wrongly_shaped_input_are_false(shape):
+    bad = np.ones(shape)
+    assert is_rotation(bad) is False
+    assert is_proper_orthochronous(bad) is False
+    if shape[-1:] != (4,):
+        assert is_lightlike(bad) is False
 
 
 # -- stacks -------------------------------------------------------------------

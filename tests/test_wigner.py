@@ -23,6 +23,10 @@ from photonamp.wigner import (
 )
 
 
+NORTH = np.array([1.0, 0.0, 0.0, 1.0])
+SOUTH = np.array([1.0, 0.0, 0.0, -1.0])
+
+
 def random_lightlike(rng):
     d = rng.normal(size=3)
     d /= np.linalg.norm(d)
@@ -117,11 +121,32 @@ class TestClosedForms:
         k = np.array([1.0, 0.6, 0, 0.8])
         assert wigner_phase_boost_closed([0, 0, 1.3], k) == pytest.approx(1.0)
 
-    def test_degenerate_alignment_raises(self):
-        # rotating the north pole to the south pole leaves no defined azimuth
-        k = np.array([1.0, 0, 0, 1.0])
-        with pytest.raises(ValueError, match="undefined half-phase"):
-            wigner_phase_rotation_closed(AxisAngle([0, 1, 0], np.pi), k)
+    @pytest.mark.parametrize(
+        "axis, angle, k",
+        [
+            ([1, 0, 0], np.pi, NORTH),
+            ([0, 1, 0], np.pi, NORTH),
+            ([1, 1, 0], np.pi, NORTH),
+            ([0, 0, 1], 0.5, SOUTH),
+            ([0, 0, 1], 0.0, SOUTH),
+            ([0, 0, 1], -2.0, SOUTH),
+            ([1, 0, 0], np.pi, SOUTH),
+        ],
+        ids=["Rx(pi)+z", "Ry(pi)+z", "R110(pi)+z", "Rz(0.5)-z", "Rz(0)-z", "Rz(-2)-z", "Rx(pi)-z"],
+    )
+    def test_rotation_on_the_polar_axis_matches_the_matrix_route(self, axis, angle, k):
+        # k lies exactly on the polar axis, and its image on it or next to it;
+        # both routes fix phi := 0 on the axis
+        r = AxisAngle(axis, angle)
+        closed = wigner_phase_rotation_closed(r, k)
+        assert abs(closed**2 - wigner_rotation(rotation_matrix(r), k).phase(1)) <= 1e-15
+
+    @pytest.mark.parametrize("rapidity", [0.7, -1.1, 0.0])
+    def test_z_boost_at_the_south_pole_matches_the_matrix_route(self, rapidity):
+        zeta = np.array([0.0, 0.0, rapidity])
+        closed = wigner_phase_boost_closed(zeta, SOUTH)
+        data = wigner_boost(boost_matrix(beta_from_rapidity(zeta)), SOUTH)
+        assert abs(closed**2 - data.phase(1)) <= 1e-15
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(4)
@@ -262,12 +287,26 @@ class TestStacks:
         with pytest.raises(ValueError, match=r"not lightlike with positive energy \(row 1\)"):
             wigner_boost(boost_matrix(np.zeros((5, 3))), k)
 
-    def test_degenerate_half_phase_row_is_named(self):
-        # row 2 carries the north pole to the south pole
-        k = np.tile([1.0, 0.0, 0.0, 1.0], (4, 1))
-        angles = np.array([0.3, 0.5, np.pi, 1.0])
-        with pytest.raises(ValueError, match=r"undefined half-phase \(row 2\)"):
-            wigner_phase_rotation_closed(AxisAngle([0.0, 1.0, 0.0], angles), k)
+    def test_stack_of_exact_pole_and_generic_rows_keeps_single_call_bits(self):
+        # rows 0, 2 and 4 are exactly on the polar axis, and in rows 0 and 2
+        # chi_0 is exactly zero, so they take chi_1; the others are generic
+        rng = np.random.default_rng(46)
+        k = random_lightlikes(rng, (6,))
+        k[0], k[2], k[4] = SOUTH, SOUTH, NORTH
+        axes = rng.normal(size=(6, 3))
+        axes[0], axes[2] = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        r = AxisAngle(axes, rng.uniform(-np.pi, np.pi, size=6))
+        zeta = rng.normal(size=(6, 3))
+        zeta[0], zeta[2] = [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]
+        rot = wigner_phase_rotation_closed(r, k)
+        boost = wigner_phase_boost_closed(zeta, k)
+        assert np.array_equal(
+            rot, [wigner_phase_rotation_closed(AxisAngle(axes[i], r.angle[i]), k[i]) for i in range(6)]
+        )
+        assert np.array_equal(boost, [wigner_phase_boost_closed(zeta[i], k[i]) for i in range(6)])
+        assert np.max(np.abs(rot**2 - wigner_rotation(rotation_matrix(r), k).phase(1))) <= 1e-14
+        data = wigner_boost(boost_matrix(beta_from_rapidity(zeta)), k)
+        assert np.max(np.abs(boost**2 - data.phase(1))) <= 1e-14
 
 
 @pytest.mark.parametrize("offset", [1e-8, 1e-14, 1e-16])
@@ -305,16 +344,18 @@ def test_half_phase_agrees_with_matrix_route_next_to_the_poles(theta):
         assert abs(closed - data.phase(1)) <= 1e-14
 
 
-def test_verify_raises_on_a_degenerate_alignment(monkeypatch):
-    # every trial rotates the north pole by pi about x: the matrix route is
-    # fine, and the closed form must not clamp the half phase to 1
+def test_verify_passes_on_an_exact_polar_alignment(monkeypatch):
+    # every trial rotates the north pole by pi about x, onto the south pole to
+    # rounding: the closed form must agree with the matrix route there
     def north_pole(rng, n):
-        return np.tile([1.0, 0.0, 0.0, 1.0], (n, 1))
+        return np.tile(NORTH, (n, 1))
 
     def half_turn_about_x(rng, n=None):
         return AxisAngle(np.tile([1.0, 0.0, 0.0], (n, 1)), np.full(n, np.pi))
 
     monkeypatch.setattr(verify, "_random_lightlike", north_pole)
     monkeypatch.setattr(verify, "_random_axis_angle", half_turn_about_x)
-    with pytest.raises(ValueError, match="undefined half-phase"):
-        verify.run_suite("wigner", trials=5, seed=1)
+    report = verify.run_suite("wigner", trials=5, seed=1)
+    assert len(report.properties) == 5
+    assert all(prop.passed for prop in report.properties)
+    assert report.properties[0].max_residual <= 1e-15
