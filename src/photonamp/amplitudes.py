@@ -76,9 +76,15 @@ HELICITIES = (1, -1)
 PHOTON_PARITY = -1.0
 
 #: Default half-width of the quadrature box, in units of the packet width.
-#: 6.5 sigma keeps the clipped Gaussian tail (~2e-10) below quadrature error;
-#: a 5 sigma box would already lose ~2e-6 of the norm.
+#: It clips ~2.4e-10 of a Gaussian's norm, and from 32 nodes per axis up that
+#: tail, not quadrature error (~1e-14), is the floor of every Gaussian
+#: observable; a 5 sigma box would already lose ~2e-6 of the norm.
 BOX_HALFWIDTH_SIGMAS = 6.5
+
+#: Nodes per axis that ``from_descriptor`` tries for a Gaussian origin, coarsest
+#: first, and the estimated error a rung must meet (verify's gaussian_norm tolerance).
+NPTS_LADDER = (32, 48)
+QUADRATURE_TARGET = 1e-9
 
 #: Boundary-to-peak density ratio above which the box is flagged as too small.
 BOUNDARY_DENSITY_RATIO = 1e-8
@@ -518,21 +524,46 @@ def expectation_momentum(psi: HelicityAmplitude, warn: bool = True) -> np.ndarra
 # -- JSON wavepacket descriptors ----------------------------------------------
 
 
-def from_descriptor(descriptor: dict, npts: int = 48) -> HelicityAmplitude:
+def _gaussian_error(psi: HelicityAmplitude, kappa_vec, sigma_k: float) -> float:
+    """Largest relative error of the origin's norm, <k_i> and <|k|> against the unclipped Gaussian.
+
+    Read from the origin's cached integrals; <|k|> is the noncentral-chi_3 mean.
+    """
+    norm, momentum = _density_integrals(psi.origin, warn=False)
+    kappa = np.asarray(kappa_vec, dtype=float)
+    m, s = float(np.linalg.norm(kappa)), float(sigma_k)
+    lam = m / s
+    chi = s * (math.sqrt(2.0 / math.pi) * math.exp(-0.5 * lam * lam)
+               + (lam + 1.0 / lam) * math.erf(lam / math.sqrt(2.0)))
+    return max(abs(norm - 1.0), float(np.max(np.abs(momentum[1:] - kappa))) / m,
+               abs(float(momentum[0]) - chi) / chi)
+
+
+def from_descriptor(descriptor: dict, npts: Optional[int] = None) -> HelicityAmplitude:
     """Build an amplitude from the wavepacket JSON descriptor.
 
     Schema: {"units": "eV", "kappa": [kx, ky, kz], "sigma_k": s,
     "helicity": +-1, "ops": [{"type": ...}, ...]}. All energies are in eV
     (natural units downstream); "ops" is optional.
+
+    With ``npts`` None the origin's nodes per axis are the first rung of
+    ``NPTS_LADDER`` whose ``_gaussian_error`` meets ``QUADRATURE_TARGET``; its
+    density pass is the one kept. A box that contains k = 0, where |k| has a
+    cusp and Gauss-Legendre converges only algebraically, takes the last rung
+    at once. The rung is sized for the density observables; the fields of the
+    32-node bench packet are within 1.2e-13 of max|F| of a 96-node sum.
     """
     if descriptor.get("units") != "eV":
         raise ValueError('descriptor must declare "units": "eV"')
-    psi = gaussian_wavepacket(
-        _finite(descriptor["kappa"], "kappa"),
-        _finite([descriptor["sigma_k"]], "sigma_k")[0],
-        _finite([descriptor["helicity"]], "helicity")[0],
-        npts=npts,
-    )
+    kappa = _finite(descriptor["kappa"], "kappa")
+    sigma = _finite([descriptor["sigma_k"]], "sigma_k")[0]
+    helicity = _finite([descriptor["helicity"]], "helicity")[0]
+    reaches_k0 = all(abs(c) <= BOX_HALFWIDTH_SIGMAS * sigma for c in kappa)
+    ladder = (npts,) if npts is not None else NPTS_LADDER[-1:] if reaches_k0 else NPTS_LADDER
+    for rung in ladder:
+        psi = gaussian_wavepacket(kappa, sigma, helicity, npts=rung)
+        if rung == ladder[-1] or _gaussian_error(psi, kappa, sigma) <= QUADRATURE_TARGET:
+            break
     for raw in descriptor.get("ops", []):
         psi = psi.apply(op_from_json(raw))
     return psi

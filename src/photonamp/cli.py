@@ -22,6 +22,10 @@ boundary in eV (natural units inside). JSON output carries ``"schema": 1``
 and, unless ``--no-timestamp`` is given, a ``generated_at`` field (excluded
 so reports can be compared byte for byte).
 
+``transform`` reports ``npts``, chosen by ``from_descriptor`` unless given, and
+``quadrature_error``, its estimate against the Gaussian's closed forms. ``fields
+--mode narrowband`` reports ``narrowband_expected_error`` and warns above 0.01.
+
 The ``fields`` CSV has the header ``x,y,z,Ex,Ey,Ez,Bx,By,Bz`` and one line per
 grid node, z fastest, ending in ``\r\n``. Each value is the shortest ``repr``
 of its float, so it parses back to the identical float64; the text is
@@ -37,6 +41,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -44,6 +49,7 @@ import numpy as np
 
 from ._floattext import WIDTH, repr_cells
 from .amplitudes import (
+    _gaussian_error,
     expectation_momentum,
     from_descriptor,
     gaussian_wavepacket,
@@ -53,6 +59,7 @@ from .amplitudes import (
 from .fields import (
     HBARC_EV_UM,
     NarrowbandSpec,
+    NarrowbandValidityWarning,
     SpatialGrid,
     UnderResolvedGridError,
     energy_momentum_integrals,
@@ -207,6 +214,8 @@ def _cmd_transform(args) -> int:
             "helicity": int(descriptor["helicity"]) * (-1) ** flips,
             "before": before,
             "after": after,
+            "npts": psi.quad.npts,
+            "quadrature_error": _gaussian_error(psi, descriptor["kappa"], descriptor["sigma_k"]),
         },
         args,
     )
@@ -243,9 +252,19 @@ def _write_fields_csv(path, grid, ftg, scale: float) -> None:
                 handle.write(t[position < n[..., None]])
 
 
+#: Relative L2 error of the narrowband map per unit sigma/kappa at t = 0 (the law
+#: ``test_narrowband_error_law`` pins), and the expected error above which it warns.
+NARROWBAND_ERROR_PER_RATIO = 1.117
+NARROWBAND_TOLERANCE = 0.01
+
+
 def _cmd_fields(args) -> int:
     kappa = args.kappa_ev
     sigma = args.sigma_ratio * kappa
+    expected_error = NARROWBAND_ERROR_PER_RATIO * args.sigma_ratio
+    if args.mode == "narrowband" and expected_error > NARROWBAND_TOLERANCE:
+        warnings.warn(f"the narrowband map is expected {expected_error:.2g} off in relative L2, "
+                      f"above {NARROWBAND_TOLERANCE}; use --mode exact", NarrowbandValidityWarning)
     spec = NarrowbandSpec(kappa, sigma)
     # the packet moves along +z at the speed of light; keep it on the grid
     grid = SpatialGrid.centered(
@@ -285,6 +304,7 @@ def _cmd_fields(args) -> int:
             "momentum": list(totals[1:]),
             "energy_over_kappa": totals[0] / kappa,
             "csv": str(args.out),
+            **({"narrowband_expected_error": expected_error} if args.mode == "narrowband" else {}),
         },
         args,
     )
@@ -346,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         help='operation as JSON, e.g. \'{"type":"boost","beta":[0,0,0.5]}\' (repeatable)',
     )
     p.add_argument("--npts", type=_int_at_least(2, "need at least 2 quadrature points per axis"),
-                   default=48, help="quadrature points per axis (>= 2)")
+                   help="quadrature points per axis (>= 2); chosen from the accuracy by default")
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("fields", help="sample E/B on a grid and integrate", parents=[common])

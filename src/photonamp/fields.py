@@ -72,7 +72,8 @@ class UnderResolvedGridError(ValueError):
 
 
 class NarrowbandValidityWarning(UserWarning):
-    """Evaluation time is outside the no-spreading window of the narrowband form."""
+    """The narrowband form used outside its validity: a time outside the
+    no-spreading window, or (CLI ``fields``) a sigma/kappa too broad."""
 
 
 @dataclass(frozen=True)

@@ -277,6 +277,26 @@ class TestDescriptors:
         for lam in (1, -1):
             assert np.array_equal(built.evaluate(lam, pts), manual.evaluate(lam, pts))
 
+    BENCH = {"units": "eV", "kappa": [0.0, 0.0, 1.0], "sigma_k": 0.05, "helicity": 1}
+
+    def test_narrow_packet_takes_32_nodes_within_the_target(self):
+        psi = from_descriptor(self.BENCH)
+        assert psi.quad.npts == 32
+        assert amplitudes._gaussian_error(psi, [0, 0, 1.0], 0.05) <= 1e-9
+        # its one density pass is the one the ladder read
+        assert psi.origin._integrals is not None
+
+    @pytest.mark.parametrize("sigma, target", [(0.5, amplitudes.QUADRATURE_TARGET), (0.05, 1e-12)],
+                             ids=["box-reaches-k0", "32-misses-the-target"])
+    def test_48_nodes_keep_the_bits_of_the_manual_build(self, monkeypatch, sigma, target):
+        monkeypatch.setattr(amplitudes, "QUADRATURE_TARGET", target)
+        psi = from_descriptor(dict(self.BENCH, sigma_k=sigma))
+        manual = gaussian_wavepacket([0, 0, 1.0], sigma, 1, npts=48)
+        assert psi.quad.npts == 48
+        assert norm_squared(psi, warn=False) == norm_squared(manual, warn=False)
+        assert np.array_equal(expectation_momentum(psi, warn=False),
+                              expectation_momentum(manual, warn=False))
+
     def test_units_required(self):
         with pytest.raises(ValueError, match="units"):
             from_descriptor({"kappa": [0, 0, 1], "sigma_k": 0.1, "helicity": 1})

@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from photonamp import verify
-from photonamp.amplitudes import gaussian_wavepacket
+from photonamp.amplitudes import expectation_momentum, gaussian_wavepacket, norm_squared, replay
 from photonamp.cli import _write_fields_csv, main
 from photonamp.fields import (
     HBARC_EV_UM,
     FieldTensorGrid,
     NarrowbandSpec,
+    NarrowbandValidityWarning,
     SpatialGrid,
     field_expectation_grid,
     narrowband_grid,
 )
+from test_amplitudes import README_OPS
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,32 @@ def test_transform_parity_flips_helicity(tmp_path, capsys):
     assert after[3] == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_transform_chooses_npts_and_reports_its_error(tmp_path, capsys):
+    path = descriptor_file(tmp_path, ops=[op.to_json() for op in README_OPS[:2]])
+    code, payload = run_cli(capsys, "transform", str(path), "--no-timestamp")
+    assert code == 0
+    assert payload["npts"] == 32
+    assert 0.0 < payload["quadrature_error"] <= 1e-9
+
+
+@pytest.mark.parametrize("npts", [48, 24])
+def test_transform_explicit_npts_keeps_the_bits_of_that_rule(tmp_path, capsys, npts):
+    path = descriptor_file(tmp_path, ops=[op.to_json() for op in README_OPS[:2]])
+    argv = ["transform", str(path), "--npts", str(npts), "--no-timestamp"]
+    for op in README_OPS[2:]:
+        argv += ["--op", json.dumps(op.to_json())]
+    code, payload = run_cli(capsys, *argv)
+    assert code == 0
+    before = replay(gaussian_wavepacket([0.0, 0.0, 1.0], 0.05, 1, npts=npts), README_OPS[:2])
+    after = replay(before, README_OPS[2:])
+    for amp, summary in ((before, payload["before"]), (after, payload["after"])):
+        assert summary["norm_squared"] == norm_squared(amp, warn=False)
+        assert summary["momentum"] == list(expectation_momentum(amp, warn=False))
+    assert payload["npts"] == npts
+    # 24 nodes read the norm about 1.05e-9 off, just over the ladder's target
+    assert (payload["quadrature_error"] <= 1e-9) == (npts == 48)
+
+
 def test_transform_malformed_descriptor(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -162,6 +190,25 @@ def test_fields_narrowband_summary_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + n_required**3
     values = [float(v) for v in lines[1].split(",")]
     assert len(values) == 9
+
+
+@pytest.mark.parametrize("ratio, loud", [(0.08, True), (0.005, False)])
+def test_fields_narrowband_reports_and_warns_its_expected_error(tmp_path, capsys, ratio, loud):
+    argv = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", str(ratio), "--n", "27",
+            "--extent", "0.1", "--out", str(tmp_path / "fields.csv"), "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, payload = run_cli(capsys, *argv)
+    assert code == 0
+    assert payload["narrowband_expected_error"] == 1.117 * ratio
+    messages = [str(w.message) for w in caught if w.category is NarrowbandValidityWarning]
+    assert len(messages) == loud
+    assert all("--mode exact" in m for m in messages)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NarrowbandValidityWarning)
+        code, payload = run_cli(capsys, *argv[:-1], "--mode", "exact", "--no-timestamp")
+    assert code == 0
+    assert "narrowband_expected_error" not in payload
 
 
 def test_fields_exact_mode_agrees_with_narrowband_summary(tmp_path, capsys):

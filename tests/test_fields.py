@@ -11,6 +11,7 @@ from photonamp.amplitudes import (
     HelicityAmplitude,
     TransformOp,
     expectation_momentum,
+    from_descriptor,
     gaussian_wavepacket,
     replay,
 )
@@ -701,6 +702,17 @@ class TestCarriedFields:
         expected = _direct_field(psi, own, x)
         got = field_expectation_exact(psi, x)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
+
+    def test_32_node_descriptor_packet_matches_a_96_node_sum(self):
+        # the descriptor ladder sizes the rule for the density; the field needs no more
+        descriptor = {"units": "eV", "kappa": [0, 0, KAPPA], "sigma_k": 0.05, "helicity": 1}
+        psi = from_descriptor(descriptor)
+        assert psi.quad.npts == 32
+        box, _, _ = fields._node_coefficients(psi)
+        x = _field_points(4, 34)
+        expected = _direct_field(psi, BoxQuadrature(box.center, box.halfwidth, 96), x)
+        got = field_expectation_exact(psi, x)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("kind", [dict(rotation=AxisAngle([0.3, 1.0, 0.2], 0.7)),
                                       dict(beta=[0.2, -0.1, 0.4])], ids=["rotation", "boost"])
