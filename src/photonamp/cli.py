@@ -394,7 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # entering resets the once-per-location registry, so every call warns;
+        # the caller's filters still apply
+        with warnings.catch_warnings():
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,20 +18,28 @@ translating at the speed of light. Narrowband evaluation is exact to first
 order in sigma_k/kappa and valid for |t| well inside (kappa/sigma_k) sigma_x.
 
 Every field observable starts from one set of spacetime-independent node
-coefficients: per momentum node, the six components of the antisymmetric
-coefficient (or, for the potential, the polarization vector itself) weighted
-by the amplitude and the quadrature, built slab by slab once per amplitude and
-form, and kept on it. The nodes are the origin's field box carried forward by
-the element, as for every observable (:mod:`photonamp.amplitudes`). For k
-carried from q, k.x = (|q|, q).y at y = (y^0, s y), y = Lambda^{-1} x and
-s = -1 if exactly one of P and T is set, so pointwise sums take a phase that
-is separable on the origin's Gauss-Legendre box: e^{i q.y} is the outer
-product of three one-axis exponentials, and e^{-i |q| y^0} is formed once per
-distinct time. Grid fills reduce the Fourier sum to three small tensor
-contractions per field component, one component at a time, so a fill on an
-n^3 grid holds the real fields (or the one real density summed from them),
-the node coefficients and one complex (n, n, n) component with its
-contraction's temporaries. A rotated or boosted packet's grid is not
+coefficients: per momentum node, the antisymmetric coefficient (or, for the
+potential, the polarization vector itself) weighted by the amplitude and the
+quadrature, built slab by slab once per amplitude and form, and kept on it.
+Helicity vectors obey k x eps_lam = -i lam omega eps_lam, so the magnetic half
+of the coefficient is -i lam times the electric half, and B^{(+)} = -i lam
+E^{(+)} for a helicity-lam packet (the Riemann-Silberstein structure). A
+one-helicity packet keeps the three electric components E = S^{0i} alone; a
+two-helicity packet keeps E and the helicity-weighted sum D, with
+(S^{23}, S^{31}, S^{12}) = -i D. A gauge-shifted build takes the explicit
+route, the cross product k x eps of the shifted eps.
+
+The nodes are the origin's field box carried forward by the element, as for
+every observable (:mod:`photonamp.amplitudes`). For k carried from q,
+k.x = (|q|, q).y at y = (y^0, s y), y = Lambda^{-1} x and s = -1 if exactly
+one of P and T is set, so pointwise sums take a phase that is separable on the
+origin's Gauss-Legendre box: e^{i q.y} is the outer product of three one-axis
+exponentials, and e^{-i |q| y^0} is formed once per distinct time. Grid fills
+reduce the Fourier sum to three small tensor contractions per kept column, one
+column at a time, so a fill on an n^3 grid holds the real fields (or the one
+real density summed from them), the node coefficients and one complex
+(n, n, n) sum with its contraction's temporaries; a one-helicity packet's E
+and B come from the same three sums. A rotated or boosted packet's grid is not
 separable and is refused. The narrowband conservation integrals factorize
 over the three axes and are summed in separable form.
 
@@ -47,7 +55,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import HELICITIES, HelicityAmplitude, expectation_momentum
+from .amplitudes import (
+    BOUNDARY_DENSITY_RATIO,
+    HELICITIES,
+    HelicityAmplitude,
+    QuadratureDomainWarning,
+    expectation_momentum,
+)
 from .lorentz import (
     AxisAngle,
     boost_matrix,
@@ -194,20 +208,34 @@ def _cross_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
+def _one_helicity(psi: HelicityAmplitude):
+    """lam if ``psi`` has the one helicity lam, whose kept tensor table holds E alone; else None."""
+    present = [lam for lam in HELICITIES if psi.component(lam) is not None]
+    return present[0] if len(present) == 1 else None
+
+
 def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     """Spacetime-independent node coefficients of the positive-frequency momentum integral.
 
     Returns ``(box, omega, C)``, ``box`` the origin's field box, whose nodes q
-    are carried to k (``_Poincare.carried``). Row n of ``C`` holds
-    PREFACTOR w_n / sqrt(|k_n|) sum_lam psi_lam(k_n), w_n carried, times, with
-    ``tensor``, the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12})
-    of k^mu eps^nu - k^nu eps^mu, or otherwise the four components of eps^mu.
-    ``omega`` is |q_n|: the sums take the phase e^{-i k.x} on ``box``'s axes
-    (``_sum_over_nodes``). ``gauge`` shifts every eps by gauge(k) k.
+    are carried to k (``_Poincare.carried``), and ``omega`` |q_n|: the sums take
+    the phase e^{-i k.x} on ``box``'s axes (``_sum_over_nodes``). With
+    c_lam = PREFACTOR w_n / sqrt(|k_n|) psi_lam(k_n), w_n carried, row n of a
+    ``tensor`` table holds E = sum_lam c omega eps_lam, the components S^{0i},
+    and, unless ``psi`` has one helicity, D = sum_lam lam c omega eps_lam, with
+    (S^{23}, S^{31}, S^{12}) = k x eps summed = -i D. For one helicity lam,
+    D = lam E is not kept: ``C`` is (N, 3), otherwise (N, 6). Without
+    ``tensor``, row n holds sum_lam c eps^mu, four columns.
+
+    ``gauge`` shifts every eps by gauge(k) k, and the tensor build then takes
+    the explicit route into six columns: omega eps^i - k^i eps^0 and
+    D = i k x eps, with the shifted eps.
 
     Built slab by slab: each slab's rows of ``omega`` and ``C`` are written in
     place, and every temporary is the size of a slab. A row's bits do not
-    depend on the rows beside it, so ``C`` is the whole-box build's.
+    depend on the rows beside it, so ``C`` is the whole-box build's. A build
+    warns with ``QuadratureDomainWarning`` when the density sum_lam |psi_lam|^2
+    on the field box's outer shell exceeds BOUNDARY_DENSITY_RATIO of its peak.
 
     Without a gauge the arrays are kept on the amplitude, one entry per form,
     and are read-only: later calls return the same arrays.
@@ -216,41 +244,56 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
         return psi._nodes[tensor]
     quad, element = psi.quad, psi._element
     box = BoxQuadrature(quad.center, FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
-    omega = np.empty(box.npts**3)
-    C = np.zeros((len(omega), 6 if tensor else 4), dtype=complex)
     helicities = [lam for lam in HELICITIES if psi.component(lam) is not None]
+    omega = np.empty(box.npts**3)
+    width = 4 if not tensor else 3 if gauge is None and len(helicities) == 1 else 6
+    C = np.zeros((len(omega), width), dtype=complex)
+    peak = boundary = 0.0
     start = 0
-    for q, pts, w, _ in element.carried(box):
+    for q, pts, w, shell in element.carried(box):
         rows = slice(start, start + len(pts))
         start = rows.stop
         Cs = C[rows]
         omega[rows] = light_energy(q)
         om = light_energy(pts) if element.lorentz else omega[rows]
         base = PREFACTOR * w / np.sqrt(om)
+        density, i_k_cross_eps = np.zeros(len(pts)), np.empty(len(pts), dtype=complex)
         for lam in helicities:
             eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
             if gauge is not None:
                 g = np.asarray(gauge(pts), dtype=complex)
                 eps, eps0 = eps + g[:, None] * pts, g * om
-            c = base * psi.evaluate(lam, pts)
+            amplitude = psi.evaluate(lam, pts)
+            density += amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+            c = base * amplitude
             # column by column: a broadcast over rows of 3 would loop 3 values at a time
             if tensor:
-                # S^{0i} = omega eps^i - k^i eps^0 and (S^{23}, S^{31}, S^{12}) = k x eps,
-                # the cross product taken of the real and imaginary parts of eps
                 c_omega = c * om
-                k_cross_eps = np.empty(len(pts), dtype=complex)
                 for i in range(3):
-                    Cs[:, i] += c_omega * eps[:, i]
+                    term = c_omega * eps[:, i]
+                    Cs[:, i] += term
                     if eps0 is not None:
+                        # the explicit route: i k x eps = (Im eps) x k + i k x (Re eps)
                         Cs[:, i] -= (c * eps0) * pts[:, i]
-                    k_cross_eps.real = _cross_component(pts, eps.real, i)
-                    k_cross_eps.imag = _cross_component(pts, eps.imag, i)
-                    Cs[:, 3 + i] += c * k_cross_eps
+                        i_k_cross_eps.real = _cross_component(eps.imag, pts, i)
+                        i_k_cross_eps.imag = _cross_component(pts, eps.real, i)
+                        Cs[:, 3 + i] += c * i_k_cross_eps
+                    elif width == 6:
+                        Cs[:, 3 + i] += lam * term
             else:
                 for i in range(3):
                     Cs[:, 1 + i] += c * eps[:, i]
                 if eps0 is not None:
                     Cs[:, 0] += c * eps0
+        peak = max(peak, float(density.max()))
+        boundary = max(boundary, float(density[shell].max()))
+    if peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
+        warnings.warn(
+            "field box may clip the amplitude support "
+            f"(boundary/peak density {boundary / peak:.2e})",
+            QuadratureDomainWarning,
+            stacklevel=2,
+        )
     omega.flags.writeable = C.flags.writeable = False
     if gauge is None:
         psi._nodes[tensor] = (box, omega, C)
@@ -301,16 +344,19 @@ def positive_frequency_field(psi: HelicityAmplitude, x, gauge=None) -> np.ndarra
 
     ``x`` is one spacetime point (4,) or an array of them (..., 4); the result
     has shape (..., 4, 4). Without a gauge, the node coefficients are built on
-    the first call for ``psi`` and reused by every later one.
+    the first call for ``psi`` and reused by every later one. S^{0i} is the sum
+    of E and (S^{23}, S^{31}, S^{12}) is -i times the sum of D, lam E for a
+    one-helicity packet (``_node_coefficients``).
 
     ``gauge``: optional callable f(kpts) -> complex (N,) shifting every
     polarization vector by f(k) k; observables built from the antisymmetric
     coefficient are unchanged by it.
     """
     comps = _sum_over_nodes(psi, x, gauge)
+    D = comps[..., 3:] if comps.shape[-1] == 6 else _one_helicity(psi) * comps
     S = np.zeros(comps.shape[:-1] + (4, 4), dtype=complex)
-    S[..., _MU, _NU] = comps
-    S[..., _NU, _MU] = -comps
+    S[..., _MU, _NU] = np.concatenate([comps[..., :3], -1j * D], axis=-1)
+    S[..., _NU, _MU] = -S[..., _MU, _NU]
     return S
 
 
@@ -358,14 +404,16 @@ def _contract(C: np.ndarray, Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray) -> 
     return np.transpose(t, (2, 1, 0))
 
 
-def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, components=range(6)):
-    """Yield -E^{(+)} and -B^{(+)} on the grid, one (n, n, n) complex component at a time.
+def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, columns=None):
+    """Yield the grid sums of the kept tensor table's columns, one (n, n, n) complex array at a time.
 
-    Component i is sum_n e^{i(k_n.x - omega_n t)} C[n, i], in the order of
-    ``components`` (0-2 for E, 3-5 for B), yielded as (i, component). Only
-    column i of the kept ``C``, times e^{-i omega t} when t != 0, and the
-    component are live at once, if the caller drops each component before it
-    asks for the next: no loop helper such as zip or enumerate may hold it.
+    Column i's sum is sum_n e^{i(k_n.x - omega_n t)} C[n, i], yielded as (i,
+    sum) in the order of ``columns``, every column by default. Columns 0-2 sum
+    to -E^{(+)}; D's columns 3-5, or lam times columns 0-2 for a one-helicity
+    packet, sum to -i B^{(+)} (``_node_coefficients``). Only column i of the
+    kept ``C``, times e^{-i omega t} when t != 0, and the sum are live at once,
+    if the caller drops each sum before it asks for the next: no loop helper
+    such as zip or enumerate may hold it.
     """
     element = psi._element
     if element.lorentz:
@@ -375,7 +423,7 @@ def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, compon
     nq, s = box.npts, -1.0 if element.flipped else 1.0  # k.x = q.(s x): module docstring
     Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
     clock = np.exp(-1j * omega * t) if t != 0.0 else None
-    for i in components:
+    for i in range(C.shape[1]) if columns is None else columns:
         column = C[:, i] if clock is None else C[:, i] * clock  # the kept C has no clock
         yield i, _contract(column.reshape(nq, nq, nq), Ax, Ay, Az)
 
@@ -389,12 +437,21 @@ def _squared_modulus(component: np.ndarray, out: np.ndarray) -> np.ndarray:
 def positive_frequency_grid(
     psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each."""
+    """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each.
+
+    B^{(+)} is i times D's grid sum: -i lam E^{(+)} for a one-helicity packet,
+    whose three columns make both fields.
+    """
     Ep = np.empty(grid.shape + (3,), dtype=complex)
     Bp = np.empty_like(Ep)
-    outs = [*np.moveaxis(Ep, -1, 0), *np.moveaxis(Bp, -1, 0)]
+    lam = _one_helicity(psi)
     for i, component in _grid_components(psi, grid, t):
-        np.negative(component, out=outs[i])
+        if i < 3:
+            np.negative(component, out=Ep[..., i])
+        if lam is not None:
+            np.multiply(component, 1j * lam, out=Bp[..., i])
+        elif i >= 3:
+            np.multiply(component, 1j, out=Bp[..., i - 3])
         del component  # freed before the next one is contracted
     return Ep, Bp
 
@@ -404,15 +461,21 @@ def field_expectation_grid(
 ) -> FieldTensorGrid:
     """Real <E>, <B> on the grid; tags the carrier with the packet's mean energy.
 
-    Each field component is -2 Re of one contracted component, written in
-    place: no complex field is kept.
+    E_i is -2 Re of column i's grid sum, and B_i is -2 Im of D's: for a
+    one-helicity packet -2 lam Im of the same sum, so three contractions make
+    both fields. Each is written in place: no complex field is kept.
     """
     kappa = energy_expectation(psi)
     E = np.empty(grid.shape + (3,))
     B = np.empty_like(E)
-    outs = [*np.moveaxis(E, -1, 0), *np.moveaxis(B, -1, 0)]
+    lam = _one_helicity(psi)
     for i, component in _grid_components(psi, grid, t):
-        np.multiply(component.real, -2.0, out=outs[i])
+        if i < 3:
+            np.multiply(component.real, -2.0, out=E[..., i])
+        if lam is not None:
+            np.multiply(component.imag, -2.0 * lam, out=B[..., i])
+        elif i >= 3:
+            np.multiply(component.imag, -2.0, out=B[..., i - 3])
         del component  # freed before the next one is contracted
     return FieldTensorGrid(grid, t, E, B, kappa)
 
@@ -542,12 +605,8 @@ def energy_expectation(psi: HelicityAmplitude) -> float:
     return float(expectation_momentum(psi, warn=False)[0])
 
 
-def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:
-    """Spatial integral of the proposed density |sqrt(2) E^{(+)}|^2; equals <H>.
-
-    Independent position-space route to the energy: compare with
-    :func:`energy_expectation`. Only the three E components are contracted.
-    """
+def _electric_density(psi: HelicityAmplitude, grid: SpatialGrid, t: float) -> np.ndarray:
+    """|E^{(+)}|^2 on the grid, summed in np.sum's order from the three E sums."""
     density, square = np.empty(grid.shape), np.empty(grid.shape)
     for i, component in _grid_components(psi, grid, t, range(3)):
         if i == 0:
@@ -555,6 +614,16 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
         else:
             density += _squared_modulus(component, square)
         del component  # freed before the next one is contracted
+    return density
+
+
+def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:
+    """Spatial integral of the proposed density |sqrt(2) E^{(+)}|^2; equals <H>.
+
+    Independent position-space route to the energy: compare with
+    :func:`energy_expectation`. Only the three E components are contracted.
+    """
+    density = _electric_density(psi, grid, t)
     density *= 2.0
     return _trapezoid_integral(density, grid)
 
@@ -562,9 +631,15 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
 def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> np.ndarray:
     """|E^{(+)}|^2 + |B^{(+)}|^2 on the grid (carrier-free, envelope-smooth).
 
-    Summed in np.sum's order over the last axis of the complex fields, one
-    (E_i, B_i) pair at a time: (|E_0|^2 + |B_0|^2) + (|E_1|^2 + |B_1|^2) + ...
+    For a one-helicity packet |B^{(+)}| = |E^{(+)}|, so this is 2 |E^{(+)}|^2
+    from three contractions. Otherwise it is summed in np.sum's order over the
+    last axis of the complex fields, one (E_i, B_i) pair at a time:
+    (|E_0|^2 + |B_0|^2) + (|E_1|^2 + |B_1|^2) + ..., with |B_i| = |D_i|.
     """
+    if _one_helicity(psi) is not None:
+        density = _electric_density(psi, grid, t)
+        density *= 2.0
+        return density
     density, pair, square = (np.empty(grid.shape) for _ in range(3))
     for i, component in _grid_components(psi, grid, t, (0, 3, 1, 4, 2, 5)):
         target = density if i in (0, 3) else pair

@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from photonamp.fields import (
     narrowband_grid,
 )
 from test_amplitudes import README_OPS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +215,23 @@ def test_fields_narrowband_reports_and_warns_its_expected_error(tmp_path, capsys
         code, payload = run_cli(capsys, *argv[:-1], "--mode", "exact", "--no-timestamp")
     assert code == 0
     assert "narrowband_expected_error" not in payload
+
+
+@pytest.mark.parametrize("flags, count", [([], 2), (["-W", "ignore"], 0)], ids=["default", "ignored"])
+def test_every_in_process_call_warns_under_the_callers_filters(tmp_path, flags, count):
+    # Python shows a warning once per code location; each main call starts afresh
+    script = (
+        "import sys\n"
+        "from photonamp.cli import main\n"
+        "argv = ['fields', '--mode', 'narrowband', '--kappa-ev', '3.3', '--sigma-ratio', '0.08',\n"
+        "        '--n', '27', '--extent', '0.1', '--out', sys.argv[1], '--no-timestamp']\n"
+        "sys.exit(main(argv) or main(argv))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, *flags, "-c", script, str(tmp_path / "map.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("NarrowbandValidityWarning") == count
 
 
 def test_fields_exact_mode_agrees_with_narrowband_summary(tmp_path, capsys):

@@ -9,6 +9,7 @@ from photonamp import fields
 from photonamp.amplitudes import (
     HELICITIES,
     HelicityAmplitude,
+    QuadratureDomainWarning,
     TransformOp,
     expectation_momentum,
     from_descriptor,
@@ -483,6 +484,22 @@ class TestNodeCoefficients:
         with pytest.raises(ValueError):
             omega[0] = 1.0
 
+    def test_a_field_box_that_clips_the_packet_warns(self):
+        # the lambda = -1 part overhangs the box, as norm_squared also says
+        with pytest.warns(QuadratureDomainWarning, match=r"field box may clip .* density \d"):
+            fields._node_coefficients(_two_helicity_packet(24))
+        with pytest.warns(QuadratureDomainWarning, match="field box may clip"):
+            field_expectation_exact(replay(_two_helicity_packet(24), _EVERY_KIND), [0.0, 0, 0, 0])
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.05, 0.3])
+    def test_a_field_box_that_holds_the_packet_is_silent(self, sigma):
+        packet = gaussian_wavepacket([0, 0, KAPPA], sigma, -1, npts=24)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureDomainWarning)
+            for psi in (packet, replay(packet, _EVERY_KIND)):
+                for tensor in (True, False):
+                    fields._node_coefficients(psi, tensor=tensor)
+
     def test_later_time_grid_fill_matches_the_uncached_formula(self):
         psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=20)
         t = 0.7
@@ -514,12 +531,16 @@ class TestNodeCoefficients:
         assert np.max(np.abs(separable - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def _whole_box_coefficients(psi, gauge=None, tensor=True):
+def _whole_box_coefficients(psi, gauge=None, tensor=True, explicit=False):
     """(omega, C) built over the whole field box at once: the build before slabs.
 
     The origin's field box, its nodes q carried forward and its weights times
     |k|/|q| as ``carried_nodes`` does; ``omega`` is |q|, and each row is built
-    at k with |k|.
+    at k with |k|. A tensor C is in the kept layout: E = sum c omega eps, and
+    D = sum lam c omega eps unless the packet has one helicity; under a gauge,
+    the shifted omega eps - k eps^0 and D = i k x eps. With ``explicit``, it is
+    the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}) of
+    k^mu eps^nu - k^nu eps^mu, the last three the cross product k x eps.
     """
     quad = psi.quad
     box = BoxQuadrature(quad.center, fields.FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
@@ -527,10 +548,10 @@ def _whole_box_coefficients(psi, gauge=None, tensor=True):
     w = box.weights() if ratio is None else box.weights() * ratio
     omega, omega_k = light_energy(box.points()), light_energy(pts)
     base = fields.PREFACTOR * w / np.sqrt(omega_k)
-    C = np.zeros((len(pts), 6 if tensor else 4), dtype=complex)
-    for lam in HELICITIES:
-        if psi.component(lam) is None:
-            continue
+    present = [lam for lam in HELICITIES if psi.component(lam) is not None]
+    one = len(present) == 1 and gauge is None and not explicit
+    C = np.zeros((len(pts), (3 if one else 6) if tensor else 4), dtype=complex)
+    for lam in present:
         eps, eps0 = polarization_spatial(pts, lam), None
         if gauge is not None:
             g = np.asarray(gauge(pts), dtype=complex)
@@ -540,10 +561,13 @@ def _whole_box_coefficients(psi, gauge=None, tensor=True):
             C[:, :3] += (c * omega_k)[:, None] * eps
             if eps0 is not None:
                 C[:, :3] -= (c * eps0)[:, None] * pts
-            k_cross_eps = np.empty_like(eps)
-            k_cross_eps.real = np.cross(pts, eps.real)
-            k_cross_eps.imag = np.cross(pts, eps.imag)
-            C[:, 3:] += c[:, None] * k_cross_eps
+            if gauge is not None or explicit:
+                k_cross_eps = np.empty_like(eps)
+                k_cross_eps.real = np.cross(pts, eps.real)
+                k_cross_eps.imag = np.cross(pts, eps.imag)
+                C[:, 3:] += c[:, None] * (k_cross_eps if explicit else 1j * k_cross_eps)
+            elif not one:
+                C[:, 3:] += lam * ((c * omega_k)[:, None] * eps)
         else:
             C[:, 1:] += c[:, None] * eps
             if eps0 is not None:
@@ -581,8 +605,9 @@ class TestSlabBuild:
         (-1, _GAUGE, False, []),
         (0, None, True, _EVERY_KIND),
         (0, _GAUGE, False, _EVERY_KIND),
+        (0, _GAUGE, True, _EVERY_KIND),
     ], ids=["plus", "minus", "gauge", "potential", "potential-gauge", "transformed",
-            "transformed-potential-gauge"])
+            "transformed-potential-gauge", "transformed-gauge"])
     def test_slab_build_matches_the_whole_box_build(self, helicity, gauge, tensor, record):
         if helicity:
             psi = gaussian_wavepacket([0.1, -0.2, KAPPA], 0.05, helicity, npts=31)
@@ -601,12 +626,15 @@ class TestSlabBuild:
         psi = replay(_two_helicity_packet(20), _EVERY_KIND[1::2])
         grid = SpatialGrid.centered(6.0, 11, center=(0.3, -0.2, t))
         box, omega, C = fields._node_coefficients(psi)
+        assert C.shape[1] == 6
         clocked = C * np.exp(-1j * omega * t)[:, None]
         Ax, Ay, Az = (np.exp(1j * np.outer(k, -g)) for k, g in zip(box.axes(), grid.axes()))
         n = box.npts
-        fill = [-fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)]
-        # C order, as the complex fields were kept: a trapezoid sum follows the layout
-        Ep, Bp = (np.ascontiguousarray(np.stack(fill[j : j + 3], axis=-1)) for j in (0, 3))
+        fill = [fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)]
+        # E+ = -(sum of E), B+ = i (sum of D); C order, as the complex fields were
+        # kept: a trapezoid sum follows the layout
+        Ep = -np.ascontiguousarray(np.stack(fill[:3], axis=-1))
+        Bp = 1j * np.ascontiguousarray(np.stack(fill[3:], axis=-1))
         got = fields.positive_frequency_grid(psi, grid, t)
         assert np.array_equal(got[0], Ep) and np.array_equal(got[1], Bp)
         ftg = field_expectation_grid(psi, grid, t)
@@ -743,34 +771,135 @@ class TestCarriedFields:
         assert np.max(np.abs(fill - pointwise)) <= 1e-12 * np.max(np.abs(pointwise))
 
 
+def _explicit_sums(psi, x):
+    """The six positive-frequency components at the points x (m, 4), summed on the explicit table."""
+    box, omega, _ = fields._node_coefficients(psi)
+    _, explicit = _whole_box_coefficients(psi, explicit=True)
+    y = psi._element.origin_point(x)
+    return np.exp(-1j * (np.outer(y[:, 0], omega) - y[:, 1:] @ box.points().T)) @ explicit
+
+
+def _explicit_grid_sums(psi, grid, t):
+    """The six components' grid sums, each column of the explicit table contracted with the clock."""
+    box, omega, _ = fields._node_coefficients(psi)
+    _, explicit = _whole_box_coefficients(psi, explicit=True)
+    s = -1.0 if psi._element.flipped else 1.0
+    Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
+    clocked = explicit * np.exp(-1j * omega * t)[:, None]
+    n = box.npts
+    return np.stack(
+        [fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)], axis=-1
+    )
+
+
+def _helicity_packet(helicity, record):
+    if helicity:
+        psi = gaussian_wavepacket([0.1, -0.2, KAPPA], 0.05, helicity, npts=31)
+    else:
+        psi = _two_helicity_packet(31)
+    return replay(psi, [_EVERY_KIND[i] for i in record])
+
+
+@pytest.mark.filterwarnings("ignore:field box may clip")  # the two-helicity packet overhangs its box
+class TestHelicityRoute:
+    """The kept table's helicity route, k x eps_lam = -i lam omega eps_lam, against the
+    explicit six-column build: one helicity keeps E alone, two keep E and D."""
+
+    PACKETS = pytest.mark.parametrize("helicity, record", [
+        (1, []), (-1, []), (1, [0, 1]), (0, []), (0, range(5)),
+    ], ids=["plus", "minus", "plus-boost-parity", "two-helicity", "every-kind"])
+
+    FILLABLE = pytest.mark.parametrize("helicity, record", [
+        (1, []), (-1, [3]), (1, [1]), (-1, [4, 3]), (0, []), (0, [3, 1, 4]), (0, [1]),
+    ], ids=["plus", "minus-translated", "plus-parity", "minus-time-reversal-translated",
+            "two-helicity", "two-helicity-translated-parity-time-reversal", "two-helicity-parity"])
+
+    @PACKETS
+    def test_table_matches_the_explicit_build(self, helicity, record):
+        psi = _helicity_packet(helicity, record)
+        _, _, C = fields._node_coefficients(psi)
+        _, explicit = _whole_box_coefficients(psi, explicit=True)
+        lam = fields._one_helicity(psi)
+        assert C.shape == (31**3, 3 if lam else 6)
+        D = lam * C if lam else C[:, 3:]
+        assert np.array_equal(C[:, :3], explicit[:, :3])
+        assert np.max(np.abs(-1j * D - explicit[:, 3:])) <= 1e-15 * np.max(np.abs(explicit))
+
+    @PACKETS
+    def test_pointwise_field_matches_the_explicit_build(self, helicity, record):
+        psi, x = _helicity_packet(helicity, record), _field_points(2 * POINT_BLOCK + 1, 36)
+        comps = _explicit_sums(psi, x)
+        S = np.zeros((len(x), 4, 4), dtype=complex)
+        S[:, fields._MU, fields._NU] = comps
+        S[:, fields._NU, fields._MU] = -comps
+        expected = 2.0 * S.real
+        scale = np.max(np.abs(expected))
+        for gauge in (None, _GAUGE):
+            got = field_expectation_exact(psi, x, gauge=gauge)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * scale
+
+    @FILLABLE
+    def test_grid_fills_match_the_explicit_build(self, helicity, record):
+        psi, t = _helicity_packet(helicity, record), 0.6
+        grid = SpatialGrid.centered(6.0, 9, center=(0.3, -0.2, t))
+        sums = _explicit_grid_sums(psi, grid, t)
+        Ep, Bp = -sums[..., :3], -sums[..., 3:]
+        scale = max(np.max(np.abs(Ep)), np.max(np.abs(Bp)))
+        ftg = field_expectation_grid(psi, grid, t)
+        assert np.max(np.abs(ftg.E - 2.0 * Ep.real)) <= 1e-13 * scale
+        assert np.max(np.abs(ftg.B - 2.0 * Bp.real)) <= 1e-13 * scale
+        got = fields.positive_frequency_grid(psi, grid, t)
+        assert np.max(np.abs(got[0] - Ep)) <= 1e-13 * scale
+        assert np.max(np.abs(got[1] - Bp)) <= 1e-13 * scale
+        density = np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1)
+        assert np.max(np.abs(bb_density_grid(psi, grid, t) - density)) <= 1e-13 * scale**2
+
+    def test_one_helicity_fills_use_the_three_electric_sums(self):
+        # B+ = -i lam E+ exactly, so |B+| = |E+| and the BB density is the Sipe one
+        psi = _helicity_packet(-1, [3, 1])
+        grid = SpatialGrid.centered(6.0, 9, center=(0.3, -0.2, 0.6))
+        Ep, Bp = fields.positive_frequency_grid(psi, grid, 0.6)
+        assert fields._one_helicity(psi) == 1  # the parity flip turns -1 into +1
+        assert np.array_equal(Bp, -1j * Ep)
+        ftg = field_expectation_grid(psi, grid, 0.6)
+        assert np.array_equal(ftg.E, 2.0 * Ep.real) and np.array_equal(ftg.B, 2.0 * Bp.real)
+        density = bb_density_grid(psi, grid, 0.6)
+        assert np.array_equal(density, np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1))
+        assert sipe_energy_integral(psi, grid, 0.6) == fields._trapezoid_integral(density, grid)
+
+
 class TestGridMemory:
     """No field path holds a complex copy of the grid or box-sized build temporaries."""
 
     def test_node_build_temporaries_are_slab_sized(self):
-        # the whole-box build traced about 23 MiB above what it keeps
+        # the whole-box build traced about 23 MiB above what it keeps; one
+        # helicity keeps E alone, an (N, 3) table of 5.3 MB
         psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
         psi.quad
         peak = _traced_peak(lambda: fields._node_coefficients(psi))
         _, omega, C = fields._node_coefficients(psi)
+        assert C.shape == (48**3, 3) and C.nbytes == 5_308_416
         assert peak - (omega.nbytes + C.nbytes) < 2 * 2**20
 
     def test_fields_csv_fill_holds_no_complex_field(self):
-        # 66^3: the complex pair alone was 26 MiB, and the fill traced 50.5 MiB;
-        # one complex component is 4.4 MiB, so a second one kept alive fails
+        # 66^3: the complex pair alone was 26 MiB, and the fill traced 50.5 MiB,
+        # then 32.1 MiB with the six-column table; it traces 27.0 MiB, and one
+        # complex component is 4.4 MiB, so a second one kept alive fails
         spec = NarrowbandSpec(3.3, 0.08 * 3.3)
         psi = gaussian_wavepacket([0.0, 0.0, 3.3], spec.sigma_k, 1)
         expectation_momentum(psi, warn=False)
         grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
-        assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 35 * 2**20
+        assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 28 * 2**20
 
     def test_energy_closures_hold_one_complex_component(self):
-        # verify's closure grid, 72^3: the closures traced 57.3 and 51.3 MiB,
-        # and one complex component is 5.7 MiB
+        # verify's closure grid, 72^3: the closures traced 57.3 and 51.3 MiB, then
+        # 26.3 and 18.2 MiB with the six-column table; they trace 21.3 and 15.3 MiB
+        # (the first one builds the table), and one complex component is 5.7 MiB
         psi = gaussian_wavepacket([0.0, 0.0, KAPPA], 0.01 * KAPPA, 1)
         expectation_momentum(psi, warn=False)
         grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
-        assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 29 * 2**20
-        assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 21 * 2**20
+        assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 22 * 2**20
+        assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 16 * 2**20
 
 
 class TestVectorPotential:
