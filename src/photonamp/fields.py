@@ -18,16 +18,16 @@ translating at the speed of light. Narrowband evaluation is exact to first
 order in sigma_k/kappa and valid for |t| well inside (kappa/sigma_k) sigma_x.
 
 Every field observable starts from one set of spacetime-independent node
-coefficients: per momentum node, the antisymmetric coefficient (or, for the
-potential, the polarization vector itself) weighted by the amplitude and the
-quadrature, built slab by slab once per amplitude and form, and kept on it.
-Helicity vectors obey k x eps_lam = -i lam omega eps_lam, so the magnetic half
-of the coefficient is -i lam times the electric half, and B^{(+)} = -i lam
-E^{(+)} for a helicity-lam packet (the Riemann-Silberstein structure). A
-one-helicity packet keeps the three electric components E = S^{0i} alone; a
-two-helicity packet keeps E and the helicity-weighted sum D, with
-(S^{23}, S^{31}, S^{12}) = -i D. A gauge-shifted build takes the explicit
-route, the cross product k x eps of the shifted eps.
+coefficients: per momentum node and helicity present, the antisymmetric
+coefficient (or, for the potential, the polarization vector itself) weighted
+by the amplitude and the quadrature, built slab by slab once per amplitude and
+form, and kept on it. Helicity vectors obey k x eps_lam = -i lam omega eps_lam,
+so each helicity's magnetic half of the coefficient is -i lam times its
+electric half, and B^{(+)} = -i lam E^{(+)} helicity by helicity (the
+Riemann-Silberstein structure). The kept table therefore holds the three
+electric components E_lam = S^{0i} of each helicity present, one block of
+three columns per helicity. A gauge-shifted build fills the same blocks with
+the explicit electric half omega eps^i - k^i eps^0 of the shifted eps.
 
 The nodes are the origin's field box carried forward by the element, as for
 every observable (:mod:`photonamp.amplitudes`). For k carried from q,
@@ -38,8 +38,9 @@ exponentials, and e^{-i |q| y^0} is formed once per distinct time. Grid fills
 reduce the Fourier sum to three small tensor contractions per kept column, one
 column at a time, so a fill on an n^3 grid holds the real fields (or the one
 real density summed from them), the node coefficients and one complex
-(n, n, n) sum with its contraction's temporaries; a one-helicity packet's E
-and B come from the same three sums. A rotated or boosted packet's grid is not
+(n, n, n) sum with its contraction's temporaries; each column's sum makes both
+E and B, and the Sipe density contracts the helicities' columns of a
+component added on the nodes. A rotated or boosted packet's grid is not
 separable and is refused. The narrowband conservation integrals factorize
 over the three axes and are summed in separable form.
 
@@ -52,6 +53,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -208,10 +210,9 @@ def _cross_component(a: np.ndarray, b: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-def _one_helicity(psi: HelicityAmplitude):
-    """lam if ``psi`` has the one helicity lam, whose kept tensor table holds E alone; else None."""
-    present = [lam for lam in HELICITIES if psi.component(lam) is not None]
-    return present[0] if len(present) == 1 else None
+def _helicities(psi: HelicityAmplitude) -> list[int]:
+    """The helicities ``psi`` carries, in HELICITIES order: one block of table columns each."""
+    return [lam for lam in HELICITIES if psi.component(lam) is not None]
 
 
 def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
@@ -221,15 +222,16 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     are carried to k (``_Poincare.carried``), and ``omega`` |q_n|: the sums take
     the phase e^{-i k.x} on ``box``'s axes (``_sum_over_nodes``). With
     c_lam = PREFACTOR w_n / sqrt(|k_n|) psi_lam(k_n), w_n carried, row n of a
-    ``tensor`` table holds E = sum_lam c omega eps_lam, the components S^{0i},
-    and, unless ``psi`` has one helicity, D = sum_lam lam c omega eps_lam, with
-    (S^{23}, S^{31}, S^{12}) = k x eps summed = -i D. For one helicity lam,
-    D = lam E is not kept: ``C`` is (N, 3), otherwise (N, 6). Without
-    ``tensor``, row n holds sum_lam c eps^mu, four columns.
+    ``tensor`` table holds, for each helicity lam of ``_helicities(psi)`` in
+    turn, the three columns E_lam = c_lam omega eps_lam: the electric half
+    S^{0i} of c_lam (k^mu eps^nu - k^nu eps^mu), whose magnetic half
+    (S^{23}, S^{31}, S^{12}) = c_lam k x eps_lam = -i lam E_lam is not kept.
+    ``C`` is (N, 3) for one helicity and (N, 6) for two. Without ``tensor``,
+    row n holds sum_lam c eps^mu, four columns.
 
-    ``gauge`` shifts every eps by gauge(k) k, and the tensor build then takes
-    the explicit route into six columns: omega eps^i - k^i eps^0 and
-    D = i k x eps, with the shifted eps.
+    ``gauge`` shifts every eps by gauge(k) k, and the tensor build then fills
+    the same columns with the explicit electric half omega eps^i - k^i eps^0
+    of the shifted eps.
 
     Built slab by slab: each slab's rows of ``omega`` and ``C`` are written in
     place, and every temporary is the size of a slab. A row's bits do not
@@ -244,10 +246,9 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
         return psi._nodes[tensor]
     quad, element = psi.quad, psi._element
     box = BoxQuadrature(quad.center, FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
-    helicities = [lam for lam in HELICITIES if psi.component(lam) is not None]
+    helicities = _helicities(psi)
     omega = np.empty(box.npts**3)
-    width = 4 if not tensor else 3 if gauge is None and len(helicities) == 1 else 6
-    C = np.zeros((len(omega), width), dtype=complex)
+    C = np.zeros((len(omega), 3 * len(helicities) if tensor else 4), dtype=complex)
     peak = boundary = 0.0
     start = 0
     for q, pts, w, shell in element.carried(box):
@@ -257,8 +258,8 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
         omega[rows] = light_energy(q)
         om = light_energy(pts) if element.lorentz else omega[rows]
         base = PREFACTOR * w / np.sqrt(om)
-        density, i_k_cross_eps = np.zeros(len(pts)), np.empty(len(pts), dtype=complex)
-        for lam in helicities:
+        density = np.zeros(len(pts))
+        for block, lam in enumerate(helicities):
             eps, eps0 = polarization_spatial(pts, lam), None  # eps^0 = 0 without a gauge
             if gauge is not None:
                 g = np.asarray(gauge(pts), dtype=complex)
@@ -270,16 +271,10 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
             if tensor:
                 c_omega = c * om
                 for i in range(3):
-                    term = c_omega * eps[:, i]
-                    Cs[:, i] += term
+                    column = Cs[:, 3 * block + i]
+                    column += c_omega * eps[:, i]
                     if eps0 is not None:
-                        # the explicit route: i k x eps = (Im eps) x k + i k x (Re eps)
-                        Cs[:, i] -= (c * eps0) * pts[:, i]
-                        i_k_cross_eps.real = _cross_component(eps.imag, pts, i)
-                        i_k_cross_eps.imag = _cross_component(pts, eps.real, i)
-                        Cs[:, 3 + i] += c * i_k_cross_eps
-                    elif width == 6:
-                        Cs[:, 3 + i] += lam * term
+                        column -= (c * eps0) * pts[:, i]
             else:
                 for i in range(3):
                     Cs[:, 1 + i] += c * eps[:, i]
@@ -345,17 +340,19 @@ def positive_frequency_field(psi: HelicityAmplitude, x, gauge=None) -> np.ndarra
     ``x`` is one spacetime point (4,) or an array of them (..., 4); the result
     has shape (..., 4, 4). Without a gauge, the node coefficients are built on
     the first call for ``psi`` and reused by every later one. S^{0i} is the sum
-    of E and (S^{23}, S^{31}, S^{12}) is -i times the sum of D, lam E for a
-    one-helicity packet (``_node_coefficients``).
+    of the helicity blocks E_lam and (S^{23}, S^{31}, S^{12}) is -i times their
+    helicity-weighted sum, sum_lam lam E_lam (``_node_coefficients``).
 
     ``gauge``: optional callable f(kpts) -> complex (N,) shifting every
     polarization vector by f(k) k; observables built from the antisymmetric
     coefficient are unchanged by it.
     """
     comps = _sum_over_nodes(psi, x, gauge)
-    D = comps[..., 3:] if comps.shape[-1] == 6 else _one_helicity(psi) * comps
+    blocks = comps.reshape(comps.shape[:-1] + (-1, 3))
+    lam = np.array(_helicities(psi))[:, None]
+    E, D = np.sum(blocks, axis=-2), np.sum(lam * blocks, axis=-2)
     S = np.zeros(comps.shape[:-1] + (4, 4), dtype=complex)
-    S[..., _MU, _NU] = np.concatenate([comps[..., :3], -1j * D], axis=-1)
+    S[..., _MU, _NU] = np.concatenate([E, -1j * D], axis=-1)
     S[..., _NU, _MU] = -S[..., _MU, _NU]
     return S
 
@@ -404,16 +401,16 @@ def _contract(C: np.ndarray, Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray) -> 
     return np.transpose(t, (2, 1, 0))
 
 
-def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, columns=None):
-    """Yield the grid sums of the kept tensor table's columns, one (n, n, n) complex array at a time.
+def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
+    """(columns, grid_sum): the kept tensor table's columns and their sum on the grid.
 
-    Column i's sum is sum_n e^{i(k_n.x - omega_n t)} C[n, i], yielded as (i,
-    sum) in the order of ``columns``, every column by default. Columns 0-2 sum
-    to -E^{(+)}; D's columns 3-5, or lam times columns 0-2 for a one-helicity
-    packet, sum to -i B^{(+)} (``_node_coefficients``). Only column i of the
-    kept ``C``, times e^{-i omega t} when t != 0, and the sum are live at once,
-    if the caller drops each sum before it asks for the next: no loop helper
-    such as zip or enumerate may hold it.
+    ``columns`` lists (lam, a, column) in the table's order, the column a view
+    of the kept ``C`` that holds component a of E_lam (``_node_coefficients``).
+    ``grid_sum(c)`` is sum_n e^{i(k_n.x - omega_n t)} c_n for a node column c,
+    one (n, n, n) complex array; for column (lam, a) it is G, which adds -G to
+    E^{(+)}_a and i lam G to B^{(+)}_a. While a sum is formed, only c, times
+    e^{-i omega t} when t != 0, is live beside it, so a caller that drops each
+    sum before it forms the next holds one at a time.
     """
     element = psi._element
     if element.lorentz:
@@ -423,9 +420,15 @@ def _grid_components(psi: HelicityAmplitude, grid: SpatialGrid, t: float, column
     nq, s = box.npts, -1.0 if element.flipped else 1.0  # k.x = q.(s x): module docstring
     Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
     clock = np.exp(-1j * omega * t) if t != 0.0 else None
-    for i in range(C.shape[1]) if columns is None else columns:
-        column = C[:, i] if clock is None else C[:, i] * clock  # the kept C has no clock
-        yield i, _contract(column.reshape(nq, nq, nq), Ax, Ay, Az)
+
+    def grid_sum(column):
+        if clock is not None:
+            column = column * clock  # the kept C has no clock
+        return _contract(column.reshape(nq, nq, nq), Ax, Ay, Az)
+
+    columns = [(lam, a, C[:, 3 * block + a])
+               for block, lam in enumerate(_helicities(psi)) for a in range(3)]
+    return columns, grid_sum
 
 
 def _squared_modulus(component: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -439,20 +442,17 @@ def positive_frequency_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(E^{(+)}, B^{(+)}) complex fields on the grid, shape (n, n, n, 3) each.
 
-    B^{(+)} is i times D's grid sum: -i lam E^{(+)} for a one-helicity packet,
-    whose three columns make both fields.
+    Column (lam, a)'s grid sum G adds -G to E^{(+)}_a and i lam G to B^{(+)}_a.
     """
-    Ep = np.empty(grid.shape + (3,), dtype=complex)
-    Bp = np.empty_like(Ep)
-    lam = _one_helicity(psi)
-    for i, component in _grid_components(psi, grid, t):
-        if i < 3:
-            np.negative(component, out=Ep[..., i])
-        if lam is not None:
-            np.multiply(component, 1j * lam, out=Bp[..., i])
-        elif i >= 3:
-            np.multiply(component, 1j, out=Bp[..., i - 3])
-        del component  # freed before the next one is contracted
+    Ep = np.zeros(grid.shape + (3,), dtype=complex)
+    Bp = np.zeros_like(Ep)
+    columns, grid_sum = _grid_sums(psi, grid, t)
+    for lam, a, column in columns:
+        G = grid_sum(column)
+        Ep[..., a] -= G
+        G *= 1j * lam
+        Bp[..., a] += G
+        del G  # freed before the next one is contracted
     return Ep, Bp
 
 
@@ -461,22 +461,21 @@ def field_expectation_grid(
 ) -> FieldTensorGrid:
     """Real <E>, <B> on the grid; tags the carrier with the packet's mean energy.
 
-    E_i is -2 Re of column i's grid sum, and B_i is -2 Im of D's: for a
-    one-helicity packet -2 lam Im of the same sum, so three contractions make
-    both fields. Each is written in place: no complex field is kept.
+    Column (lam, a)'s grid sum G adds -2 Re G to E_a and -2 lam Im G to B_a,
+    so one contraction makes both fields. G is scaled in place: no complex
+    field is kept.
     """
     kappa = energy_expectation(psi)
-    E = np.empty(grid.shape + (3,))
-    B = np.empty_like(E)
-    lam = _one_helicity(psi)
-    for i, component in _grid_components(psi, grid, t):
-        if i < 3:
-            np.multiply(component.real, -2.0, out=E[..., i])
-        if lam is not None:
-            np.multiply(component.imag, -2.0 * lam, out=B[..., i])
-        elif i >= 3:
-            np.multiply(component.imag, -2.0, out=B[..., i - 3])
-        del component  # freed before the next one is contracted
+    E = np.zeros(grid.shape + (3,))
+    B = np.zeros_like(E)
+    columns, grid_sum = _grid_sums(psi, grid, t)
+    for lam, a, column in columns:
+        G = grid_sum(column)
+        G *= -2.0  # 2 E^{(+)} of this column
+        E[..., a] += G.real
+        G *= -1j * lam  # 2 B^{(+)} = -i lam 2 E^{(+)}
+        B[..., a] += G.real
+        del G  # freed before the next one is contracted
     return FieldTensorGrid(grid, t, E, B, kappa)
 
 
@@ -605,25 +604,20 @@ def energy_expectation(psi: HelicityAmplitude) -> float:
     return float(expectation_momentum(psi, warn=False)[0])
 
 
-def _electric_density(psi: HelicityAmplitude, grid: SpatialGrid, t: float) -> np.ndarray:
-    """|E^{(+)}|^2 on the grid, summed in np.sum's order from the three E sums."""
-    density, square = np.empty(grid.shape), np.empty(grid.shape)
-    for i, component in _grid_components(psi, grid, t, range(3)):
-        if i == 0:
-            _squared_modulus(component, density)
-        else:
-            density += _squared_modulus(component, square)
-        del component  # freed before the next one is contracted
-    return density
-
-
 def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:
     """Spatial integral of the proposed density |sqrt(2) E^{(+)}|^2; equals <H>.
 
     Independent position-space route to the energy: compare with
-    :func:`energy_expectation`. Only the three E components are contracted.
+    :func:`energy_expectation`. The helicities' columns a are added on the
+    nodes and their sum, -E^{(+)}_a, is contracted once: three contractions for
+    any packet, and |E^{(+)}|^2 is summed in np.sum's order over a.
     """
-    density = _electric_density(psi, grid, t)
+    density, square = np.zeros(grid.shape), np.empty(grid.shape)
+    columns, grid_sum = _grid_sums(psi, grid, t)
+    for a in range(3):
+        # the kept column itself for one helicity: no node column is copied
+        electric = reduce(np.add, [column for _, b, column in columns if b == a])
+        density += _squared_modulus(grid_sum(electric), square)
     density *= 2.0
     return _trapezoid_integral(density, grid)
 
@@ -631,25 +625,15 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
 def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> np.ndarray:
     """|E^{(+)}|^2 + |B^{(+)}|^2 on the grid (carrier-free, envelope-smooth).
 
-    For a one-helicity packet |B^{(+)}| = |E^{(+)}|, so this is 2 |E^{(+)}|^2
-    from three contractions. Otherwise it is summed in np.sum's order over the
-    last axis of the complex fields, one (E_i, B_i) pair at a time:
-    (|E_0|^2 + |B_0|^2) + (|E_1|^2 + |B_1|^2) + ..., with |B_i| = |D_i|.
+    Each helicity's B^{(+)} is -i lam times its E^{(+)}, so the helicities do
+    not interfere: |E^{(+)}|^2 + |B^{(+)}|^2 = 2 sum_lam |E_lam^{(+)}|^2, each
+    column's |G|^2 added in the table's order and the sum doubled.
     """
-    if _one_helicity(psi) is not None:
-        density = _electric_density(psi, grid, t)
-        density *= 2.0
-        return density
-    density, pair, square = (np.empty(grid.shape) for _ in range(3))
-    for i, component in _grid_components(psi, grid, t, (0, 3, 1, 4, 2, 5)):
-        target = density if i in (0, 3) else pair
-        if i < 3:
-            _squared_modulus(component, target)
-        else:
-            target += _squared_modulus(component, square)
-            if target is pair:
-                density += pair
-        del component  # freed before the next one is contracted
+    density, square = np.zeros(grid.shape), np.empty(grid.shape)
+    columns, grid_sum = _grid_sums(psi, grid, t)
+    for _, _, column in columns:
+        density += _squared_modulus(grid_sum(column), square)
+    density *= 2.0
     return density
 
 

@@ -46,7 +46,7 @@ from photonamp.fields import (
 from photonamp.lorentz import METRIC, AxisAngle, light_energy, rotation_matrix
 from photonamp.polarization import polarization_spatial
 from photonamp.quadrature import BoxQuadrature
-from photonamp.verify import run_suite
+from photonamp.verify import _linear_wavepacket, run_suite
 from photonamp.wigner import wigner_rotation
 from test_amplitudes import _traced_peak
 
@@ -536,11 +536,11 @@ def _whole_box_coefficients(psi, gauge=None, tensor=True, explicit=False):
 
     The origin's field box, its nodes q carried forward and its weights times
     |k|/|q| as ``carried_nodes`` does; ``omega`` is |q|, and each row is built
-    at k with |k|. A tensor C is in the kept layout: E = sum c omega eps, and
-    D = sum lam c omega eps unless the packet has one helicity; under a gauge,
-    the shifted omega eps - k eps^0 and D = i k x eps. With ``explicit``, it is
-    the six components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}) of
-    k^mu eps^nu - k^nu eps^mu, the last three the cross product k x eps.
+    at k with |k|. A tensor C is in the kept layout, one block of three columns
+    per helicity present: E_lam = c omega eps_lam, under a gauge the shifted
+    omega eps - k eps^0. With ``explicit``, each helicity's block is the six
+    components (S^{01}, S^{02}, S^{03}, S^{23}, S^{31}, S^{12}) of
+    c (k^mu eps^nu - k^nu eps^mu), the last three the cross product c k x eps.
     """
     quad = psi.quad
     box = BoxQuadrature(quad.center, fields.FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
@@ -549,25 +549,24 @@ def _whole_box_coefficients(psi, gauge=None, tensor=True, explicit=False):
     omega, omega_k = light_energy(box.points()), light_energy(pts)
     base = fields.PREFACTOR * w / np.sqrt(omega_k)
     present = [lam for lam in HELICITIES if psi.component(lam) is not None]
-    one = len(present) == 1 and gauge is None and not explicit
-    C = np.zeros((len(pts), (3 if one else 6) if tensor else 4), dtype=complex)
-    for lam in present:
+    width = 6 if explicit else 3
+    C = np.zeros((len(pts), width * len(present) if tensor else 4), dtype=complex)
+    for b, lam in enumerate(present):
         eps, eps0 = polarization_spatial(pts, lam), None
         if gauge is not None:
             g = np.asarray(gauge(pts), dtype=complex)
             eps, eps0 = eps + g[:, None] * pts, g * omega_k
         c = base * psi.evaluate(lam, pts)
         if tensor:
-            C[:, :3] += (c * omega_k)[:, None] * eps
+            block = C[:, width * b : width * (b + 1)]
+            block[:, :3] += (c * omega_k)[:, None] * eps
             if eps0 is not None:
-                C[:, :3] -= (c * eps0)[:, None] * pts
-            if gauge is not None or explicit:
+                block[:, :3] -= (c * eps0)[:, None] * pts
+            if explicit:
                 k_cross_eps = np.empty_like(eps)
                 k_cross_eps.real = np.cross(pts, eps.real)
                 k_cross_eps.imag = np.cross(pts, eps.imag)
-                C[:, 3:] += c[:, None] * (k_cross_eps if explicit else 1j * k_cross_eps)
-            elif not one:
-                C[:, 3:] += lam * ((c * omega_k)[:, None] * eps)
+                block[:, 3:] += c[:, None] * k_cross_eps
         else:
             C[:, 1:] += c[:, None] * eps
             if eps0 is not None:
@@ -626,24 +625,32 @@ class TestSlabBuild:
         psi = replay(_two_helicity_packet(20), _EVERY_KIND[1::2])
         grid = SpatialGrid.centered(6.0, 11, center=(0.3, -0.2, t))
         box, omega, C = fields._node_coefficients(psi)
-        assert C.shape[1] == 6
-        clocked = C * np.exp(-1j * omega * t)[:, None]
+        assert C.shape[1] == 6  # two blocks: E_+ in columns 0-2, E_- in 3-5
+        clock = np.exp(-1j * omega * t)
         Ax, Ay, Az = (np.exp(1j * np.outer(k, -g)) for k, g in zip(box.axes(), grid.axes()))
         n = box.npts
-        fill = [fields._contract(clocked[:, i].reshape(n, n, n), Ax, Ay, Az) for i in range(6)]
-        # E+ = -(sum of E), B+ = i (sum of D); C order, as the complex fields were
-        # kept: a trapezoid sum follows the layout
-        Ep = -np.ascontiguousarray(np.stack(fill[:3], axis=-1))
-        Bp = 1j * np.ascontiguousarray(np.stack(fill[3:], axis=-1))
+
+        def fill(column):
+            return fields._contract((column * clock).reshape(n, n, n), Ax, Ay, Az)
+
+        sums = [fill(C[:, i]) for i in range(6)]
+        plus, minus = np.stack(sums[:3], axis=-1), np.stack(sums[3:], axis=-1)
+        # E+ = -(E_+ + E_-), B+ = i (E_+ - E_-), each block's sum; C order, as the
+        # complex fields were kept: a trapezoid sum follows the layout
+        Ep = -np.ascontiguousarray(plus + minus)
+        Bp = np.ascontiguousarray(1j * plus + -1j * minus)
         got = fields.positive_frequency_grid(psi, grid, t)
         assert np.array_equal(got[0], Ep) and np.array_equal(got[1], Bp)
         ftg = field_expectation_grid(psi, grid, t)
         assert np.array_equal(ftg.E, 2.0 * Ep.real) and np.array_equal(ftg.B, 2.0 * Bp.real)
+        # Sipe: the helicities' columns a added on the nodes, then one contraction each
+        electric = np.stack([fill(C[:, a] + C[:, 3 + a]) for a in range(3)], axis=-1)
         assert sipe_energy_integral(psi, grid, t) == fields._trapezoid_integral(
-            2.0 * np.sum(np.abs(Ep) ** 2, axis=-1), grid
+            2.0 * np.sum(np.abs(electric) ** 2, axis=-1), grid
         )
+        # BB, with no interference: 2 sum_lam |E_lam|^2, in the table's column order
         assert np.array_equal(
-            bb_density_grid(psi, grid, t), np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1)
+            bb_density_grid(psi, grid, t), 2.0 * np.sum(np.abs(np.stack(sums, axis=-1)) ** 2, axis=-1)
         )
 
     def test_poynting_components_are_np_cross(self):
@@ -771,10 +778,16 @@ class TestCarriedFields:
         assert np.max(np.abs(fill - pointwise)) <= 1e-12 * np.max(np.abs(pointwise))
 
 
+def _explicit_table(psi):
+    """The six components of sum_lam c (k^mu eps^nu - k^nu eps^mu): the explicit blocks added."""
+    _, explicit = _whole_box_coefficients(psi, explicit=True)
+    return explicit.reshape(len(explicit), -1, 6).sum(axis=1)
+
+
 def _explicit_sums(psi, x):
     """The six positive-frequency components at the points x (m, 4), summed on the explicit table."""
     box, omega, _ = fields._node_coefficients(psi)
-    _, explicit = _whole_box_coefficients(psi, explicit=True)
+    explicit = _explicit_table(psi)
     y = psi._element.origin_point(x)
     return np.exp(-1j * (np.outer(y[:, 0], omega) - y[:, 1:] @ box.points().T)) @ explicit
 
@@ -782,7 +795,7 @@ def _explicit_sums(psi, x):
 def _explicit_grid_sums(psi, grid, t):
     """The six components' grid sums, each column of the explicit table contracted with the clock."""
     box, omega, _ = fields._node_coefficients(psi)
-    _, explicit = _whole_box_coefficients(psi, explicit=True)
+    explicit = _explicit_table(psi)
     s = -1.0 if psi._element.flipped else 1.0
     Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
     clocked = explicit * np.exp(-1j * omega * t)[:, None]
@@ -803,7 +816,7 @@ def _helicity_packet(helicity, record):
 @pytest.mark.filterwarnings("ignore:field box may clip")  # the two-helicity packet overhangs its box
 class TestHelicityRoute:
     """The kept table's helicity route, k x eps_lam = -i lam omega eps_lam, against the
-    explicit six-column build: one helicity keeps E alone, two keep E and D."""
+    explicit six-column build: each helicity present keeps its block E_lam alone."""
 
     PACKETS = pytest.mark.parametrize("helicity, record", [
         (1, []), (-1, []), (1, [0, 1]), (0, []), (0, range(5)),
@@ -819,11 +832,12 @@ class TestHelicityRoute:
         psi = _helicity_packet(helicity, record)
         _, _, C = fields._node_coefficients(psi)
         _, explicit = _whole_box_coefficients(psi, explicit=True)
-        lam = fields._one_helicity(psi)
-        assert C.shape == (31**3, 3 if lam else 6)
-        D = lam * C if lam else C[:, 3:]
-        assert np.array_equal(C[:, :3], explicit[:, :3])
-        assert np.max(np.abs(-1j * D - explicit[:, 3:])) <= 1e-15 * np.max(np.abs(explicit))
+        assert C.shape == (31**3, 3 if helicity else 6)
+        scale = np.max(np.abs(explicit))
+        for b, lam in enumerate(fields._helicities(psi)):
+            E, S = C[:, 3 * b : 3 * b + 3], explicit[:, 6 * b : 6 * b + 6]
+            assert np.array_equal(E, S[:, :3])
+            assert np.max(np.abs(-1j * lam * E - S[:, 3:])) <= 1e-15 * scale
 
     @PACKETS
     def test_pointwise_field_matches_the_explicit_build(self, helicity, record):
@@ -859,13 +873,24 @@ class TestHelicityRoute:
         psi = _helicity_packet(-1, [3, 1])
         grid = SpatialGrid.centered(6.0, 9, center=(0.3, -0.2, 0.6))
         Ep, Bp = fields.positive_frequency_grid(psi, grid, 0.6)
-        assert fields._one_helicity(psi) == 1  # the parity flip turns -1 into +1
+        assert fields._helicities(psi) == [1]  # the parity flip turns -1 into +1
+        assert fields._node_coefficients(psi)[2].shape[1] == 3  # one block
         assert np.array_equal(Bp, -1j * Ep)
         ftg = field_expectation_grid(psi, grid, 0.6)
         assert np.array_equal(ftg.E, 2.0 * Ep.real) and np.array_equal(ftg.B, 2.0 * Bp.real)
         density = bb_density_grid(psi, grid, 0.6)
         assert np.array_equal(density, np.sum(np.abs(Ep) ** 2 + np.abs(Bp) ** 2, axis=-1))
         assert sipe_energy_integral(psi, grid, 0.6) == fields._trapezoid_integral(density, grid)
+
+    def test_two_helicity_energy_closures(self):
+        # verify's closure grid, 72^3, for its linearly polarized packet: the Sipe
+        # density adds the helicities' columns before it squares, the BB density
+        # adds their squares; both read -1.795e-6 relative
+        psi = _linear_wavepacket(KAPPA, 0.01 * KAPPA)
+        H = energy_expectation(psi)
+        grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
+        assert abs(sipe_energy_integral(psi, grid) - H) <= 1e-5 * H
+        assert abs(bb_energy_integral(psi, grid) - H) <= 1e-5 * H
 
 
 class TestGridMemory:
@@ -900,6 +925,26 @@ class TestGridMemory:
         grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
         assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 22 * 2**20
         assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 16 * 2**20
+
+    def test_two_helicity_fills_hold_one_complex_sum(self):
+        # the (N, 6) table built first. On verify's 72^3 closure grid the Sipe
+        # density traces 17.0 MiB and the BB density 15.3; Sipe adds the
+        # helicities' columns on the nodes, one more node column (1.7 MiB),
+        # where a second complex sum held at once would add 5.7 MiB. On the
+        # fields-csv grid, 66^3, the fill traces 21.1 MiB, and a sum kept while
+        # the next is formed adds one complex component, 4.4 MiB
+        psi = _linear_wavepacket(KAPPA, 0.01 * KAPPA)
+        expectation_momentum(psi, warn=False)
+        fields._node_coefficients(psi)
+        grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
+        assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 18 * 2**20
+        assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 16 * 2**20
+        spec = NarrowbandSpec(3.3, 0.08 * 3.3)
+        psi = _linear_wavepacket(3.3, spec.sigma_k)
+        expectation_momentum(psi, warn=False)
+        fields._node_coefficients(psi)
+        grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
+        assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 22 * 2**20
 
 
 class TestVectorPotential:
