@@ -16,12 +16,14 @@ where w is the little-group angle from :mod:`photonamp.wigner`. With these
 phases P U(Lambda, a) P = U(P Lambda P, Pa), T U(Lambda, a) T^{-1} =
 U(T Lambda T, Ta) and PT = TP hold exactly, so a whole record fuses into one
 element U(a) U(A) P^p T^t (``_Poincare``): an SL(2,C) matrix A with its 4x4
-Lambda, a translation a, and parity and time-reversal bits, composed op by op
-in O(1). At k it costs one pass whatever the record's length: the origin's
-component (-lam if p) at -k' if exactly one bit is set, else at
-k' = Lambda^{-1} k, conjugated if t, times sqrt(omega'/omega),
-``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one bit is set and eta if
-p, all conjugated for lam = -1, and e^{i k.a}.
+Lambda, a translation a, and parity and time-reversal bits. A record composes
+in one pass (``_Poincare.then``): one stacked call builds all of its
+rotations, one all of its boosts, and a fold in record order multiplies them
+in with its translations, P and T. At k the element costs one pass whatever
+the record's length: the origin's component (-lam if p) at -k' if exactly
+one bit is set, else at k' = Lambda^{-1} k, conjugated if t, times
+sqrt(omega'/omega), ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one
+bit is set and eta if p, all conjugated for lam = -1, and e^{i k.a}.
 
 Observables and fields (:mod:`photonamp.fields`) use one rule per packet,
 the origin's Gauss-Legendre box (``quad``): as d^3k/omega is Lorentz
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial, reduce
 from typing import Callable, Optional
 
@@ -117,6 +119,8 @@ def _finite(values, name: str) -> list[float]:
 
 def op_from_json(obj: dict) -> TransformOp:
     """The op of a JSON object; a NaN or an infinity among its numbers is refused."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"an op must be a JSON object, not {obj!r}")
     kind = obj.get("type")
     if kind == "translate":
         return TransformOp("translate", {"a": _finite(obj["a"], "translation")})
@@ -136,6 +140,33 @@ def op_from_json(obj: dict) -> TransformOp:
 def _inverse_adjoint(A: np.ndarray) -> np.ndarray:
     """(A^dagger)^{-1} of an SL(2,C) matrix: what P and T make of A."""
     return np.conj(np.array([[A[1, 1], -A[1, 0]], [-A[0, 1], A[0, 0]]]))
+
+
+def _rotation(axis, angle):
+    """(A, Lambda) of rotations: a single one, or stacks of axes (..., 3) and angles (...)."""
+    r = AxisAngle(axis, angle)
+    return su2_matrix(r), rotation_matrix(r)
+
+
+def _boost(beta):
+    """(A, Lambda) of boosts by velocities ``beta``: a single one, or a stack (..., 3)."""
+    return sl2c_boost(rapidity_from_beta(beta)), boost_matrix(beta)
+
+
+def _stacked(build, *columns):
+    """An iterator over the rows of ``build`` called once on the stacked ``columns``.
+
+    A refused row raises the error ``build`` raises for that row alone: the
+    message of the first bad row's single call, without the stack's row suffix.
+    """
+    if not columns[0]:
+        return iter(())
+    try:
+        return zip(*build(*(np.array(c, dtype=float) for c in columns)))
+    except ValueError:
+        for row in zip(*columns):
+            build(*(np.array(v, dtype=float) for v in row))
+        raise
 
 
 @dataclass(frozen=True)
@@ -165,30 +196,37 @@ class _Poincare:
     def _inverse(self) -> np.ndarray:
         return lorentz_inverse(self.Lam)
 
-    def then(self, op: TransformOp) -> "_Poincare":
-        """This element followed by ``op``."""
-        if op.kind == "translate":
-            return replace(self, a=self.a + np.asarray(op.params["a"], dtype=float))
-        if op.kind in ("rotate", "boost"):
-            if op.kind == "rotate":
-                r = AxisAngle(np.array(op.params["axis"]), op.params["angle"])
-                A, Lam = su2_matrix(r), rotation_matrix(r)
+    def then(self, ops) -> "_Poincare":
+        """This element followed by the sequence ``ops``, in order.
+
+        The record's rotations are built by one stacked ``AxisAngle``,
+        ``su2_matrix`` and ``rotation_matrix`` call, and its boosts by one
+        stacked ``rapidity_from_beta``, ``sl2c_boost`` and ``boost_matrix``
+        call. Each row keeps its single call's bits, and the fold runs in record
+        order, so the element is the one that composing op by op would give.
+        """
+        rotations = [op.params for op in ops if op.kind == "rotate"]
+        axes, angles = [p["axis"] for p in rotations], [p["angle"] for p in rotations]
+        factors = {
+            "rotate": _stacked(_rotation, axes, angles),
+            "boost": _stacked(_boost, [op.params["beta"] for op in ops if op.kind == "boost"]),
+        }
+        A, Lam, a, parity, reversal = self.A, self.Lam, self.a, self.parity, self.reversal
+        for op in ops:
+            if op.kind == "translate":
+                a = a + np.asarray(op.params["a"], dtype=float)
+            elif op.kind in factors:
+                A_op, Lam_op = next(factors[op.kind])
+                A, Lam, a = A_op @ A, Lam_op @ Lam, Lam_op @ a
+            elif op.kind in ("parity", "time_reverse"):
+                # P = g and T = -g; both take Lambda to g Lambda g and A to (A^dagger)^{-1}
+                is_parity = op.kind == "parity"
+                A, Lam = _inverse_adjoint(A), METRIC @ Lam @ METRIC
+                a = (METRIC if is_parity else -METRIC) @ a
+                parity, reversal = parity ^ is_parity, reversal ^ (not is_parity)
             else:
-                beta = np.asarray(op.params["beta"], dtype=float)
-                A, Lam = sl2c_boost(rapidity_from_beta(beta)), boost_matrix(beta)
-            return replace(self, A=A @ self.A, Lam=Lam @ self.Lam, a=Lam @ self.a)
-        if op.kind in ("parity", "time_reverse"):
-            # P = g and T = -g; both take Lambda to g Lambda g and A to (A^dagger)^{-1}
-            parity = op.kind == "parity"
-            return replace(
-                self,
-                A=_inverse_adjoint(self.A),
-                Lam=METRIC @ self.Lam @ METRIC,
-                a=(METRIC if parity else -METRIC) @ self.a,
-                parity=self.parity ^ parity,
-                reversal=self.reversal ^ (not parity),
-            )
-        raise ValueError(f"unknown transformation kind: {op.kind!r}")
+                raise ValueError(f"unknown transformation kind: {op.kind!r}")
+        return _Poincare(A, Lam, a, parity, reversal)
 
     def preimage(self, k: np.ndarray):
         """(q, |k|, omega'/omega or None) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``."""
@@ -371,9 +409,7 @@ class HelicityAmplitude:
         return self.apply(TransformOp("time_reverse", {}))
 
     def apply(self, op: TransformOp) -> "HelicityAmplitude":
-        out = HelicityAmplitude(*self._base, None, self.record + (op,), self.origin)
-        out._element = self._element.then(op)
-        return out
+        return replay(self, (op,))
 
     def normalized(self) -> "HelicityAmplitude":
         """Rescale so the summed momentum-space density integrates to one.
@@ -406,8 +442,17 @@ def _squared_modulus(value) -> np.ndarray:
 
 
 def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
-    """Re-apply a transformation record to ``base``; reproduces the owner pointwise."""
-    return reduce(lambda amp, op: amp.apply(op), record, base)
+    """Re-apply a transformation record to ``base``; reproduces the owner pointwise.
+
+    The whole record composes into ``base``'s element in one pass
+    (``_Poincare.then``), so no amplitude is built per op.
+    """
+    record = tuple(record)
+    if not record:
+        return base
+    out = HelicityAmplitude(*base._base, None, base.record + record, base.origin)
+    out._element = base._element.then(record)
+    return out
 
 
 # -- construction ------------------------------------------------------------
@@ -553,6 +598,8 @@ def from_descriptor(descriptor: dict, npts: Optional[int] = None) -> HelicityAmp
     at once. The rung is sized for the density observables; the fields of the
     32-node bench packet are within 1.2e-13 of max|F| of a 96-node sum.
     """
+    if not isinstance(descriptor, dict):
+        raise ValueError(f"a descriptor must be a JSON object, not {descriptor!r}")
     if descriptor.get("units") != "eV":
         raise ValueError('descriptor must declare "units": "eV"')
     kappa = _finite(descriptor["kappa"], "kappa")
@@ -564,6 +611,4 @@ def from_descriptor(descriptor: dict, npts: Optional[int] = None) -> HelicityAmp
         psi = gaussian_wavepacket(kappa, sigma, helicity, npts=rung)
         if rung == ladder[-1] or _gaussian_error(psi, kappa, sigma) <= QUADRATURE_TARGET:
             break
-    for raw in descriptor.get("ops", []):
-        psi = psi.apply(op_from_json(raw))
-    return psi
+    return replay(psi, [op_from_json(raw) for raw in descriptor.get("ops", [])])

@@ -13,14 +13,17 @@ that is not finite, an energy or relative width that is not positive, a
 negative ``verify --seed``, fewer than 2 points per axis (``fields --n``,
 ``transform --npts``), a ``localize --sigma-ratio`` outside (0, 0.1), a
 ``wigner --beta`` with |beta| >= 1, a zero ``wigner --axis`` and a malformed
-``transform --op`` or descriptor (a NaN, an infinity, a bool or a string for a
-number, or a helicity other than +-1) are usage errors. Output is strict
-JSON: a result that is not finite is a numerical
-failure. ``verify`` checks each property at its own fixed tolerance, with no
-override. Angles are radians; energies cross the
-boundary in eV (natural units inside). JSON output carries ``"schema": 1``
-and, unless ``--no-timestamp`` is given, a ``generated_at`` field (excluded
-so reports can be compared byte for byte).
+``transform --op`` or descriptor (one that is not a JSON object, an op that is
+not one, a NaN, an infinity, a bool or a string for a number, a helicity other
+than +-1, a zero rotation axis or a boost with |beta| >= 1) are usage errors.
+Output is strict JSON: a result that is not finite is a numerical failure.
+``verify`` checks each property at its own fixed tolerance, with no override.
+Angles are radians; energies cross the boundary in eV (natural units inside).
+JSON output carries ``"schema": 1`` and, unless ``--no-timestamp`` is given, a
+``generated_at`` field (excluded so reports can be compared byte for byte).
+
+``main(argv)`` may be called any number of times in one process: it builds
+the argument parser on its first call, not at import, and reuses it.
 
 ``transform`` reports ``npts``, chosen by ``from_descriptor`` unless given, and
 ``quadrature_error``, its estimate against the Gaussian's closed forms. ``fields
@@ -42,7 +45,7 @@ import math
 import sys
 import time
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +58,7 @@ from .amplitudes import (
     gaussian_wavepacket,
     norm_squared,
     op_from_json,
+    replay,
 )
 from .fields import (
     HBARC_EV_UM,
@@ -132,11 +136,20 @@ def _positive(text: str) -> float:
 
 
 def _op(text: str):
-    """One ``--op``: a JSON object that ``op_from_json`` accepts, finite numbers only."""
+    """One ``--op``: a JSON object that ``op_from_json`` accepts, finite numbers only.
+
+    A rotation's axis and a boost's velocity must pass the single call that
+    bounds them, as ``wigner --axis`` and ``--beta`` do: a nonzero axis, |beta| < 1.
+    """
     try:
-        return op_from_json(json.loads(text))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        op = op_from_json(json.loads(text))
+        if op.kind == "rotate":
+            AxisAngle(np.array(op.params["axis"]), op.params["angle"])
+        elif op.kind == "boost":
+            boost_matrix(np.array(op.params["beta"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(f"malformed op {text!r}: {exc}") from None
+    return op
 
 
 def _cmd_verify(args) -> int:
@@ -198,8 +211,7 @@ def _cmd_transform(args) -> int:
         return {"norm_squared": norm_squared(amp, warn=False), "momentum": list(p)}
 
     before = summary(psi)
-    for op in extra_ops:
-        psi = psi.apply(op)
+    psi = replay(psi, extra_ops)
     after = summary(psi)
 
     out_descriptor = dict(descriptor)
@@ -391,8 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: built on ``main``'s first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # entering resets the once-per-location registry, so every call warns;
         # the caller's filters still apply

@@ -25,6 +25,9 @@ from photonamp.amplitudes import (
 )
 from photonamp.fields import positive_frequency_field
 from photonamp.lorentz import (
+    IDENTITY2,
+    IDENTITY4,
+    METRIC,
     AxisAngle,
     azimuth_phase,
     boost_matrix,
@@ -34,6 +37,7 @@ from photonamp.lorentz import (
     rapidity_from_beta,
     rotation3,
     rotation_matrix,
+    sl2c_boost,
     su2_matrix,
 )
 from photonamp.quadrature import BoxQuadrature
@@ -1093,3 +1097,106 @@ class TestCarriedNodes:
             element = packet.rotate(r)._element
             assert np.array_equal(element.Lam, rotation_matrix(r))
             assert np.array_equal(element.A, su2_matrix(r))
+
+
+# -- one stacked composition per record --------------------------------------------
+
+
+def _oracle_element(ops):
+    """(A, Lambda, a, parity, reversal) folded one op at a time with single-input calls."""
+    A, Lam, a, parity, reversal = IDENTITY2, IDENTITY4, np.zeros(4), False, False
+    for op in ops:
+        if op.kind == "translate":
+            a = a + np.asarray(op.params["a"], dtype=float)
+        elif op.kind in ("rotate", "boost"):
+            if op.kind == "rotate":
+                r = AxisAngle(np.array(op.params["axis"]), op.params["angle"])
+                A_op, Lam_op = su2_matrix(r), rotation_matrix(r)
+            else:
+                beta = np.asarray(op.params["beta"], dtype=float)
+                A_op, Lam_op = sl2c_boost(rapidity_from_beta(beta)), boost_matrix(beta)
+            A, Lam, a = A_op @ A, Lam_op @ Lam, Lam_op @ a
+        else:
+            is_parity = op.kind == "parity"
+            A = np.conj(np.array([[A[1, 1], -A[1, 0]], [-A[0, 1], A[0, 0]]]))
+            Lam = METRIC @ Lam @ METRIC
+            a = (METRIC if is_parity else -METRIC) @ a
+            parity, reversal = parity ^ is_parity, reversal ^ (not is_parity)
+    return A, Lam, a, parity, reversal
+
+
+def _oracle_record(rng, length) -> list[TransformOp]:
+    """``length`` ops of seeded kinds: generic axes and angles, boosts with |beta| <= 0.95."""
+    ops = []
+    for kind in rng.choice(KINDS, size=length):
+        if kind == "boost":
+            direction = rng.normal(size=3)
+            speed = rng.uniform(0.0, 0.95)
+            ops.append(TransformOp(
+                kind, {"beta": (speed * direction / np.linalg.norm(direction)).tolist()}
+            ))
+        else:
+            ops.append(generic_op(rng, str(kind)))
+    return ops
+
+
+def _assert_element(element, expected):
+    A, Lam, a, parity, reversal = expected
+    assert np.array_equal(element.A, A)
+    assert np.array_equal(element.Lam, Lam)
+    assert np.array_equal(element.a, a)
+    assert (element.parity, element.reversal) == (parity, reversal)
+
+
+class TestRecordComposition:
+    """A record composes in one pass with the bits of the op-by-op fold of single calls."""
+
+    DESCRIPTOR = {"units": "eV", "kappa": [0.0, 0.0, KAPPA], "sigma_k": SIGMA, "helicity": 1}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_whole_record_matches_the_single_call_fold(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        base = mixed_packet()
+        for _ in range(40):
+            record = _oracle_record(rng, int(rng.integers(1, 33)))
+            expected = _oracle_element(record)
+            _assert_element(replay(base, record)._element, expected)
+            _assert_element(reduce(lambda amp, op: amp.apply(op), record, base)._element, expected)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_split_between_descriptor_and_extra_ops(self, seed):
+        rng = np.random.default_rng(3100 + seed)
+        for length in (1, 7, 32):
+            record = _oracle_record(rng, length)
+            expected = _oracle_element(record)
+            for cut in range(length + 1):
+                descriptor = dict(self.DESCRIPTOR, ops=[op.to_json() for op in record[:cut]])
+                psi = replay(from_descriptor(descriptor, npts=4), record[cut:])
+                assert psi.record == tuple(record)
+                _assert_element(psi._element, expected)
+
+    def test_replay_of_nothing_is_the_amplitude_itself(self, packet):
+        assert replay(packet, []) is packet
+
+    @pytest.mark.parametrize("bad, message", [
+        (TransformOp("rotate", {"axis": [0.0, 0.0, 0.0], "angle": 1.0}),
+         "rotation axis must be a nonzero 3-vector"),
+        (TransformOp("rotate", {"axis": [0.0, 1.0], "angle": 1.0}),
+         "rotation axis must be a nonzero 3-vector"),
+        (TransformOp("boost", {"beta": [0.0, 0.0, 1.0]}), "superluminal boost"),
+        (TransformOp("boost", {"beta": [0.6, 0.0, -0.9]}), "superluminal boost"),
+    ], ids=["zero-axis", "axis-of-two", "beta-one", "beta-above-one"])
+    def test_a_bad_op_keeps_the_text_of_its_single_call(self, packet, bad, message):
+        rng = np.random.default_rng(3200)
+        good = [generic_op(rng, kind) for kind in KINDS]
+        for record in ([bad], good[:2] + [bad] + good[2:]):
+            with pytest.raises(ValueError) as excinfo:
+                replay(packet, record)
+            assert str(excinfo.value) == message
+            descriptor = dict(self.DESCRIPTOR, ops=[op.to_json() for op in record])
+            with pytest.raises(ValueError) as excinfo:
+                from_descriptor(descriptor, npts=4)
+            assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            packet.apply(bad)
+        assert str(excinfo.value) == message

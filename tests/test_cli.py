@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonamp import verify
+from photonamp import cli, verify
 from photonamp.amplitudes import expectation_momentum, gaussian_wavepacket, norm_squared, replay
 from photonamp.cli import _write_fields_csv, main
 from photonamp.fields import (
@@ -169,6 +169,21 @@ def test_transform_malformed_descriptor(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["transform", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "a descriptor must be a JSON object, not [1, 2]"),
+    ('{"units": "eV", "kappa": [0, 0, 1], "sigma_k": 0.05, "helicity": 1, "ops": ["boost"]}',
+     "an op must be a JSON object, not 'boost'"),
+], ids=["descriptor-list", "op-string"])
+def test_transform_refuses_a_descriptor_that_is_not_an_object(tmp_path, capsys, text, message):
+    # both used to end in an AttributeError traceback and exit 1
+    path = tmp_path / "packet.json"
+    path.write_text(text)
+    assert main(["transform", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"malformed descriptor: {message}\n"
 
 
 def test_transform_missing_units(tmp_path, capsys):
@@ -444,13 +459,16 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,-Infinity]}']),
     (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,1,0],"angle":"0.5"}']),
     (["transform", "PACKET"], ["--op", '{"type":"translate","a":[true,0,0,0]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,0,0],"angle":1}']),
+    (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,1.5]}']),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
         "wigner-superluminal-beta", "wigner-zero-axis", "wigner-axis-of-two", "localize-kappa-inf",
         "fields-time-nan", "fields-extent-inf", "wigner-theta-nan", "wigner-phi-inf",
         "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative",
         "transform-op-angle-inf", "transform-op-translate-nan", "transform-op-beta-inf",
-        "transform-op-angle-string", "transform-op-translate-bool"])
+        "transform-op-angle-string", "transform-op-translate-bool", "transform-op-zero-axis",
+        "transform-op-superluminal-beta"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
@@ -559,3 +577,61 @@ def test_verify_suite_trials_depend_only_on_the_seed():
         if p.name.startswith("amplitudes/")
     }
     assert inside == {p.name: p.max_residual for p in alone.properties}
+
+
+def test_main_reuses_one_parser_and_prints_what_a_fresh_process_prints(
+    tmp_path, capsys, monkeypatch
+):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    packet = str(descriptor_file(tmp_path, ops=[README_OPS[0].to_json()]))
+    csv_path = tmp_path / "fields.csv"
+    extra = [arg for op in README_OPS[1:4] for arg in ("--op", json.dumps(op.to_json()))]
+    sequence = [
+        ["transform", packet, *extra, "--no-timestamp"],
+        ["transform", packet, "--no-timestamp"],
+        ["transform", packet, "--npts", "1"],
+        ["wigner", "--kind", "boost", "--beta", "0.3,-0.2,0.6", "--omega-ev", "2.0",
+         "--theta", "1.0", "--phi", "0.3", "--no-timestamp"],
+        ["localize", "--kappa-ev", "3.3", "--sigma-ratio", "0.01", "--no-timestamp"],
+        ["verify", "--suite", "little-group", "--trials", "20", "--no-timestamp"],
+        ["fields", "--mode", "exact", "--kappa-ev", "3.3", "--sigma-ratio", "0.005", "--n", "27",
+         "--extent", "0.1", "--out", str(csv_path), "--no-timestamp"],
+    ]
+    in_process = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        csv_bytes = csv_path.read_bytes() if argv[0] == "fields" else None
+        in_process.append((code, captured.out.encode(), captured.err, csv_bytes))
+    assert len(built) == 1
+    # the second transform's descriptor holds only its own ops, not the first call's
+    first, second = (json.loads(out) for _, out, _, _ in in_process[:2])
+    assert len(first["descriptor"]["ops"]) == 4
+    assert second["descriptor"]["ops"] == [README_OPS[0].to_json()]
+    assert in_process[2][0] == 2 and "argument --npts" in in_process[2][2]
+
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for argv, (code, out, err, csv_bytes) in zip(sequence, in_process):
+        done = subprocess.run([sys.executable, "-m", "photonamp.cli", *argv],
+                              capture_output=True, env=env, timeout=120)
+        assert done.returncode == code, argv
+        assert done.stdout == out, argv
+        if code == 2:
+            assert done.stderr.decode() == err
+        if csv_bytes is not None:
+            assert csv_path.read_bytes() == csv_bytes
+
+
+def test_the_parser_is_not_built_at_import():
+    script = "import photonamp.cli as cli; print(cli._parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
