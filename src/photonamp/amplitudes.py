@@ -91,9 +91,18 @@ QUADRATURE_TARGET = 1e-9
 #: Boundary-to-peak density ratio above which the box is flagged as too small.
 BOUNDARY_DENSITY_RATIO = 1e-8
 
+_REAL = (int, float, np.integer, np.floating)  # the number types a descriptor or op may give
+
 
 class QuadratureDomainWarning(UserWarning):
     """The quadrature box appears to clip the support of the amplitude."""
+
+
+def _warn_if_clipped(box: str, peak: float, boundary: float, stacklevel: int) -> None:
+    """Warn that the ``box`` box may clip the amplitude: its shell's density is above the ratio."""
+    if peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
+        warnings.warn(f"{box} box may clip the amplitude support (boundary/peak density "
+                      f"{boundary / peak:.2e})", QuadratureDomainWarning, stacklevel=stacklevel + 1)
 
 
 @dataclass(frozen=True)
@@ -107,34 +116,48 @@ class TransformOp:
         return {"type": self.kind, **self.params}
 
 
-def _finite(values, name: str) -> list[float]:
-    """``values`` as floats; a bool, a string, a NaN or an infinity is refused, naming ``name``."""
-    if any(isinstance(v, (bool, str)) for v in values):
-        raise ValueError(f"{name} must be numbers, not {values!r}")
-    values = [float(v) for v in values]
-    if not all(math.isfinite(v) for v in values):
+def _numbers(obj: dict, key: str, name: str, count: Optional[int]):
+    """``obj[key]`` as finite floats: a list of ``count``, of any length if 0, or a number if None.
+
+    A missing key, another shape (a nested list among them), a bool, a string
+    or a number that is not finite is a ValueError that names ``name``.
+    """
+    if key not in obj:
+        raise ValueError(f"{name} is missing (key {key!r})")
+    value = obj[key]
+    values = [value] if count is None else value
+    shaped = count is None or (
+        (isinstance(value, (list, tuple)) or np.ndim(value) == 1) and count in (0, len(value)))
+    if not shaped or any(isinstance(v, bool) or not isinstance(v, _REAL) for v in values):
+        shape = {None: "a number", 0: "a list of numbers"}.get(count, f"a list of {count} numbers")
+        raise ValueError(f"{name} must be {shape}, not {value!r}")
+    try:
+        values = [float(v) for v in values]
+    except OverflowError:  # an int beyond the largest float
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"{name} must be finite")
-    return values
+    return values[0] if count is None else values
+
+
+#: Each op type's numbers, (key, name, count) as ``_numbers`` reads them. The axis's
+#: length is left to ``AxisAngle``, which refuses a wrong one with its single call's text.
+_OP_FIELDS = {
+    "translate": (("a", "translation", 4),),
+    "rotate": (("axis", "rotation axis", 0), ("angle", "rotation angle", None)),
+    "boost": (("beta", "boost velocity", 3),),
+    "parity": (), "time_reverse": (),
+}
 
 
 def op_from_json(obj: dict) -> TransformOp:
-    """The op of a JSON object; a NaN or an infinity among its numbers is refused."""
+    """The op of a JSON object, its numbers read as ``_OP_FIELDS`` lists them; no range check."""
     if not isinstance(obj, dict):
         raise ValueError(f"an op must be a JSON object, not {obj!r}")
     kind = obj.get("type")
-    if kind == "translate":
-        return TransformOp("translate", {"a": _finite(obj["a"], "translation")})
-    if kind == "rotate":
-        return TransformOp(
-            "rotate",
-            {"axis": _finite(obj["axis"], "rotation axis"),
-             "angle": _finite([obj["angle"]], "rotation angle")[0]},
-        )
-    if kind == "boost":
-        return TransformOp("boost", {"beta": _finite(obj["beta"], "boost velocity")})
-    if kind in ("parity", "time_reverse"):
-        return TransformOp(kind, {})
-    raise ValueError(f"unknown transformation type: {kind!r}")
+    if not isinstance(kind, str) or kind not in _OP_FIELDS:
+        raise ValueError(f"unknown transformation type: {kind!r}")
+    return TransformOp(kind, {spec[0]: _numbers(obj, *spec) for spec in _OP_FIELDS[kind]})
 
 
 def _inverse_adjoint(A: np.ndarray) -> np.ndarray:
@@ -390,17 +413,13 @@ class HelicityAmplitude:
 
     def translate(self, a) -> "HelicityAmplitude":
         """Spacetime translation by the 4-vector ``a``: phase e^{+i k.a}."""
-        a = np.asarray(a, dtype=float).reshape(4)
-        return self.apply(TransformOp("translate", {"a": a.tolist()}))
+        return self.apply(op_from_json({"type": "translate", "a": a}))
 
     def rotate(self, r: AxisAngle) -> "HelicityAmplitude":
-        return self.apply(
-            TransformOp("rotate", {"axis": r.axis.tolist(), "angle": r.angle})
-        )
+        return self.apply(op_from_json({"type": "rotate", "axis": r.axis, "angle": r.angle}))
 
     def boost(self, beta) -> "HelicityAmplitude":
-        beta = np.asarray(beta, dtype=float).reshape(3)
-        return self.apply(TransformOp("boost", {"beta": beta.tolist()}))
+        return self.apply(op_from_json({"type": "boost", "beta": beta}))
 
     def parity(self) -> "HelicityAmplitude":
         return self.apply(TransformOp("parity", {}))
@@ -524,13 +543,8 @@ def _density_integrals(psi: HelicityAmplitude, warn: bool):
     if origin._integrals is None:
         origin._integrals = _carried_integrals(origin)
     norm, momentum, peak, boundary = origin._integrals
-    if warn and peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
-        warnings.warn(
-            "quadrature box may clip the amplitude support "
-            f"(boundary/peak density {boundary / peak:.2e})",
-            QuadratureDomainWarning,
-            stacklevel=3,
-        )
+    if warn:
+        _warn_if_clipped("quadrature", peak, boundary, stacklevel=3)
     return norm, element.Lam @ (METRIC @ momentum if element.flipped else momentum)
 
 
@@ -602,13 +616,16 @@ def from_descriptor(descriptor: dict, npts: Optional[int] = None) -> HelicityAmp
         raise ValueError(f"a descriptor must be a JSON object, not {descriptor!r}")
     if descriptor.get("units") != "eV":
         raise ValueError('descriptor must declare "units": "eV"')
-    kappa = _finite(descriptor["kappa"], "kappa")
-    sigma = _finite([descriptor["sigma_k"]], "sigma_k")[0]
-    helicity = _finite([descriptor["helicity"]], "helicity")[0]
+    kappa = _numbers(descriptor, "kappa", "kappa", 3)
+    sigma = _numbers(descriptor, "sigma_k", "sigma_k", None)
+    helicity = _numbers(descriptor, "helicity", "helicity", None)
+    ops = descriptor.get("ops", [])
+    if not isinstance(ops, list):
+        raise ValueError(f"ops must be a list, not {ops!r}")
     reaches_k0 = all(abs(c) <= BOX_HALFWIDTH_SIGMAS * sigma for c in kappa)
     ladder = (npts,) if npts is not None else NPTS_LADDER[-1:] if reaches_k0 else NPTS_LADDER
     for rung in ladder:
         psi = gaussian_wavepacket(kappa, sigma, helicity, npts=rung)
         if rung == ladder[-1] or _gaussian_error(psi, kappa, sigma) <= QUADRATURE_TARGET:
             break
-    return replay(psi, [op_from_json(raw) for raw in descriptor.get("ops", [])])
+    return replay(psi, [op_from_json(raw) for raw in ops])

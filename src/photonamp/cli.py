@@ -13,9 +13,10 @@ that is not finite, an energy or relative width that is not positive, a
 negative ``verify --seed``, fewer than 2 points per axis (``fields --n``,
 ``transform --npts``), a ``localize --sigma-ratio`` outside (0, 0.1), a
 ``wigner --beta`` with |beta| >= 1, a zero ``wigner --axis`` and a malformed
-``transform --op`` or descriptor (one that is not a JSON object, an op that is
-not one, a NaN, an infinity, a bool or a string for a number, a helicity other
-than +-1, a zero rotation axis or a boost with |beta| >= 1) are usage errors.
+``transform --op`` or descriptor (not a JSON object, "ops" not a list, an op
+not an object or of unknown type, a missing field, a list of the wrong count or
+nested, a bool or a string for a number, a helicity other than +-1, a zero
+rotation axis or a boost with |beta| >= 1) are usage errors.
 Output is strict JSON: a result that is not finite is a numerical failure.
 ``verify`` checks each property at its own fixed tolerance, with no override.
 Angles are radians; energies cross the boundary in eV (natural units inside).
@@ -88,7 +89,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _parse_vec(text: str, n: int) -> list[float]:
-    parts = [float(p) for p in text.split(",")]
+    parts = [_finite(p) for p in text.split(",")]
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"expected {n} comma-separated numbers")
     return parts
@@ -136,7 +137,7 @@ def _positive(text: str) -> float:
 
 
 def _op(text: str):
-    """One ``--op``: a JSON object that ``op_from_json`` accepts, finite numbers only.
+    """One ``--op``: a JSON object that ``op_from_json`` accepts.
 
     A rotation's axis and a boost's velocity must pass the single call that
     bounds them, as ``wigner --axis`` and ``--beta`` do: a nonzero axis, |beta| < 1.
@@ -147,7 +148,7 @@ def _op(text: str):
             AxisAngle(np.array(op.params["axis"]), op.params["angle"])
         elif op.kind == "boost":
             boost_matrix(np.array(op.params["beta"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"malformed op {text!r}: {exc}") from None
     return op
 
@@ -199,10 +200,9 @@ def _cmd_transform(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read descriptor: {exc}", file=sys.stderr)
         return 2
-    extra_ops = args.op
     try:
         psi = from_descriptor(descriptor, npts=args.npts)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"malformed descriptor: {exc}", file=sys.stderr)
         return 2
 
@@ -211,18 +211,15 @@ def _cmd_transform(args) -> int:
         return {"norm_squared": norm_squared(amp, warn=False), "momentum": list(p)}
 
     before = summary(psi)
-    psi = replay(psi, extra_ops)
+    psi = replay(psi, args.op)
     after = summary(psi)
 
-    out_descriptor = dict(descriptor)
-    out_descriptor["ops"] = list(descriptor.get("ops", [])) + [
-        op.to_json() for op in extra_ops
-    ]
+    ops = descriptor.get("ops", []) + [op.to_json() for op in args.op]
     flips = sum(1 for op in psi.record if op.kind == "parity")
     _emit(
         {
             "schema": 1,
-            "descriptor": out_descriptor,
+            "descriptor": dict(descriptor, ops=ops),
             "helicity": int(descriptor["helicity"]) * (-1) ** flips,
             "before": before,
             "after": after,

@@ -57,13 +57,7 @@ from functools import reduce
 
 import numpy as np
 
-from .amplitudes import (
-    BOUNDARY_DENSITY_RATIO,
-    HELICITIES,
-    HelicityAmplitude,
-    QuadratureDomainWarning,
-    expectation_momentum,
-)
+from .amplitudes import HELICITIES, HelicityAmplitude, _warn_if_clipped, expectation_momentum
 from .lorentz import (
     AxisAngle,
     boost_matrix,
@@ -236,8 +230,7 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     Built slab by slab: each slab's rows of ``omega`` and ``C`` are written in
     place, and every temporary is the size of a slab. A row's bits do not
     depend on the rows beside it, so ``C`` is the whole-box build's. A build
-    warns with ``QuadratureDomainWarning`` when the density sum_lam |psi_lam|^2
-    on the field box's outer shell exceeds BOUNDARY_DENSITY_RATIO of its peak.
+    warns (``_warn_if_clipped``) when the field box's shell holds too much density.
 
     Without a gauge the arrays are kept on the amplitude, one entry per form,
     and are read-only: later calls return the same arrays.
@@ -282,13 +275,7 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
                     Cs[:, 0] += c * eps0
         peak = max(peak, float(density.max()))
         boundary = max(boundary, float(density[shell].max()))
-    if peak > 0.0 and boundary > BOUNDARY_DENSITY_RATIO * peak:
-        warnings.warn(
-            "field box may clip the amplitude support "
-            f"(boundary/peak density {boundary / peak:.2e})",
-            QuadratureDomainWarning,
-            stacklevel=2,
-        )
+    _warn_if_clipped("field", peak, boundary, stacklevel=2)
     omega.flags.writeable = C.flags.writeable = False
     if gauge is None:
         psi._nodes[tensor] = (box, omega, C)

@@ -47,7 +47,6 @@ IDENTITY2, IDENTITY3, IDENTITY4 = np.eye(2, dtype=complex), np.eye(3), np.eye(4)
 for _eye in (IDENTITY2, IDENTITY3, IDENTITY4):
     _eye.setflags(write=False)  # shared by every call
 
-X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
 Z_HAT = np.array([0.0, 0.0, 1.0])
 

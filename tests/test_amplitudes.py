@@ -342,6 +342,17 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match="vanishing norm"):
             zero.normalized()
 
+    @pytest.mark.parametrize("transform, message", [
+        (lambda p: p.translate([math.nan, 0, 0, 0]), "translation must be finite"),
+        (lambda p: p.translate([1, 0, 0]), "translation must be a list of 4 numbers"),
+        (lambda p: p.boost([math.nan, 0, 0]), "boost velocity must be finite"),
+        (lambda p: p.rotate(AxisAngle([0, 1, 0], math.nan)), "rotation angle must be finite"),
+    ], ids=["translate-nan", "translate-of-3", "boost-nan", "rotate-angle-nan"])
+    def test_a_method_reads_its_op_as_the_descriptor_does(self, packet, transform, message):
+        # a NaN translation made every value NaN while the norm stayed finite
+        with pytest.raises(ValueError, match=message):
+            transform(packet)
+
 
 # -- the nested pullbacks, kept as the oracle of the fused element --------------
 #

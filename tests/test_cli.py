@@ -90,6 +90,9 @@ def test_wigner_missing_parameters(capsys):
     assert "boost needs --beta" in capsys.readouterr().err
 
 
+MISSING = object()  # an override that drops its key
+
+
 def descriptor_file(tmp_path, **overrides):
     descriptor = {
         "units": "eV",
@@ -99,6 +102,7 @@ def descriptor_file(tmp_path, **overrides):
         "ops": [],
     }
     descriptor.update(overrides)
+    descriptor = {key: value for key, value in descriptor.items() if value is not MISSING}
     path = tmp_path / "packet.json"
     path.write_text(json.dumps(descriptor))
     return path
@@ -461,6 +465,15 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (["transform", "PACKET"], ["--op", '{"type":"translate","a":[true,0,0,0]}']),
     (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[0,0,0],"angle":1}']),
     (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,1.5]}']),
+    (WIGNER_ROTATION, ["--axis", "inf,0,0"]),
+    (WIGNER_BOOST, ["--beta", "nan,0,0"]),
+    (["transform", "PACKET"], ["--op", '{"type":"translate","a":[1,0,0]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"translate","a":[1,0,0,0,0]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"translate"}']),
+    (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0.5]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,0.5,0]}']),
+    (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[[0,1,0]],"angle":1}']),
+    (["transform", "PACKET"], ["--op", '{"type":["rotate"],"axis":[0,1,0],"angle":1}']),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
         "wigner-superluminal-beta", "wigner-zero-axis", "wigner-axis-of-two", "localize-kappa-inf",
@@ -468,7 +481,10 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
         "wigner-angle-inf", "wigner-omega-inf", "verify-seed-negative",
         "transform-op-angle-inf", "transform-op-translate-nan", "transform-op-beta-inf",
         "transform-op-angle-string", "transform-op-translate-bool", "transform-op-zero-axis",
-        "transform-op-superluminal-beta"])
+        "transform-op-superluminal-beta", "wigner-axis-inf", "wigner-beta-nan",
+        "transform-op-translate-of-3", "transform-op-translate-of-5", "transform-op-translate-missing",
+        "transform-op-beta-of-2", "transform-op-beta-of-4", "transform-op-axis-nested",
+        "transform-op-type-list"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
@@ -499,10 +515,27 @@ def test_transform_refuses_a_descriptor_that_is_not_finite(tmp_path, capsys, ove
     ({"kappa": ["0", False, 1]}, "kappa"),
     ({"ops": [{"type": "rotate", "axis": [0, 1, 0], "angle": "0.5"}]}, "rotation angle"),
     ({"ops": [{"type": "translate", "a": [True, 0, 0, 0]}]}, "translation"),
+    ({"ops": [{"type": "translate", "a": [1, 0, 0]}]}, "translation"),
+    ({"ops": [{"type": "translate", "a": [1, 0, 0, 0, 0]}]}, "translation"),
+    ({"ops": [{"type": "translate"}]}, "translation"),
+    ({"ops": [{"type": "boost", "beta": [0, 0.5]}]}, "boost velocity"),
+    ({"ops": [{"type": "boost", "beta": [0, 0, 0.5, 0]}]}, "boost velocity"),
+    ({"ops": [{"type": "rotate", "axis": [[0, 1, 0]], "angle": 1}]}, "rotation axis"),
+    ({"ops": 5}, "ops"),
+    ({"ops": {"type": "boost", "beta": [0, 0, 0.5]}}, "ops"),
+    ({"kappa": 5}, "kappa"),
+    ({"kappa": [0, 1]}, "kappa"),
+    ({"kappa": MISSING}, "kappa"),
+    ({"ops": [{"type": ["rotate"], "axis": [0, 1, 0], "angle": 1}]}, "transformation type"),
+    ({"sigma_k": 10**400}, "sigma_k"),
 ], ids=["helicity-1.5", "helicity-true", "helicity-string", "sigma-string",
-        "kappa-string-and-bool", "op-angle-string", "op-translate-bool"])
+        "kappa-string-and-bool", "op-angle-string", "op-translate-bool", "op-translate-of-3",
+        "op-translate-of-5", "op-translate-missing", "op-beta-of-2", "op-beta-of-4",
+        "op-axis-nested", "ops-number", "ops-object", "kappa-number", "kappa-of-2",
+        "kappa-missing", "op-type-list", "sigma-int-beyond-float"])
 def test_transform_refuses_a_descriptor_value_that_is_not_a_number(tmp_path, capsys, overrides, field):
-    # each of these used to be read as a number and exit 0
+    # each of these used to be read as a number and exit 0, or exit 1 or 2 with
+    # the text of a numpy or Python internal error
     assert main(["transform", str(descriptor_file(tmp_path, **overrides))]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
