@@ -83,8 +83,8 @@ PHOTON_PARITY = -1.0
 #: observable; a 5 sigma box would already lose ~2e-6 of the norm.
 BOX_HALFWIDTH_SIGMAS = 6.5
 
-#: Nodes per axis that ``from_descriptor`` tries for a Gaussian origin, coarsest
-#: first, and the estimated error a rung must meet (verify's gaussian_norm tolerance).
+#: Nodes per axis that ``gaussian_wavepacket`` tries for its origin, coarsest first,
+#: and the estimated error a rung must meet (verify's gaussian_norm tolerance).
 NPTS_LADDER = (32, 48)
 QUADRATURE_TARGET = 1e-9
 
@@ -481,19 +481,23 @@ def gaussian_wavepacket(
     kappa_vec,
     sigma_k: float,
     helicity: int = 1,
-    npts: int = 48,
+    npts: Optional[int] = None,
     halfwidth_sigmas: float = BOX_HALFWIDTH_SIGMAS,
 ) -> HelicityAmplitude:
     """Unit-norm isotropic Gaussian packet of a single helicity.
 
-    psi(k) = exp(-|k - kappa|^2 / 4 sigma_k^2) / (2 pi sigma_k^2)^{3/4},
-    centered on ``kappa_vec`` with momentum width ``sigma_k``.
+    psi(k) = exp(-|k - kappa|^2 / 4 sigma_k^2) / (2 pi sigma_k^2)^{3/4}, centered on
+    ``kappa_vec`` (the three read by ``_numbers``). With ``npts`` None the origin
+    takes the first rung of ``NPTS_LADDER`` whose ``_gaussian_error`` meets
+    ``QUADRATURE_TARGET``, or the last at once if its box holds k = 0 (a cusp of
+    |k|), and is ``sized``: the field box is sized per call (``fields._field_rule``).
+    An explicit ``npts`` pins both rules to it.
     """
-    kappa_vec = np.asarray(kappa_vec, dtype=float).reshape(3)
-    if not 0.0 < sigma_k < math.inf:
+    given = {"kappa": kappa_vec, "sigma_k": sigma_k, "helicity": helicity}
+    kappa, sigma_k, helicity = (_numbers(given, k, k, n) for k, n in zip(given, (3, None, None)))
+    kappa_vec = np.array(kappa)
+    if not sigma_k > 0.0:
         raise ValueError("sigma_k must be positive and finite")
-    if not np.isfinite(kappa_vec).all():
-        raise ValueError("central momentum must be finite")
     if np.linalg.norm(kappa_vec) == 0.0:
         raise ValueError("central momentum must be nonzero")
     if helicity not in HELICITIES:
@@ -507,10 +511,13 @@ def gaussian_wavepacket(
         dx, dy, dz = (k[..., i] - kappa_vec[i] for i in range(3))
         return norm_const * np.exp(-(dx * dx + dy * dy + dz * dz) * inv_four_sigma2)
 
-    quad = BoxQuadrature(kappa_vec, halfwidth_sigmas * sigma_k, npts)
-    if helicity == 1:
-        return HelicityAmplitude(g, None, quad)
-    return HelicityAmplitude(None, g, quad)
+    halfwidth = halfwidth_sigmas * sigma_k
+    ladder = NPTS_LADDER[-1:] if np.all(np.abs(kappa_vec) <= halfwidth) else NPTS_LADDER
+    for rung in ladder if npts is None else (npts,):
+        quad = BoxQuadrature(kappa_vec, halfwidth, rung, sized=npts is None)
+        psi = HelicityAmplitude(*((g, None) if helicity == 1 else (None, g)), quad)
+        if rung in (npts, ladder[-1]) or _gaussian_error(psi, kappa, sigma_k) <= QUADRATURE_TARGET:
+            return psi
 
 
 # -- observables -------------------------------------------------------------
@@ -605,27 +612,14 @@ def from_descriptor(descriptor: dict, npts: Optional[int] = None) -> HelicityAmp
     "helicity": +-1, "ops": [{"type": ...}, ...]}. All energies are in eV
     (natural units downstream); "ops" is optional.
 
-    With ``npts`` None the origin's nodes per axis are the first rung of
-    ``NPTS_LADDER`` whose ``_gaussian_error`` meets ``QUADRATURE_TARGET``; its
-    density pass is the one kept. A box that contains k = 0, where |k| has a
-    cusp and Gauss-Legendre converges only algebraically, takes the last rung
-    at once. The rung is sized for the density observables; the fields of the
-    32-node bench packet are within 1.2e-13 of max|F| of a 96-node sum.
+    ``npts`` is ``gaussian_wavepacket``'s: None sizes the rules to their accuracy.
     """
     if not isinstance(descriptor, dict):
         raise ValueError(f"a descriptor must be a JSON object, not {descriptor!r}")
     if descriptor.get("units") != "eV":
         raise ValueError('descriptor must declare "units": "eV"')
-    kappa = _numbers(descriptor, "kappa", "kappa", 3)
-    sigma = _numbers(descriptor, "sigma_k", "sigma_k", None)
-    helicity = _numbers(descriptor, "helicity", "helicity", None)
     ops = descriptor.get("ops", [])
     if not isinstance(ops, list):
         raise ValueError(f"ops must be a list, not {ops!r}")
-    reaches_k0 = all(abs(c) <= BOX_HALFWIDTH_SIGMAS * sigma for c in kappa)
-    ladder = (npts,) if npts is not None else NPTS_LADDER[-1:] if reaches_k0 else NPTS_LADDER
-    for rung in ladder:
-        psi = gaussian_wavepacket(kappa, sigma, helicity, npts=rung)
-        if rung == ladder[-1] or _gaussian_error(psi, kappa, sigma) <= QUADRATURE_TARGET:
-            break
+    psi = gaussian_wavepacket(*map(descriptor.get, ("kappa", "sigma_k", "helicity")), npts=npts)
     return replay(psi, [op_from_json(raw) for raw in ops])

@@ -28,7 +28,8 @@ the argument parser on its first call, not at import, and reuses it.
 
 ``transform`` reports ``npts``, chosen by ``from_descriptor`` unless given, and
 ``quadrature_error``, its estimate against the Gaussian's closed forms. ``fields
---mode narrowband`` reports ``narrowband_expected_error`` and warns above 0.01.
+--mode narrowband`` reports ``narrowband_expected_error`` and warns above 0.01;
+``--mode exact`` reports the field rule's ``field_npts`` and ``phase_range``.
 
 The ``fields`` CSV has the header ``x,y,z,Ex,Ey,Ez,Bx,By,Bz`` and one line per
 grid node, z fastest, ending in ``\r\n``. Each value is the shortest ``repr``
@@ -46,7 +47,7 @@ import math
 import sys
 import time
 import warnings
-from functools import cache, partial
+from functools import cache, partial, wraps
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,7 @@ def _accepted_by(parse, check):
     The bound stays with the library function that enforces it.
     """
 
+    @wraps(parse)
     def accepted(text: str):
         value = parse(text)
         try:
@@ -313,7 +315,8 @@ def _cmd_fields(args) -> int:
             "momentum": list(totals[1:]),
             "energy_over_kappa": totals[0] / kappa,
             "csv": str(args.out),
-            **({"narrowband_expected_error": expected_error} if args.mode == "narrowband" else {}),
+            **({"narrowband_expected_error": expected_error} if args.mode == "narrowband" else
+               {"field_npts": ftg.field_npts, "phase_range": ftg.phase_range}),
         },
         args,
     )
@@ -355,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("wigner", help="little-group angle for one transformation", parents=[common])
     p.add_argument("--kind", required=True, choices=("rotation", "boost"))
     vec3 = partial(_parse_vec, n=3)
+    vec3.__name__ = "3-vector"  # argparse's name for it: "invalid 3-vector value"
     p.add_argument("--axis", type=_accepted_by(vec3, lambda v: AxisAngle(np.array(v), 0.0)),
                    help="rotation axis x,y,z, nonzero")
     p.add_argument("--angle", type=_finite, help="rotation angle (radians)")

@@ -30,7 +30,8 @@ three columns per helicity. A gauge-shifted build fills the same blocks with
 the explicit electric half omega eps^i - k^i eps^0 of the shifted eps.
 
 The nodes are the origin's field box carried forward by the element, as for
-every observable (:mod:`photonamp.amplitudes`). For k carried from q,
+every observable (:mod:`photonamp.amplitudes`), at the node count that each
+point's or grid's phase range calls for (``_field_rule``). For k carried from q,
 k.x = (|q|, q).y at y = (y^0, s y), y = Lambda^{-1} x and s = -1 if exactly
 one of P and T is set, so pointwise sums take a phase that is separable on the
 origin's Gauss-Legendre box: e^{i q.y} is the outer product of three one-axis
@@ -57,7 +58,8 @@ from functools import reduce
 
 import numpy as np
 
-from .amplitudes import HELICITIES, HelicityAmplitude, _warn_if_clipped, expectation_momentum
+from .amplitudes import (HELICITIES, NPTS_LADDER, HelicityAmplitude, QuadratureDomainWarning,
+                         _warn_if_clipped, expectation_momentum)
 from .lorentz import (
     AxisAngle,
     boost_matrix,
@@ -142,6 +144,8 @@ class FieldTensorGrid:
     E: np.ndarray  # (n, n, n, 3)
     B: np.ndarray
     kappa: float | None = None
+    field_npts: int | None = None  # the field rule's nodes per axis and the phase range R
+    phase_range: float | None = None
 
     def energy_density(self) -> np.ndarray:
         # each |.|^2 summed by hand in np.sum's order, not by a reduction over 3 elements
@@ -185,6 +189,12 @@ class NarrowbandSpec:
 #: the box by 1.5 restores the same tail suppression for field quadratures.
 FIELD_BOX_SCALE = 1.5
 
+#: Phase ranges R (``_field_rule``; ``scripts/field_rule_scan.py``): to 3.0, 32 nodes per
+#: axis are within 5e-14 of max|F| of a 128-node sum, and a sized packet with a 32-node
+#: origin takes 32, else 48. From 32 nodes up, n nodes are within 1e-9 while R <= 1.8
+#: (n - 24), and a sum past that warns; below 32 the envelope sets the error.
+FIELD_SIZING_LIMIT, PHASE_RADIANS_PER_NODE, PHASE_NODE_OFFSET = 3.0, 1.8, 24
+
 #: Spacetime points per phase block: each block forms its (8, N) complex phase
 #: array (about 14 MB on the default 48^3 field box) and sums it against the
 #: node coefficients in one matrix product.
@@ -209,12 +219,12 @@ def _helicities(psi: HelicityAmplitude) -> list[int]:
     return [lam for lam in HELICITIES if psi.component(lam) is not None]
 
 
-def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
+def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True, npts=None):
     """Spacetime-independent node coefficients of the positive-frequency momentum integral.
 
-    Returns ``(box, omega, C)``, ``box`` the origin's field box, whose nodes q
-    are carried to k (``_Poincare.carried``), and ``omega`` |q_n|: the sums take
-    the phase e^{-i k.x} on ``box``'s axes (``_sum_over_nodes``). With
+    Returns ``(box, omega, C)``, ``box`` the origin's field box at ``npts`` per
+    axis (``_field_rule``), its nodes q carried to k (``_Poincare.carried``), and
+    ``omega`` |q_n|: the sums take the phase e^{-i k.x} on ``box``'s axes. With
     c_lam = PREFACTOR w_n / sqrt(|k_n|) psi_lam(k_n), w_n carried, row n of a
     ``tensor`` table holds, for each helicity lam of ``_helicities(psi)`` in
     turn, the three columns E_lam = c_lam omega eps_lam: the electric half
@@ -232,13 +242,14 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     depend on the rows beside it, so ``C`` is the whole-box build's. A build
     warns (``_warn_if_clipped``) when the field box's shell holds too much density.
 
-    Without a gauge the arrays are kept on the amplitude, one entry per form,
-    and are read-only: later calls return the same arrays.
+    Without a gauge the arrays are kept on the amplitude, one entry per form and
+    npts, and are read-only: later calls return the same arrays.
     """
-    if gauge is None and tensor in psi._nodes:
-        return psi._nodes[tensor]
     quad, element = psi.quad, psi._element
-    box = BoxQuadrature(quad.center, FIELD_BOX_SCALE * quad.halfwidth, quad.npts)
+    npts = npts or (NPTS_LADDER[-1] if quad.sized else quad.npts)  # the rule at unknown R
+    if gauge is None and (tensor, npts) in psi._nodes:
+        return psi._nodes[tensor, npts]
+    box = BoxQuadrature(quad.center, FIELD_BOX_SCALE * quad.halfwidth, npts)
     helicities = _helicities(psi)
     omega = np.empty(box.npts**3)
     C = np.zeros((len(omega), 3 * len(helicities) if tensor else 4), dtype=complex)
@@ -278,15 +289,39 @@ def _node_coefficients(psi: HelicityAmplitude, gauge=None, tensor: bool = True):
     _warn_if_clipped("field", peak, boundary, stacklevel=2)
     omega.flags.writeable = C.flags.writeable = False
     if gauge is None:
-        psi._nodes[tensor] = (box, omega, C)
+        psi._nodes[tensor, npts] = (box, omega, C)
     return box, omega, C
+
+
+def _field_rule(psi: HelicityAmplitude, y: np.ndarray):
+    """(npts, R) at each origin-frame point of y (N, 4), y = ``origin_point(x - a)``.
+
+    The phase of field-box node q = c + L u is q.y - |q| y^0; R (rad) is its largest
+    rate per axis, L_i |y_i - c_i y^0 / |c||, plus the u^2 coefficient of the chirp,
+    L^2 |y^0| / (2 |c|), at most L |y^0|. Past its limit a call warns with the npts it needs.
+    """
+    quad = psi.quad
+    half, norm = FIELD_BOX_SCALE * quad.halfwidth, float(np.linalg.norm(quad.center))
+    direction = quad.center / norm if norm > 0.0 else np.zeros(3)
+    spatial = (half * np.abs(y[:, 1:] - np.outer(y[:, 0], direction))).max(axis=1, initial=0.0)
+    phase_range = spatial + np.abs(y[:, 0]) * (h := float(half.max())) * h / max(2.0 * norm, h)
+    small = quad.sized & (quad.npts == NPTS_LADDER[0]) & (phase_range <= FIELD_SIZING_LIMIT)
+    npts = np.where(small, NPTS_LADDER[0], NPTS_LADDER[-1] if quad.sized else quad.npts)
+    # npts grows with R, so the point of largest R has the largest npts and limit
+    R, n = float(phase_range.max(initial=0.0)), int(npts.max(initial=0))
+    if n >= NPTS_LADDER[0] and R > (limit := PHASE_RADIANS_PER_NODE * (n - PHASE_NODE_OFFSET)):
+        warnings.warn(f"field phase range {R:.3g} rad is past the {n}-node limit {limit:.3g}; "
+                      f"about {math.ceil(PHASE_NODE_OFFSET + R / PHASE_RADIANS_PER_NODE)} nodes "
+                      "per axis would meet it", QuadratureDomainWarning, stacklevel=3)
+    return npts, phase_range
 
 
 def _sum_over_nodes(psi: HelicityAmplitude, x, gauge=None, tensor: bool = True) -> np.ndarray:
     """sum_n e^{-i k_n.x} C_n over ``psi``'s node coefficients at every spacetime point of ``x``.
 
     ``x`` has shape (4,) or (..., 4); the result has shape (..., C.shape[1]).
-    Points go through in blocks of POINT_BLOCK, one phase-matrix product each.
+    Each point sums on the field box ``_field_rule`` sizes for it alone, so a
+    batch gives its rows' values. Points go through in blocks of POINT_BLOCK.
     k_n.x is (|q_n|, q_n).y at y = ``_Poincare.origin_point(x)``, x itself for
     an untransformed packet, so e^{i q.y} is the outer product of one
     exponential per axis of the origin's box, and e^{-i omega y^0} is formed
@@ -295,29 +330,31 @@ def _sum_over_nodes(psi: HelicityAmplitude, x, gauge=None, tensor: bool = True) 
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (4,):
         raise ValueError(f"spacetime points need a last axis of length 4, got {x.shape}")
-    box, omega, C = _node_coefficients(psi, gauge, tensor)
-    flat = psi._element.origin_point(x.reshape(-1, 4))
-    axes = box.axes()
-    out = np.empty((len(flat), C.shape[1]), dtype=complex)
-    clocks = {}
-    for start in range(0, len(flat), POINT_BLOCK):
-        xb = flat[start : start + POINT_BLOCK]
-        times = xb[:, 0].tolist()
-        clocks = {
-            t: clocks[t] if t in clocks else np.exp(-1j * omega * t)
-            for t in dict.fromkeys(times)
-        }
-        ex, ey, ez = (np.exp(1j * np.outer(xb[:, 1 + i], axes[i])) for i in range(3))
-        phase = (
-            (ex[:, :, None] * ey[:, None, :])[..., None] * ez[:, None, None, :]
-        ).reshape(len(xb), -1)
-        for row, t in zip(phase, times):
-            row *= clocks[t]
-        if len(xb) == 1:
-            # a one-row product would take the matrix-vector kernel, which sums
-            # the nodes in another order than the blocked one
-            phase = np.vstack([phase, np.zeros_like(phase)])
-        out[start : start + len(xb)] = (phase @ C)[: len(xb)]
+    element, points = psi._element, x.reshape(-1, 4)
+    npts, _ = _field_rule(psi, element.origin_point(points - element.a))
+    flat, out = element.origin_point(points), None
+    for n in np.unique(npts).tolist() or [psi.quad.npts]:
+        box, omega, C = _node_coefficients(psi, gauge, tensor, n)
+        out = np.empty((len(flat), C.shape[1]), dtype=complex) if out is None else out
+        rows, axes, clocks = np.flatnonzero(npts == n), box.axes(), {}
+        for block in (rows[i : i + POINT_BLOCK] for i in range(0, len(rows), POINT_BLOCK)):
+            xb = flat[block]
+            times = xb[:, 0].tolist()
+            clocks = {
+                t: clocks[t] if t in clocks else np.exp(-1j * omega * t)
+                for t in dict.fromkeys(times)
+            }
+            ex, ey, ez = (np.exp(1j * np.outer(xb[:, 1 + i], axes[i])) for i in range(3))
+            phase = (
+                (ex[:, :, None] * ey[:, None, :])[..., None] * ez[:, None, None, :]
+            ).reshape(len(xb), -1)
+            for row, t in zip(phase, times):
+                row *= clocks[t]
+            if len(xb) == 1:
+                # a one-row product would take the matrix-vector kernel, which sums
+                # the nodes in another order than the blocked one
+                phase = np.vstack([phase, np.zeros_like(phase)])
+            out[block] = (phase @ C)[: len(xb)]
     return out.reshape(x.shape[:-1] + (C.shape[1],))
 
 
@@ -389,7 +426,7 @@ def _contract(C: np.ndarray, Ax: np.ndarray, Ay: np.ndarray, Az: np.ndarray) -> 
 
 
 def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
-    """(columns, grid_sum): the kept tensor table's columns and their sum on the grid.
+    """(columns, grid_sum, npts, R): the kept tensor table's columns and their sum on the grid.
 
     ``columns`` lists (lam, a, column) in the table's order, the column a view
     of the kept ``C`` that holds component a of E_lam (``_node_coefficients``).
@@ -397,15 +434,19 @@ def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
     one (n, n, n) complex array; for column (lam, a) it is G, which adds -G to
     E^{(+)}_a and i lam G to B^{(+)}_a. While a sum is formed, only c, times
     e^{-i omega t} when t != 0, is live beside it, so a caller that drops each
-    sum before it forms the next holds one at a time.
+    sum before it forms the next holds one at a time. ``npts`` and R are
+    ``_field_rule``'s at the grid's first and last corner, where R is largest per axis.
     """
     element = psi._element
     if element.lorentz:
         raise ValueError("a rotated or boosted packet has no separable grid fill; evaluate it "
                          "pointwise with field_expectation_exact or positive_frequency_field")
-    box, omega, C = _node_coefficients(psi)
+    axes = grid.axes()
+    ends = np.array([[t, *(g[i] for g in axes)] for i in (0, -1)])
+    npts, phase_range = (v.max() for v in _field_rule(psi, element.origin_point(ends - element.a)))
+    box, omega, C = _node_coefficients(psi, npts=int(npts))
     nq, s = box.npts, -1.0 if element.flipped else 1.0  # k.x = q.(s x): module docstring
-    Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), grid.axes()))
+    Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), axes))
     clock = np.exp(-1j * omega * t) if t != 0.0 else None
 
     def grid_sum(column):
@@ -415,7 +456,7 @@ def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
 
     columns = [(lam, a, C[:, 3 * block + a])
                for block, lam in enumerate(_helicities(psi)) for a in range(3)]
-    return columns, grid_sum
+    return columns, grid_sum, int(npts), float(phase_range)
 
 
 def _squared_modulus(component: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -433,7 +474,7 @@ def positive_frequency_grid(
     """
     Ep = np.zeros(grid.shape + (3,), dtype=complex)
     Bp = np.zeros_like(Ep)
-    columns, grid_sum = _grid_sums(psi, grid, t)
+    columns, grid_sum, *_ = _grid_sums(psi, grid, t)
     for lam, a, column in columns:
         G = grid_sum(column)
         Ep[..., a] -= G
@@ -455,7 +496,7 @@ def field_expectation_grid(
     kappa = energy_expectation(psi)
     E = np.zeros(grid.shape + (3,))
     B = np.zeros_like(E)
-    columns, grid_sum = _grid_sums(psi, grid, t)
+    columns, grid_sum, npts, phase_range = _grid_sums(psi, grid, t)
     for lam, a, column in columns:
         G = grid_sum(column)
         G *= -2.0  # 2 E^{(+)} of this column
@@ -463,7 +504,7 @@ def field_expectation_grid(
         G *= -1j * lam  # 2 B^{(+)} = -i lam 2 E^{(+)}
         B[..., a] += G.real
         del G  # freed before the next one is contracted
-    return FieldTensorGrid(grid, t, E, B, kappa)
+    return FieldTensorGrid(grid, t, E, B, kappa, npts, phase_range)
 
 
 # -- narrowband closed form ----------------------------------------------------
@@ -600,7 +641,7 @@ def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0
     any packet, and |E^{(+)}|^2 is summed in np.sum's order over a.
     """
     density, square = np.zeros(grid.shape), np.empty(grid.shape)
-    columns, grid_sum = _grid_sums(psi, grid, t)
+    columns, grid_sum, *_ = _grid_sums(psi, grid, t)
     for a in range(3):
         # the kept column itself for one helicity: no node column is copied
         electric = reduce(np.add, [column for _, b, column in columns if b == a])
@@ -617,7 +658,7 @@ def bb_density_grid(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -
     column's |G|^2 added in the table's order and the sum doubled.
     """
     density, square = np.zeros(grid.shape), np.empty(grid.shape)
-    columns, grid_sum = _grid_sums(psi, grid, t)
+    columns, grid_sum, *_ = _grid_sums(psi, grid, t)
     for _, _, column in columns:
         density += _squared_modulus(grid_sum(column), square)
     density *= 2.0

@@ -31,6 +31,7 @@ class BoxQuadrature:
     center: np.ndarray
     halfwidth: np.ndarray
     npts: int
+    sized: bool = False  # npts was sized to its accuracy, so the field rule sizes its own
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float).reshape(3)

@@ -329,6 +329,21 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match=message):
             BoxQuadrature([0.0, 0.0, 1.0], halfwidth, npts)
 
+    @pytest.mark.parametrize("args, message", [
+        (([0, 1], 0.05), r"kappa must be a list of 3 numbers, not \[0, 1\]"),
+        (([0, 0, True], 0.05), "kappa must be a list of 3 numbers"),
+        (([0, 0, "1"], 0.05), "kappa must be a list of 3 numbers"),
+        (([0, 0, math.nan], 0.05), "kappa must be finite"),
+        (([0, 0, 1], True), "sigma_k must be a number, not True"),
+        (([0, 0, 1], "0.05"), "sigma_k must be a number"),
+        (([0, 0, 1], 0.05, "1"), "helicity must be a number"),
+    ], ids=["kappa-of-2", "kappa-bool", "kappa-string", "kappa-nan", "sigma-bool",
+            "sigma-string", "helicity-string"])
+    def test_gaussian_wavepacket_reads_its_inputs_as_a_descriptor(self, args, message):
+        # a kappa of 2 numbers raised numpy's reshape text; a bool or a string was converted
+        with pytest.raises(ValueError, match=message):
+            gaussian_wavepacket(*args)
+
     def test_amplitude_needs_a_component(self, packet):
         with pytest.raises(ValueError, match="at least one helicity component"):
             HelicityAmplitude(None, None, packet.quad)

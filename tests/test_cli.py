@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from photonamp import cli, verify
-from photonamp.amplitudes import expectation_momentum, gaussian_wavepacket, norm_squared, replay
+from photonamp.amplitudes import (QuadratureDomainWarning, expectation_momentum, gaussian_wavepacket,
+                                  norm_squared, replay)
 from photonamp.cli import _write_fields_csv, main
 from photonamp.fields import (
     HBARC_EV_UM,
@@ -474,6 +475,8 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
     (["transform", "PACKET"], ["--op", '{"type":"boost","beta":[0,0,0.5,0]}']),
     (["transform", "PACKET"], ["--op", '{"type":"rotate","axis":[[0,1,0]],"angle":1}']),
     (["transform", "PACKET"], ["--op", '{"type":["rotate"],"axis":[0,1,0],"angle":1}']),
+    (WIGNER_ROTATION, ["--axis", "abc,0,0"]),
+    (WIGNER_BOOST, ["--beta", "0,x,0.5"]),
 ], ids=["wigner-omega-0", "wigner-omega-negative", "localize-kappa-0",
         "localize-sigma-negative", "transform-npts-1", "localize-sigma-above-0.1",
         "wigner-superluminal-beta", "wigner-zero-axis", "wigner-axis-of-two", "localize-kappa-inf",
@@ -484,7 +487,7 @@ FIELDS = ["fields", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "4", "-
         "transform-op-superluminal-beta", "wigner-axis-inf", "wigner-beta-nan",
         "transform-op-translate-of-3", "transform-op-translate-of-5", "transform-op-translate-missing",
         "transform-op-beta-of-2", "transform-op-beta-of-4", "transform-op-axis-nested",
-        "transform-op-type-list"])
+        "transform-op-type-list", "wigner-axis-not-numbers", "wigner-beta-not-numbers"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv, bad):
     argv = [str(descriptor_file(tmp_path)) if a == "PACKET" else a for a in argv]
     argv = [str(tmp_path / "fields.csv") if a == "CSV" else a for a in argv]
@@ -541,6 +544,33 @@ def test_transform_refuses_a_descriptor_value_that_is_not_a_number(tmp_path, cap
     assert captured.out == ""
     assert "malformed descriptor" in captured.err
     assert field in captured.err
+
+
+@pytest.mark.parametrize("argv", [WIGNER_ROTATION + ["--axis", "abc,0,0"],
+                                  WIGNER_BOOST[:3] + ["--beta", "0,x,0.5"] + WIGNER_BOOST[5:]],
+                         ids=["axis", "beta"])
+def test_a_vector_that_is_not_numbers_names_a_3_vector(capsys, argv):
+    # argparse named the parser's inner function: "invalid accepted value"
+    with pytest.raises(SystemExit):
+        main(argv + ["--omega-ev", "2"] * (argv[2] == "boost"))
+    assert "invalid 3-vector value: " in capsys.readouterr().err
+
+
+def test_fields_exact_reports_its_field_rule_and_warns_past_its_limit(tmp_path, capsys):
+    # the fields-csv settings: 19.5 rad per axis at t = 0; at t = 200 the spread's
+    # chirp adds 2.008 * 200 / 2 rad, where the 48-node map is 0.94 off
+    argv = ["fields", "--mode", "exact", "--kappa-ev", "3.3", "--sigma-ratio", "0.08", "--n", "66",
+            "--extent", "4", "--out", str(tmp_path / "map.csv"), "--no-timestamp"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureDomainWarning)
+        code, payload = run_cli(capsys, *argv)
+    assert code == 0
+    assert (payload["field_npts"], payload["phase_range"]) == (48, 19.5)
+    with pytest.warns(QuadratureDomainWarning, match=r"field phase range 220 rad is past the "
+                                                     r"48-node limit 43\.2; about 147 nodes"):
+        code, payload = run_cli(capsys, *argv, "--time", "200")
+    assert code == 0 and payload["field_npts"] == 48
+    assert payload["phase_range"] == pytest.approx(19.5 + 200 * (1.5 * 6.5 * 0.264) ** 2 / 6.6)
 
 
 def test_a_result_that_overflows_is_a_numerical_failure(capsys):

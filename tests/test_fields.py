@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from photonamp import fields
+from photonamp import fields, verify
 from photonamp.amplitudes import (
     HELICITIES,
     HelicityAmplitude,
@@ -456,7 +456,7 @@ class TestNodeCoefficients:
             _, omega, C = fields._node_coefficients(psi, tensor=tensor)
             _, omega2, C2 = fields._node_coefficients(psi, tensor=tensor)
             assert np.shares_memory(C, C2) and np.shares_memory(omega, omega2)
-        assert sorted(psi._nodes) == [False, True]
+        assert sorted(psi._nodes) == [(False, 48), (True, 48)]
 
     def test_gauge_shifted_call_leaves_the_cache_alone(self):
         psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
@@ -465,7 +465,7 @@ class TestNodeCoefficients:
         assert psi._nodes == {}
         kept = fields._node_coefficients(psi)
         _, _, shifted = fields._node_coefficients(psi, gauge=gauge)
-        assert psi._nodes == {True: kept}
+        assert psi._nodes == {(True, 48): kept}
         assert not np.shares_memory(shifted, kept[2])
 
     def test_transformed_amplitude_gets_its_own_cache(self):
@@ -475,7 +475,7 @@ class TestNodeCoefficients:
         assert moved._nodes == {}
         _, _, C_moved = fields._node_coefficients(moved)
         assert not np.shares_memory(C, C_moved)
-        assert psi._nodes[True][2] is C
+        assert psi._nodes[True, 48][2] is C
 
     def test_cached_arrays_are_read_only(self, packet):
         _, omega, C = fields._node_coefficients(packet)
@@ -945,6 +945,147 @@ class TestGridMemory:
         fields._node_coefficients(psi)
         grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
         assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 22 * 2**20
+
+
+def _contracted_fields(psi, x, npts):
+    """<F>'s six components (S^{01} ... S^{12}) at x, summed on the npts table by contractions.
+
+    The sum of ``_sum_over_nodes`` at y = ``origin_point(x)``, one contraction
+    per axis and point, so a 128-node table needs no (points, nodes) array.
+    """
+    box, omega, C = fields._node_coefficients(psi, npts=npts)
+    n, axes = box.npts, box.axes()
+    lam = np.array(fields._helicities(psi))[:, None]
+    out = []
+    for t, *y in psi._element.origin_point(x):
+        c = (C * np.exp(-1j * omega * t)[:, None]).reshape(n, n, n, -1)
+        for i in (2, 1, 0):
+            c = np.tensordot(c, np.exp(1j * axes[i] * y[i]), axes=([i], [0]))
+        blocks = c.reshape(-1, 3)
+        out.append(2.0 * np.concatenate([blocks.sum(0), -1j * (lam * blocks).sum(0)]).real)
+    return np.array(out)
+
+
+def _lab_points(psi, y):
+    """The points x whose origin-frame point ``origin_point(x - a)`` is y (m, 4)."""
+    element = psi._element
+    flipped = y @ METRIC if element.flipped else y
+    return element.a + flipped @ element.Lam.T
+
+
+_UNDER_THE_LIMIT = np.array([
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 5.9],  # R = 0.4875 * 5.9 = 2.88, just under FIELD_SIZING_LIMIT
+    [0.0, 4.0, -4.0, 3.0],
+    [3.0, 0.0, 0.0, 5.0],  # R = 0.4875 * 2 + 3 * 0.4875^2 / 2
+])
+
+
+class TestFieldRule:
+    """The field box's npts is sized per call from the phase range R of its points."""
+
+    @pytest.mark.parametrize("record", [
+        [], [_EVERY_KIND[3]], [_EVERY_KIND[2]], [_EVERY_KIND[0]], [_EVERY_KIND[1]], [_EVERY_KIND[4]],
+    ], ids=["plain", "translated", "rotated", "boosted", "parity", "time-reversal"])
+    def test_sized_fields_match_a_128_node_sum_just_under_the_limit(self, record):
+        psi = replay(gaussian_wavepacket([0, 0, KAPPA], 0.05, 1), record)
+        x = _lab_points(psi, _UNDER_THE_LIMIT)
+        npts, phase_range = fields._field_rule(psi, psi._element.origin_point(x - psi._element.a))
+        assert np.all(npts == 32) and 2.8 < phase_range.max() <= fields.FIELD_SIZING_LIMIT
+        got = field_expectation_exact(psi, x)[:, fields._MU, fields._NU]
+        assert sorted(psi._nodes) == [(True, 32)]
+        reference = replay(gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=128), record)
+        expected = _contracted_fields(reference, x, 128)
+        assert np.max(np.abs(got - expected)) <= 5e-14 * np.max(np.abs(expected))
+
+    def test_an_explicit_npts_keeps_its_one_rule(self):
+        # pinned at 48, the tables and fills are those of a box that is not sized,
+        # as every packet's was before the field rule was sized
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=48)
+        plain = HelicityAmplitude(psi.psi_plus, None, BoxQuadrature([0, 0, KAPPA], 6.5 * 0.05, 48))
+        near, far = _UNDER_THE_LIMIT, _field_points(6, 35) * 8.0
+        grid = SpatialGrid.centered(6.0, 9, center=(0.0, 0.0, 1.0))
+        filled = {}
+        for packet in (psi, plain):
+            filled[packet] = (field_expectation_exact(packet, near),
+                              field_expectation_exact(packet, far),
+                              field_expectation_grid(packet, grid, 1.0))
+            assert sorted(packet._nodes) == [(True, 48)]
+        _, _, table = fields._node_coefficients(psi)
+        assert np.array_equal(table, _whole_box_coefficients(psi)[1])
+        assert np.array_equal(table, fields._node_coefficients(plain)[2])
+        (near_got, far_got, ftg), (near_plain, far_plain, ftg_plain) = filled.values()
+        assert np.array_equal(near_got, near_plain) and np.array_equal(far_got, far_plain)
+        assert np.array_equal(ftg.E, ftg_plain.E) and np.array_equal(ftg.B, ftg_plain.B)
+        assert ftg.field_npts == 48
+
+    def test_pointwise_then_grid_keeps_two_tables_equal_to_their_pinned_twins(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        assert psi.quad.npts == 32 and psi.quad.sized
+        field_expectation_exact(psi, _UNDER_THE_LIMIT)
+        ftg = field_expectation_grid(psi, SpatialGrid.centered(12.0, 9), 0.0)
+        assert ftg.field_npts == 48 and ftg.phase_range == pytest.approx(0.4875 * 12.0)
+        assert sorted(psi._nodes) == [(True, 32), (True, 48)]
+        for n in (32, 48):
+            twin = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=n)
+            assert not twin.quad.sized
+            assert np.array_equal(psi._nodes[True, n][2], fields._node_coefficients(twin)[2])
+
+    def test_a_batch_gives_each_point_its_own_rule(self):
+        # a point far off takes 48 nodes; the others keep the 32 they take alone
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        x = np.vstack([_UNDER_THE_LIMIT, [0.0, 0.0, 0.0, 20.0]])
+        batched = positive_frequency_field(psi, x)
+        assert sorted(psi._nodes) == [(True, 32), (True, 48)]
+        for row, point in zip(batched, x):
+            assert np.max(np.abs(row - positive_frequency_field(psi, point))) <= 1e-15 * np.max(
+                np.abs(batched))
+
+    def test_verify_sizes_every_fields_rule(self, monkeypatch):
+        # the line and the Maxwell/covariance point take 32 nodes, every grid 48
+        used, calling, build = set(), [], fields._node_coefficients
+
+        def recorded(psi, gauge=None, tensor=True, npts=None):
+            box, omega, C = build(psi, gauge, tensor, npts)
+            used.add((calling[-1], box.npts))
+            return box, omega, C
+
+        def tagged(name, fun):
+            def call(*args, **kwargs):
+                calling.append(name)
+                try:
+                    return fun(*args, **kwargs)
+                finally:
+                    calling.pop()
+            return call
+
+        monkeypatch.setattr(fields, "_node_coefficients", recorded)
+        names = ("field_expectation_grid", "sipe_energy_integral", "bb_energy_integral",
+                 "bb_density", "field_expectation_exact", "maxwell_residual",
+                 "tensor_covariance_check")
+        for name in names:
+            monkeypatch.setattr(verify, name, tagged(name, getattr(verify, name)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", QuadratureDomainWarning)
+            verify._suite_fields(np.random.default_rng(7), 1000)
+        assert used == {(name, 48 if i < 3 else 32) for i, name in enumerate(names)}
+
+    def test_a_late_far_point_warns_with_the_npts_it_needs(self):
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1)
+        with pytest.warns(QuadratureDomainWarning,
+                          match=r"field phase range 138 rad is past the 48-node limit 43\.2; "
+                                r"about 101 nodes per axis"):
+            field_expectation_exact(psi, [1000.0, 0.0, 0.0, 1040.0])
+
+    @pytest.mark.parametrize("npts", [24, 32, 64])
+    def test_a_pinned_rule_warns_past_its_own_limit(self, npts):
+        # 1.8 (n - 24) rad: none below 32 nodes, where the envelope sets the error
+        psi = gaussian_wavepacket([0, 0, KAPPA], 0.05, 1, npts=npts)
+        x = np.array([0.0, 0.0, 0.0, 31.0])  # R = 15.1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            positive_frequency_field(psi, x)
+        assert [str(w.message)[:24] for w in caught] == ["field phase range 15.1 r"] * (npts == 32)
 
 
 class TestVectorPotential:
