@@ -350,17 +350,15 @@ class HelicityAmplitude:
         psi_plus: Optional[Callable],
         psi_minus: Optional[Callable],
         quad: Optional[BoxQuadrature],
-        record: tuple = (),
-        origin: "HelicityAmplitude | None" = None,
     ):
         if psi_plus is None and psi_minus is None:
             raise ValueError("at least one helicity component must be present")
         self._base = (psi_plus, psi_minus)
         self._element = _Poincare()
         self._quad = quad  # None for a record: ``quad`` is its origin's
-        self.record = tuple(record)
+        self.record = ()
         # None for an origin: a reference to itself would free it only by the cyclic GC
-        self._origin = origin
+        self._origin = None
         self._integrals = None
         self._nodes = {}  # field node coefficients, one entry per form (fields.py)
 
@@ -451,13 +449,17 @@ class HelicityAmplitude:
         return replay(unit, self.record)
 
 
-def _squared_modulus(value) -> np.ndarray:
-    """|value|^2, with the bits of abs(value) ** 2; a real value skips the complex abs."""
+def _squared_modulus(value, out=None) -> np.ndarray:
+    """|value|^2, with the bits of abs(value) ** 2, into ``out`` if given.
+
+    A real value skips the complex abs.
+    """
     value = np.asarray(value)
     if np.iscomplexobj(value):
-        return np.abs(value.astype(complex, copy=False)) ** 2
+        modulus = np.abs(value.astype(complex, copy=False), out=out)
+        return np.square(modulus, out=modulus)
     value = value.astype(float, copy=False)
-    return value * value
+    return np.multiply(value, value, out=out)
 
 
 def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
@@ -469,7 +471,8 @@ def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
     record = tuple(record)
     if not record:
         return base
-    out = HelicityAmplitude(*base._base, None, base.record + record, base.origin)
+    out = HelicityAmplitude(*base._base, None)
+    out.record, out._origin = base.record + record, base.origin
     out._element = base._element.then(record)
     return out
 

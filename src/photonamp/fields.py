@@ -59,7 +59,7 @@ from functools import reduce
 import numpy as np
 
 from .amplitudes import (HELICITIES, NPTS_LADDER, HelicityAmplitude, QuadratureDomainWarning,
-                         _warn_if_clipped, expectation_momentum)
+                         _squared_modulus, _warn_if_clipped, expectation_momentum)
 from .lorentz import (
     AxisAngle,
     boost_matrix,
@@ -457,12 +457,6 @@ def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
     columns = [(lam, a, C[:, 3 * block + a])
                for block, lam in enumerate(_helicities(psi)) for a in range(3)]
     return columns, grid_sum, int(npts), float(phase_range)
-
-
-def _squared_modulus(component: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|component|^2 written into ``out``, with the bits of np.abs(component) ** 2."""
-    np.abs(component, out=out)
-    return np.square(out, out=out)
 
 
 def positive_frequency_grid(

@@ -22,7 +22,7 @@ its leading axes:
   ``sl2c_boost`` (``(..., 3)`` in, ``(..., 2, 2)`` out for the last);
 * ``polar_azimuth``, ``azimuth_phase``, ``direction_spinor``,
   ``standard_rotation`` and ``light_energy`` (``(..., 3)`` in),
-  ``standard_boost_z`` (energy ``(...)``), ``standard_lorentz``,
+  ``standard_boost_z`` (energies ``(...)``), ``standard_lorentz``,
   ``is_lightlike``, ``require_lightlike`` and ``four_momentum`` (``(..., 4)``
   or ``(..., 3)`` in);
 * ``metric_residual``, ``lorentz_inverse``, ``is_rotation`` and
@@ -305,8 +305,8 @@ def standard_rotation(k_hat) -> np.ndarray:
     return rotation_z(phi) @ rotation_y(theta) @ rotation_z(-phi)
 
 
-def standard_boost_z(omega, kappa_ref: float) -> np.ndarray:
-    """z-boost carrying the reference null energy ``kappa_ref`` to ``omega``.
+def standard_boost_z(omega, kappa_ref) -> np.ndarray:
+    """z-boost carrying the reference null energy ``kappa_ref`` (one, or one per row) to ``omega``.
 
     The boost speed is (omega^2 - kappa^2)/(omega^2 + kappa^2), negative when
     de-boosting to lower energy.
@@ -319,7 +319,7 @@ def standard_boost_z(omega, kappa_ref: float) -> np.ndarray:
     return boost_matrix(beta)
 
 
-def standard_lorentz(k, kappa_ref: float) -> np.ndarray:
+def standard_lorentz(k, kappa_ref) -> np.ndarray:
     """Canonical transformation carrying (kappa,0,0,kappa) to the lightlike ``k``.
 
     Composition: z-boost to energy k^0, then the standard rotation into k_hat.

@@ -7,13 +7,14 @@ up the phase exp(-i lambda w).
 
 Two evaluation paths are provided and cross-validated in the test suite:
 
-* matrix decomposition of the frame-referred transformation
-  (``wigner_rotation`` / ``wigner_boost``), and
+* one matrix route, decomposing the frame-referred transformation with its
+  canonical frames at the photon's own energy k^0 (``wigner_boost``, and
+  ``wigner_rotation`` for pure rotations), and
 * closed-form half-angle phases exp(-i w/2) of any SL(2,C) element, vectorized
   over momenta (``half_phase``), with one-transformation wrappers
   ``wigner_phase_rotation_closed`` / ``wigner_phase_boost_closed``. It takes
   k_hat only from ``lorentz.direction_spinor``, the matrix route only from
-  ``standard_rotation``, so each checks the other; both fix phi := 0 on the axis.
+  ``standard_lorentz``, so each checks the other; both fix phi := 0 on the axis.
 
 Only the squared half-phase is single-valued; photon physics (lambda = +-1)
 never needs the square root's branch.
@@ -29,17 +30,14 @@ from .lorentz import (
     AxisAngle,
     _apply,
     _require,
-    _transpose,
     _unstack,
     direction_spinor,
     is_proper_orthochronous,
     is_rotation,
     lorentz_inverse,
     require_lightlike,
-    rotation_z,
     sl2c_boost,
     standard_lorentz,
-    standard_rotation,
     su2_matrix,
 )
 from .little_group import decompose_little_group
@@ -47,7 +45,7 @@ from .little_group import decompose_little_group
 #: Largest decomposition residual accepted from the matrix route.
 _RESIDUAL_TOL = 1e-8
 
-#: Reference energy of the canonical transformations; w does not depend on it.
+#: Reference energy at which alpha is reported; w does not depend on it.
 _KAPPA_REF = 1.0
 
 
@@ -55,7 +53,8 @@ _KAPPA_REF = 1.0
 class WignerData:
     """Rotation angle w in (-pi, pi], its half phase exp(-i w/2), the abelian
     remainder alpha (zero for rotations), and the reconstruction residual of
-    the matrix decomposition that produced it.
+    the matrix decomposition that produced it. w does not depend on energy;
+    alpha, which scales as 1/k^0, is reported at ``_KAPPA_REF``.
 
     For a stack of transformations or momenta every field gains the stack's
     leading axes: w, phase_half and residual are ``(...)`` arrays and alpha
@@ -75,42 +74,41 @@ class WignerData:
 def wigner_rotation(R, k) -> WignerData:
     """Little-group angle w with R_z(w) = R0^{-1}[R k_hat] R R0[k_hat].
 
-    ``R`` must be a pure rotation and ``k`` lightlike; stacks ``(..., 4, 4)``
-    and ``(..., 4)`` broadcast. The decomposition residual is returned; it
-    exceeds 1e-8 only on misuse.
+    The pure-rotation case of ``wigner_boost``, with alpha exactly zero.
     """
     R = np.asarray(R, dtype=float)
     _require(is_rotation(R), "transformation is not a pure rotation")
-    k = require_lightlike(k)
-    k_out = _apply(R, k)
-    W = _transpose(standard_rotation(k_out[..., 1:])) @ R @ standard_rotation(k[..., 1:])
-    w = np.arctan2(W[..., 2, 1], W[..., 1, 1])
-    residual = np.max(np.abs(W - rotation_z(w)), axis=(-2, -1))
-    _require(
-        residual <= _RESIDUAL_TOL,
-        lambda at: f"rotation does not reduce to a z-rotation (residual {residual[at]:.3e})",
-    )
-    return WignerData(
-        _unstack(w), _unstack(np.exp(-0.5j * w)), np.zeros(w.shape + (2,)), _unstack(residual)
-    )
+    data = _little_group(R, k)
+    return WignerData(data.w, data.phase_half, np.zeros_like(data.alpha), data.residual)
 
 
 def wigner_boost(Lambda, k) -> WignerData:
     """Little-group data of L^{-1}(Lambda k) Lambda L(k) for proper orthochronous Lambda.
 
-    Covers pure boosts and mixed boost-rotation products alike; the returned
-    alpha is the abelian remainder alongside the z-rotation angle w. Stacks
-    ``(..., 4, 4)`` and ``(..., 4)`` broadcast.
+    Covers pure boosts and mixed boost-rotation products alike, at any photon
+    energy: w does not depend on it, and alpha, the abelian remainder, is
+    reported at ``_KAPPA_REF``. Stacks ``(..., 4, 4)`` and ``(..., 4)`` broadcast.
     """
     Lambda = np.asarray(Lambda, dtype=float)
     _require(is_proper_orthochronous(Lambda), "transformation is not proper orthochronous")
+    return _little_group(Lambda, k)
+
+
+def _little_group(Lambda, k) -> WignerData:
+    """Decompose L^{-1}(Lambda k) Lambda L(k) with the canonical frames at k^0, per row.
+
+    L(k) is a rotation, L(Lambda k) boosts by omega'/omega, and alpha is
+    rescaled to ``_KAPPA_REF``.
+    """
     k = require_lightlike(k)
-    k_out = _apply(Lambda, k)
-    W = lorentz_inverse(standard_lorentz(k_out, _KAPPA_REF)) @ Lambda @ standard_lorentz(k, _KAPPA_REF)
+    omega = k[..., 0]
+    frame_out = standard_lorentz(_apply(Lambda, k), omega)
+    W = lorentz_inverse(frame_out) @ Lambda @ standard_lorentz(k, omega)
     element = decompose_little_group(W, tol=_RESIDUAL_TOL)
     residual = np.max(np.abs(element.matrix() - W), axis=(-2, -1))
     half = np.exp(-0.5j * np.asarray(element.gamma))
-    return WignerData(element.gamma, _unstack(half), element.alpha, _unstack(residual))
+    alpha = element.alpha * (_KAPPA_REF / omega)[..., None]
+    return WignerData(element.gamma, _unstack(half), alpha, _unstack(residual))
 
 
 def half_phase(A, kvec) -> np.ndarray:

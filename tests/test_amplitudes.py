@@ -348,6 +348,14 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match="at least one helicity component"):
             HelicityAmplitude(None, None, packet.quad)
 
+    @pytest.mark.parametrize("keyword", ["record", "origin"])
+    def test_amplitude_takes_no_record_or_origin(self, packet, keyword):
+        # a record and its origin are built only by replay, so no amplitude can
+        # carry a record whose operations its own element does not hold
+        value = {"record": (), "origin": packet}[keyword]
+        with pytest.raises(TypeError):
+            HelicityAmplitude(packet.psi_plus, None, None, **{keyword: value})
+
     def test_evaluate_needs_a_helicity(self, packet):
         with pytest.raises(ValueError, match="helicity must be"):
             packet.evaluate(0, [0.0, 0.0, 1.0])

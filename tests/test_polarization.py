@@ -215,8 +215,9 @@ class TestCovariance:
             d /= np.linalg.norm(d)
             beta = np.tanh(rng.uniform(0.0, 2.0)) * d
             lam = 1 if rng.random() < 0.5 else -1
-            _, resid = covariance_residual(boost_matrix(beta), k, lam)
-            assert resid <= 1e-10
+            for scale in (1.0, 1e4, 1e6):  # photon energies in eV up to 3, 3e4 and 3e6
+                _, resid = covariance_residual(boost_matrix(beta), scale * k, lam)
+                assert resid <= 1e-10
 
 
 # -- stacks -------------------------------------------------------------------
