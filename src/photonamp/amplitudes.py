@@ -33,11 +33,15 @@ weights w |k|/|q| (``_Poincare.carried``) are an exact change of variables,
 whatever the element. Every phase has modulus one, so the density is
 (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its weighted
 value at a carried node is the origin's: the norm is the origin's and <k^mu>
-is Lambda flip(<q^mu>). Only an origin evaluates it, once, by slabs of a few
-x-planes (``BoxQuadrature.slabs``), so no temporary is the size of the box.
-Per node a slab computes |q| once, each |f_lam(q)|^2 and their sum, and w
-times it; an origin has no Lorentz part, so no ratio is applied. The applied
-operations are kept as a replayable record.
+is Lambda flip(<q^mu>). Only an origin's integrals are summed, once. A
+Gaussian origin (``gaussian_wavepacket``) sums them from one-axis sums, as its
+density and its rule are products over the axes (``_gaussian_integrals``). An
+origin built from other callables evaluates the density by slabs of a few
+x-planes (``BoxQuadrature.slabs``, ``_carried_integrals``), a pass verify
+also runs to check the one-axis sums; either way no temporary is the size of
+the box. Per node a slab computes |q| once, each |f_lam(q)|^2 and their sum,
+and w times it; an origin has no Lorentz part, so no ratio is applied. The
+applied operations are kept as a replayable record.
 
 Momenta are (..., 3) arrays that may be column-major views: the box's nodes
 (``BoxQuadrature.points``) are the transpose of a (3, N) buffer, and the
@@ -71,7 +75,7 @@ from .lorentz import (
     sl2c_boost,
     su2_matrix,
 )
-from .quadrature import BoxQuadrature, union_box
+from .quadrature import _SLAB_NODES, BoxQuadrature, union_box
 from .wigner import half_phase
 
 HELICITIES = (1, -1)
@@ -519,8 +523,39 @@ def gaussian_wavepacket(
     for rung in ladder if npts is None else (npts,):
         quad = BoxQuadrature(kappa_vec, halfwidth, rung, sized=npts is None)
         psi = HelicityAmplitude(*((g, None) if helicity == 1 else (None, g)), quad)
+        psi._integrals = _gaussian_integrals(quad, kappa_vec, sigma_k, norm_const)
         if rung in (npts, ladder[-1]) or _gaussian_error(psi, kappa, sigma_k) <= QUADRATURE_TARGET:
             return psi
+
+
+def _gaussian_integrals(quad: BoxQuadrature, kappa, sigma_k: float, norm_const: float):
+    """``_carried_integrals`` of a Gaussian origin on ``quad``, from one-axis sums.
+
+    |psi|^2 = N^2 prod_i e_i with e_i = exp(-(k_i - kappa_i)^2 / 2 sigma_k^2), and the
+    rule is a product of one-axis rules, so the norm and <k^i> are products of
+    sums w_i . e_i and (w_i e_i) . x_i, and the peak and the shell's largest
+    value are products of per-axis maxima. <|k|> contracts |k| with w_z e_z,
+    w_y e_y, then w_x e_x, by blocks of at most ``_SLAB_NODES`` nodes, so no
+    temporary is the size of the box.
+    """
+    # np.square: past the float range N^2 is inf, as in the slab pass, not an OverflowError
+    axes, n2 = quad.axes(), np.square(norm_const)
+    e = [np.exp(-((x - c) ** 2) / (2.0 * sigma_k**2)) for x, c in zip(axes, kappa)]
+    we = [w * ei for w, ei in zip(quad.axis_weights(), e)]
+    sx, sy, sz = (float(v.sum()) for v in we)
+    others = (sy * sz, sx * sz, sx * sy)
+    moments = [n2 * float(v @ x) * rest for v, x, rest in zip(we, axes, others)]
+    x, y, z = axes
+    yz = y[:, None] ** 2 + z**2
+    step, energy = max(1, _SLAB_NODES // yz.size), 0.0
+    for start in range(0, quad.npts, step):
+        r = np.sqrt(x[start:start + step, None, None] ** 2 + yz)
+        energy += float(we[0][start:start + step] @ (r @ we[2] @ we[1]))
+    tx, ty, tz = (float(ei.max()) for ei in e)
+    bx, by, bz = (float(max(ei[0], ei[-1])) for ei in e)
+    boundary = max(bx * ty * tz, tx * by * tz, tx * ty * bz)
+    return (float(n2 * sx * sy * sz), np.array([n2 * energy, *moments]),
+            float(n2 * tx * ty * tz), float(n2 * boundary))
 
 
 # -- observables -------------------------------------------------------------
@@ -529,9 +564,11 @@ def gaussian_wavepacket(
 def _carried_integrals(psi: HelicityAmplitude):
     """(norm, <k^mu>, peak, boundary) of ``density`` on the origin's nodes carried forward.
 
-    Summed slab by slab; the array is not kept. For an origin this is its
-    density pass; for a transformed amplitude, through the element's preimage,
-    it checks the origin's integrals carried in closed form.
+    Summed slab by slab; the array is not kept. For an origin built from
+    other callables this is its density pass; for a Gaussian origin it checks
+    the one-axis sums (``_gaussian_integrals``), and for a transformed
+    amplitude, through the element's preimage, the origin's integrals carried
+    in closed form.
     """
     sums, peaks, boundaries = np.zeros(5), [], []
     for _, k, w, shell in psi._element.carried(psi.quad):

@@ -99,6 +99,8 @@ class SpatialGrid:
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float).reshape(3)
         spacing = np.broadcast_to(np.asarray(self.spacing, dtype=float), (3,)).copy()
+        if not (np.all(np.isfinite(origin)) and np.all(np.isfinite(spacing))):
+            raise ValueError("grid origin and spacing must be finite")
         if np.any(spacing <= 0.0) or self.npts < 2:
             raise ValueError("grid spacing must be positive and npts >= 2")
         object.__setattr__(self, "origin", origin)

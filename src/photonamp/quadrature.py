@@ -20,7 +20,8 @@ def _leggauss(n: int):
 #: block's (3, N) nodes, and each per-node array an origin's density pass makes
 #: once (|q|, the density, w and w times it), stay below glibc's 128 KiB mmap
 #: threshold. It also sets the block of the field node build
-#: (``fields._node_coefficients``), whose complex temporaries are twice that.
+#: (``fields._node_coefficients``), whose complex temporaries are twice that,
+#: and of a Gaussian origin's <|k|> sum (``amplitudes._gaussian_integrals``).
 _SLAB_NODES = 4608
 
 
@@ -38,6 +39,8 @@ class BoxQuadrature:
         halfwidth = np.broadcast_to(
             np.asarray(self.halfwidth, dtype=float), (3,)
         ).copy()
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(halfwidth))):
+            raise ValueError("box center and halfwidths must be finite")
         if np.any(halfwidth <= 0.0):
             raise ValueError("box halfwidths must be positive")
         if self.npts < 2:

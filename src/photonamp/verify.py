@@ -423,10 +423,12 @@ def _suite_fields(rng, trials: int) -> list[PropertyResult]:
         # sqrt(2) - rel away, so a slipped carrier phase fails the margin by itself
         rel = relative_l2(ftg, nb0)
         # strict phase-invariant cross-check: energy density field
+        u0 = nb0.energy_density()
         rel_u = math.sqrt(
-            float(np.sum((ftg.energy_density() - nb0.energy_density()) ** 2))
-            / float(np.sum(nb0.energy_density() ** 2))
+            float(np.sum((ftg.energy_density() - u0) ** 2)) / float(np.sum(u0**2))
         )
+        # kept into the next width's grid fill, it would lift the peak resident set
+        del u0
         worst_margin = max(worst_margin, rel / (3.0 * ratio), rel_u / (3.0 * ratio))
         rel_diffs.append(rel)
     results.append(PropertyResult("narrowband_accuracy_margin", worst_margin, 1.0))

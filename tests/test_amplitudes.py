@@ -329,6 +329,22 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match=message):
             BoxQuadrature([0.0, 0.0, 1.0], halfwidth, npts)
 
+    @pytest.mark.parametrize("center, halfwidth", [
+        ([0.0, np.nan, 1.0], 0.1), ([0.0, 0.0, np.inf], 0.1), ([-np.inf, 0.0, 1.0], 0.1),
+        ([0.0, 0.0, 1.0], np.nan), ([0.0, 0.0, 1.0], np.inf),
+        ([0.0, 0.0, 1.0], [0.1, -np.inf, 0.1]),
+    ], ids=["nan-center", "inf-center", "minus-inf-center", "nan-halfwidth", "inf-halfwidth",
+            "minus-inf-halfwidth"])
+    def test_box_quadrature_refuses_a_non_finite_box(self, center, halfwidth):
+        with pytest.raises(ValueError, match="box center and halfwidths must be finite"):
+            BoxQuadrature(center, halfwidth, 8)
+
+    @pytest.mark.parametrize("halfwidth_sigmas", [np.nan, np.inf])
+    def test_gaussian_wavepacket_refuses_a_non_finite_box(self, halfwidth_sigmas):
+        # a non-finite box would give norm NaN with only a RuntimeWarning
+        with pytest.raises(ValueError, match="box center and halfwidths must be finite"):
+            gaussian_wavepacket([0, 0, 1], 0.05, 1, halfwidth_sigmas=halfwidth_sigmas)
+
     @pytest.mark.parametrize("args, message", [
         (([0, 1], 0.05), r"kappa must be a list of 3 numbers, not \[0, 1\]"),
         (([0, 0, True], 0.05), "kappa must be a list of 3 numbers"),
@@ -895,9 +911,14 @@ class TestColumnLayout:
         assert_allclose(norm_squared(amp, warn=False), w @ reference, rtol=1e-14)
 
     def test_unmoved_density_pass_keeps_no_four_momentum(self):
-        # the (N, 4) 4-momentum of a 48^3 box alone is 3.5 MB
+        # the (N, 4) 4-momentum of a 48^3 box alone is 3.5 MB; a Gaussian origin's
+        # integrals are one-axis sums, so the slab pass is called directly
         amp = gaussian_wavepacket([0, 0, 1], 0.05, 1)
-        assert _traced_peak(lambda: expectation_momentum(amp, warn=False)) < 2.5e6
+        assert _traced_peak(lambda: amplitudes._carried_integrals(amp)) < 2.5e6
+
+    def test_gaussian_integrals_allocate_no_box_sized_array(self):
+        # one (N,) float array of a 48^3 box alone is 0.9 MB
+        assert _traced_peak(lambda: gaussian_wavepacket([0, 0, 1], 0.05, 1, npts=48)) < 0.3e6
 
     def test_moved_density_pass_allocates_no_box_sized_array(self, packet):
         # one (N,) float array of a 48^3 box alone is 0.9 MB
@@ -1024,12 +1045,87 @@ class TestOriginPass:
 
         monkeypatch.setattr(amplitudes, "light_energy", counted)
         origin = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1)
-        norm_squared(origin, warn=False)
+        amplitudes._carried_integrals(origin)
         assert sum(nodes) == origin.quad.npts**3
         # a Lorentz element still needs |q| to carry a node and |k| for its preimage
         nodes.clear()
         amplitudes._carried_integrals(origin.boost([0.0, 0.1, -0.6]).parity())
         assert sum(nodes) == 2 * origin.quad.npts**3
+
+    def test_gaussian_origin_norm_evaluates_no_node(self, monkeypatch):
+        # a Gaussian origin's integrals are one-axis sums: no callable and no |k| per node
+        nodes, calls = [], []
+        monkeypatch.setattr(amplitudes, "light_energy",
+                            lambda k: nodes.append(k) or light_energy(k))
+        fresh = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1)
+        g = fresh.psi_plus
+        fresh._base = (lambda k: calls.append(k) or g(k), None)
+        assert norm_squared(fresh, warn=False) == fresh._integrals[0]
+        expectation_momentum(fresh, warn=False)
+        assert nodes == [] and calls == []
+
+
+class TestGaussianIntegrals:
+    """A Gaussian origin's one-axis sums against the slab pass on the same origin."""
+
+    @pytest.mark.parametrize("kappa, sigma, helicity, npts, halfwidth_sigmas", [
+        ([0.0, 0.0, KAPPA], SIGMA, 1, 32, 6.5),
+        ([0.0, 0.0, KAPPA], SIGMA, 1, 48, 6.5),
+        ([0.3, -0.2, KAPPA], SIGMA, 1, 32, 6.5),
+        ([0.3, -0.2, KAPPA], SIGMA, -1, 48, 6.5),
+        ([-0.6, 0.45, -0.2], 0.02, -1, None, 6.5),
+        ([0.0, 0.0, 1.0], 0.5, 1, None, 6.5),
+        ([0.3, -0.2, KAPPA], SIGMA, 1, 32, 3.0),
+        ([0.0, 0.0, 1.0], 0.5, -1, 48, 3.0),
+    ], ids=["on-axis-32", "on-axis-48", "off-axis-32", "off-axis-48-minus", "off-axis-ladder-minus",
+            "box-reaches-k0", "clipped-32", "clipped-reaches-k0-48"])
+    def test_one_axis_sums_match_the_slab_pass(self, kappa, sigma, helicity, npts,
+                                               halfwidth_sigmas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuadratureDomainWarning)
+            psi = gaussian_wavepacket(kappa, sigma, helicity, npts=npts,
+                                      halfwidth_sigmas=halfwidth_sigmas)
+        norm_const = (2.0 * np.pi * sigma**2) ** -0.75
+        filled = amplitudes._gaussian_integrals(psi.quad, np.array(kappa), sigma, norm_const)
+        assert filled[0] == psi._integrals[0] and np.array_equal(filled[1], psi._integrals[1])
+        norm, momentum, peak, boundary = filled
+        ref_norm, ref_momentum, ref_peak, ref_boundary = amplitudes._carried_integrals(psi)
+        eps = np.finfo(float).eps
+        assert abs(norm - ref_norm) <= 4 * eps * ref_norm
+        assert np.max(np.abs(momentum - ref_momentum)) <= 4 * eps * ref_momentum[0]
+        # exp(-x) at x ~ 21 turns an ulp of x into ~21 ulps of the shell's density
+        assert abs(peak - ref_peak) <= 1e-13 * ref_peak
+        assert abs(boundary - ref_boundary) <= 1e-13 * ref_boundary
+        # the box warns exactly when the slab pass's peak and boundary would make it
+        clipped = ref_boundary > amplitudes.BOUNDARY_DENSITY_RATIO * ref_peak
+        assert clipped == (halfwidth_sigmas < amplitudes.BOX_HALFWIDTH_SIGMAS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            norm_squared(psi)
+        assert [w.category for w in caught] == [QuadratureDomainWarning] * clipped
+
+    @pytest.mark.parametrize("offset, halfwidth", [
+        ([0.04, -0.01, 0.0], [0.12, 0.3, 0.35]),
+        ([0.02, -0.03, 0.01], [0.3, 0.25, 0.35]),
+        ([-0.05, 0.0, 0.04], [0.3, 0.35, 0.12]),
+    ], ids=["x-shell", "y-shell", "z-shell"])
+    def test_one_axis_sums_on_a_box_off_the_packet(self, offset, halfwidth):
+        # a Gaussian origin's box is centred on kappa with equal halfwidths, so its
+        # three axes are alike; here each axis has its own center and halfwidth,
+        # and the named axis's end plane holds the shell's largest density
+        kappa = np.array([0.3, -0.2, KAPPA])
+        g = gaussian_wavepacket(kappa, SIGMA, 1).psi_plus
+        quad = BoxQuadrature(kappa + offset, halfwidth, 32)
+        norm_const = (2.0 * np.pi * SIGMA**2) ** -0.75
+        norm, momentum, peak, boundary = amplitudes._gaussian_integrals(quad, kappa, SIGMA,
+                                                                          norm_const)
+        ref_norm, ref_momentum, ref_peak, ref_boundary = amplitudes._carried_integrals(
+            HelicityAmplitude(g, None, quad))
+        eps = np.finfo(float).eps
+        assert abs(norm - ref_norm) <= 4 * eps * ref_norm
+        assert np.max(np.abs(momentum - ref_momentum)) <= 4 * eps * ref_momentum[0]
+        assert abs(peak - ref_peak) <= 1e-13 * ref_peak
+        assert abs(boundary - ref_boundary) <= 1e-13 * ref_boundary
 
 
 class TestQuadratureBox:

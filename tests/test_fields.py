@@ -317,6 +317,15 @@ class TestRefusedInput:
         with pytest.raises(ValueError, match="grid spacing must be positive"):
             SpatialGrid([0.0, 0.0, 0.0], spacing, 4)
 
+    @pytest.mark.parametrize("origin, spacing", [
+        ([0.0, np.nan, 0.0], 0.1), ([np.inf, 0.0, 0.0], 0.1), ([0.0, 0.0, -np.inf], 0.1),
+        ([0.0, 0.0, 0.0], np.nan), ([0.0, 0.0, 0.0], np.inf), ([0.0, 0.0, 0.0], [0.1, np.nan, 0.1]),
+    ], ids=["nan-origin", "inf-origin", "minus-inf-origin", "nan-spacing", "inf-spacing",
+            "nan-spacing-axis"])
+    def test_grid_refuses_a_non_finite_origin_or_spacing(self, origin, spacing):
+        with pytest.raises(ValueError, match="grid origin and spacing must be finite"):
+            SpatialGrid(origin, spacing, 4)
+
     @pytest.mark.parametrize("kappa, sigma", [(0.0, 0.05), (-1.0, 0.05), (1.0, 0.0), (1.0, -0.05)])
     def test_narrowband_spec(self, kappa, sigma):
         with pytest.raises(ValueError, match="kappa and sigma_k must be positive"):
