@@ -19,21 +19,24 @@ element U(a) U(A) P^p T^t (``_Poincare``): an SL(2,C) matrix A with its 4x4
 Lambda, a translation a, and parity and time-reversal bits. A record composes
 in one pass (``_Poincare.then``): one stacked call builds all of its
 rotations, one all of its boosts, and a fold in record order multiplies them
-in with its translations, P and T. At k the element costs one pass whatever
-the record's length: the origin's component (-lam if p) at -k' if exactly
-one bit is set, else at k' = Lambda^{-1} k, conjugated if t, times
-sqrt(omega'/omega), ``half_phase(A, k')^2``, e^{-2 i phi_k'} if exactly one
-bit is set and eta if p, all conjugated for lam = -1, and e^{i k.a}.
+in with its translations, P and T. As P and T act on momenta as the metric g,
+the element moves them by one matrix, its ``map`` M = Lambda g^f, f = 1 if
+exactly one bit is set. At k the element costs one pass whatever the
+record's length: the origin's component (-lam if p) at q, (|q|, q) =
+M^{-1} (|k|, k), conjugated if t, times sqrt(omega'/omega),
+``half_phase(A, k')^2`` and e^{-2 i phi_k'}^f at k' = Lambda^{-1} k, eta if
+p, all conjugated for lam = -1, and e^{i k.a}.
 
 Observables and fields (:mod:`photonamp.fields`) use one rule per packet,
-the origin's Gauss-Legendre box (``quad``): as d^3k/omega is Lorentz
-invariant and P and T keep it, the origin's nodes q carried to
-k = Lambda flip(|q|, q), flip negating q if exactly one bit is set, with
-weights w |k|/|q| (``_Poincare.carried``) are an exact change of variables,
-whatever the element. Every phase has modulus one, so the density is
+the origin's Gauss-Legendre box (``quad``), which every amplitude holds: as
+d^3k/omega is Lorentz invariant and P and T keep it, the origin's nodes q
+carried to (|k|, k) = M (|q|, q) with weights w |k|/|q| (``_Poincare.carried``)
+are an exact change of variables, whatever the element. Every phase has
+modulus one, so the density is
 (omega'/omega) sum_lam |f_lam(q)|^2 with no phase computed, and its weighted
 value at a carried node is the origin's: the norm is the origin's and <k^mu>
-is Lambda flip(<q^mu>). Only an origin's integrals are summed, once. A
+is M <q^mu>. Each call checks, in O(1), whether the origin's box clips the
+origin, and warns if it does. Only an origin's integrals are summed, once. A
 Gaussian origin (``gaussian_wavepacket``) sums them from one-axis sums, as its
 density and its rule are products over the axes (``_gaussian_integrals``). An
 origin built from other callables evaluates the density by slabs of a few
@@ -220,8 +223,13 @@ class _Poincare:
         return not np.array_equal(self.Lam, IDENTITY4)
 
     @cached_property
+    def map(self) -> np.ndarray:
+        """The action on momenta: Lambda g if ``flipped`` else Lambda, as P and T act as g."""
+        return self.Lam @ METRIC if self.flipped else self.Lam
+
+    @cached_property
     def _inverse(self) -> np.ndarray:
-        return lorentz_inverse(self.Lam)
+        return lorentz_inverse(self.map)
 
     def then(self, ops) -> "_Poincare":
         """This element followed by the sequence ``ops``, in order.
@@ -256,36 +264,33 @@ class _Poincare:
         return _Poincare(A, Lam, a, parity, reversal)
 
     def preimage(self, k: np.ndarray):
-        """(q, |k|, omega'/omega or None) at k (N, 3): q is Lambda^{-1} k, negated if ``flipped``."""
+        """(q, |k|, omega'/omega or None) at k (N, 3), for (|q|, q) = ``map``^{-1} (|k|, k)."""
         q, ratio = self._through(self._inverse, k, omega := light_energy(k))
         return q, omega, ratio
 
     def carry(self, q: np.ndarray):
-        """(k, |k|/|q| or None) at q (N, 3), for k = Lambda flip(|q|, q): ``preimage``'s inverse."""
-        # the flip follows the map, so g Lambda g then g gives Lambda g
-        M = METRIC @ self.Lam @ METRIC if self.flipped else self.Lam
-        return self._through(M, q, light_energy(q) if self.lorentz else None)
+        """(k, |k|/|q| or None) at q (N, 3), (|k|, k) = ``map`` (|q|, q): ``preimage``'s inverse."""
+        return self._through(self.map, q, light_energy(q) if self.lorentz else None)
 
     def origin_point(self, x: np.ndarray) -> np.ndarray:
-        """(y^0, s y) at spacetime points x (N, 4), for y = Lambda^{-1} x and s = -1 if ``flipped``.
+        """``map``^{-1} x at spacetime points x (N, 4): k.x = (|q|, q).y for k carried from q.
 
-        k.x = (|q|, q).(y^0, s y) for k carried from q. By columns, as in ``_through``.
+        By columns, as in ``_through``.
         """
-        if not (self.lorentz or self.flipped):
+        if np.array_equal(self.map, IDENTITY4):
             return x
         t, x1, x2, x3 = x.T
-        M = METRIC @ self._inverse if self.flipped else self._inverse
-        return np.stack([a * t + b * x1 + c * x2 + d * x3 for a, b, c, d in M], axis=-1)
+        return np.stack([a * t + b * x1 + c * x2 + d * x3 for a, b, c, d in self._inverse], axis=-1)
 
     def _through(self, M: np.ndarray, k: np.ndarray, omega):
-        """(k', omega'/omega) for k' the spatial part of M (omega, k), negated if ``flipped``.
+        """(k', omega'/omega) for k' the spatial part of M (omega, k), M ``map`` or its inverse.
 
-        ``omega`` is |k|. With no Lorentz part the ratio is 1, given as None so
-        that no caller multiplies by it. Else by columns (module docstring): the
-        rows of M (omega, k) fill omega' and a (3, N) buffer, k' is its
-        transpose, and the flip and the ratio are taken in place. Every buffer
-        of a slab (``BoxQuadrature.slabs``) then stays below glibc's 128 KiB
-        mmap threshold.
+        ``omega`` is |k|. With no Lorentz part M is 1 or g, so k' is k or -k,
+        and the ratio is 1, given as None so that no caller multiplies by it.
+        Else by columns (module docstring): the rows of M (omega, k) fill omega'
+        and a (3, N) buffer, k' is its transpose, and the ratio is taken in
+        place. Every buffer of a slab (``BoxQuadrature.slabs``) then stays below
+        glibc's 128 KiB mmap threshold.
         """
         if not self.lorentz:
             return (-k if self.flipped else k), None
@@ -294,8 +299,6 @@ class _Poincare:
             np.multiply(coefficients[0], omega, out=row)
             for c, column in zip(coefficients[1:], k.T):
                 row += np.multiply(c, column, out=term)
-        if self.flipped:
-            np.negative(spatial, out=spatial)
         return spatial.T, np.divide(energy, np.where(omega > 0.0, omega, 1.0), out=energy)
 
     def pullback(self, f: Callable, lam: int, k: np.ndarray) -> np.ndarray:
@@ -350,16 +353,18 @@ class HelicityAmplitude:
     )
 
     def __init__(
-        self,
-        psi_plus: Optional[Callable],
-        psi_minus: Optional[Callable],
-        quad: Optional[BoxQuadrature],
+        self, psi_plus: Optional[Callable], psi_minus: Optional[Callable], quad: BoxQuadrature
     ):
         if psi_plus is None and psi_minus is None:
             raise ValueError("at least one helicity component must be present")
+        for name, f in (("psi_plus", psi_plus), ("psi_minus", psi_minus)):
+            if f is not None and not callable(f):
+                raise TypeError(f"{name} must be callable or None, not {f!r}")
+        if not isinstance(quad, BoxQuadrature):
+            raise TypeError(f"quad must be a BoxQuadrature, not {quad!r}")
         self._base = (psi_plus, psi_minus)
         self._element = _Poincare()
-        self._quad = quad  # None for a record: ``quad`` is its origin's
+        self._quad = quad
         self.record = ()
         # None for an origin: a reference to itself would free it only by the cyclic GC
         self._origin = None
@@ -374,7 +379,7 @@ class HelicityAmplitude:
     @property
     def quad(self) -> BoxQuadrature:
         """The origin's box, for every record: observables and fields sum on its nodes, carried."""
-        return self.origin._quad
+        return self._quad
 
     psi_plus = property(lambda self: self.component(1))
     psi_minus = property(lambda self: self.component(-1))
@@ -438,19 +443,12 @@ class HelicityAmplitude:
         The origin is rescaled, on its own box, and the record replayed on it:
         every operation keeps the norm, so the result's is the rescaled origin's.
         """
-        origin = self.origin
-        total = norm_squared(origin, warn=False)
+        total = norm_squared(self)
         if total <= 0.0:
             raise ValueError("cannot normalize an amplitude with vanishing norm")
         scale = 1.0 / np.sqrt(total)
-
-        def rescaled(f):
-            if f is None:
-                return None
-            return lambda k, f=f: scale * f(k)
-
-        unit = HelicityAmplitude(*map(rescaled, origin._base), origin.quad)
-        return replay(unit, self.record)
+        rescaled = [None if f is None else (lambda k, f=f: scale * f(k)) for f in self._base]
+        return replay(HelicityAmplitude(*rescaled, self.quad), self.record)
 
 
 def _squared_modulus(value, out=None) -> np.ndarray:
@@ -475,7 +473,7 @@ def replay(base: HelicityAmplitude, record) -> HelicityAmplitude:
     record = tuple(record)
     if not record:
         return base
-    out = HelicityAmplitude(*base._base, None)
+    out = HelicityAmplitude(*base._base, base.quad)
     out.record, out._origin = base.record + record, base.origin
     out._element = base._element.then(record)
     return out
@@ -505,12 +503,23 @@ def gaussian_wavepacket(
     kappa_vec = np.array(kappa)
     if not sigma_k > 0.0:
         raise ValueError("sigma_k must be positive and finite")
-    if np.linalg.norm(kappa_vec) == 0.0:
-        raise ValueError("central momentum must be nonzero")
     if helicity not in HELICITIES:
         raise ValueError("helicity must be +1 or -1")
-    norm_const = (2.0 * np.pi * sigma_k**2) ** (-0.75)
-    inv_four_sigma2 = 1.0 / (4.0 * sigma_k**2)
+    try:
+        norm_const = (2.0 * np.pi * sigma_k**2) ** (-0.75)
+        inv_four_sigma2 = 1.0 / (4.0 * sigma_k**2)
+    except (OverflowError, ZeroDivisionError):  # sigma_k^2 beyond the float range, or 0
+        norm_const = inv_four_sigma2 = math.inf
+    if not (0.0 < norm_const * norm_const < math.inf and 0.0 < inv_four_sigma2 < math.inf):
+        raise ValueError("sigma_k is beyond the float range: (2 pi sigma_k^2)^(-3/2) or "
+                         "1/(4 sigma_k^2) is not a finite positive float")
+    halfwidth = halfwidth_sigmas * sigma_k
+    corner = sum((abs(c) + halfwidth) * (abs(c) + halfwidth) for c in kappa)  # |k|^2, far corner
+    if math.isfinite(halfwidth) and not 0.0 < corner < math.inf:  # else BoxQuadrature refuses it
+        raise ValueError("kappa is beyond the float range: the squared norm of a box corner "
+                         "is not a finite positive float")
+    if np.linalg.norm(kappa_vec) == 0.0:
+        raise ValueError("central momentum must be nonzero")
 
     def g(k):
         # |k - kappa|^2 summed by hand, one column at a time, in np.sum's order
@@ -518,7 +527,6 @@ def gaussian_wavepacket(
         dx, dy, dz = (k[..., i] - kappa_vec[i] for i in range(3))
         return norm_const * np.exp(-(dx * dx + dy * dy + dz * dz) * inv_four_sigma2)
 
-    halfwidth = halfwidth_sigmas * sigma_k
     ladder = NPTS_LADDER[-1:] if np.all(np.abs(kappa_vec) <= halfwidth) else NPTS_LADDER
     for rung in ladder if npts is None else (npts,):
         quad = BoxQuadrature(kappa_vec, halfwidth, rung, sized=npts is None)
@@ -580,24 +588,23 @@ def _carried_integrals(psi: HelicityAmplitude):
     return float(sums[0]), sums[1:], float(np.max(peaks)), float(np.max(boundaries))
 
 
-def _density_integrals(psi: HelicityAmplitude, warn: bool):
-    """Norm and <k^mu>: the origin's, and Lambda flip(<q^mu>) (module docstring).
+def _density_integrals(psi: HelicityAmplitude):
+    """Norm and <k^mu>: the origin's, and the element's ``map`` of <q^mu> (module docstring).
 
     Only an origin keeps ``_integrals``. The boundary check, whether the
     origin's box clips the origin, runs, and may warn, on every call.
     """
-    origin, element = psi.origin, psi._element
+    origin = psi.origin
     if origin._integrals is None:
         origin._integrals = _carried_integrals(origin)
     norm, momentum, peak, boundary = origin._integrals
-    if warn:
-        _warn_if_clipped("quadrature", peak, boundary, stacklevel=3)
-    return norm, element.Lam @ (METRIC @ momentum if element.flipped else momentum)
+    _warn_if_clipped("quadrature", peak, boundary, stacklevel=3)
+    return norm, psi._element.map @ momentum
 
 
-def norm_squared(psi: HelicityAmplitude, warn: bool = True) -> float:
+def norm_squared(psi: HelicityAmplitude) -> float:
     """Summed momentum-space integral of |psi|^2, on the origin's box."""
-    return _density_integrals(psi, warn)[0]
+    return _density_integrals(psi)[0]
 
 
 def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
@@ -605,12 +612,11 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
 
     Summed on psi1's origin box carried by psi1's element, an exact rule for
     psi1 (module docstring); first merged with psi2's origin box into their
-    union where the two elements share Lambda and the flip.
+    union where the two elements share their ``map``.
     """
-    e1, e2 = psi1._element, psi2._element
-    quad, other = psi1.quad, psi2.quad
-    if e1.flipped == e2.flipped and np.array_equal(e1.Lam, e2.Lam) and not quad.same_box(other):
-        quad = union_box(quad, other)
+    e1, quad = psi1._element, psi1.quad
+    if np.array_equal(e1.map, psi2._element.map):
+        quad = union_box(quad, psi2.quad)
     shared = [
         lam for lam in HELICITIES
         if psi1.component(lam) is not None and psi2.component(lam) is not None
@@ -622,9 +628,9 @@ def inner_product(psi1: HelicityAmplitude, psi2: HelicityAmplitude) -> complex:
     return complex(total)
 
 
-def expectation_momentum(psi: HelicityAmplitude, warn: bool = True) -> np.ndarray:
+def expectation_momentum(psi: HelicityAmplitude) -> np.ndarray:
     """Four-vector of momentum moments int |psi|^2 k^mu with k^0 = |k|."""
-    return _density_integrals(psi, warn)[1]
+    return _density_integrals(psi)[1]
 
 
 # -- JSON wavepacket descriptors ----------------------------------------------
@@ -633,9 +639,9 @@ def expectation_momentum(psi: HelicityAmplitude, warn: bool = True) -> np.ndarra
 def _gaussian_error(psi: HelicityAmplitude, kappa_vec, sigma_k: float) -> float:
     """Largest relative error of the origin's norm, <k_i> and <|k|> against the unclipped Gaussian.
 
-    Read from the origin's cached integrals; <|k|> is the noncentral-chi_3 mean.
+    Read from the origin's integrals; <|k|> is the noncentral-chi_3 mean.
     """
-    norm, momentum = _density_integrals(psi.origin, warn=False)
+    norm, momentum, _, _ = psi.origin._integrals
     kappa = np.asarray(kappa_vec, dtype=float)
     m, s = float(np.linalg.norm(kappa)), float(sigma_k)
     lam = m / s

@@ -209,8 +209,8 @@ def _cmd_transform(args) -> int:
         return 2
 
     def summary(amp):
-        p = expectation_momentum(amp, warn=False)
-        return {"norm_squared": norm_squared(amp, warn=False), "momentum": list(p)}
+        p = expectation_momentum(amp)
+        return {"norm_squared": norm_squared(amp), "momentum": list(p)}
 
     before = summary(psi)
     psi = replay(psi, args.op)

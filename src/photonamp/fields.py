@@ -32,8 +32,8 @@ the explicit electric half omega eps^i - k^i eps^0 of the shifted eps.
 The nodes are the origin's field box carried forward by the element, as for
 every observable (:mod:`photonamp.amplitudes`), at the node count that each
 point's or grid's phase range calls for (``_field_rule``). For k carried from q,
-k.x = (|q|, q).y at y = (y^0, s y), y = Lambda^{-1} x and s = -1 if exactly
-one of P and T is set, so pointwise sums take a phase that is separable on the
+k.x = (|q|, q).y at y = M^{-1} x, M the element's momentum ``map`` (Lambda g if
+exactly one of P and T is set), so pointwise sums take a phase separable on the
 origin's Gauss-Legendre box: e^{i q.y} is the outer product of three one-axis
 exponentials, and e^{-i |q| y^0} is formed once per distinct time. Grid fills
 reduce the Fourier sum to three small tensor contractions per kept column, one
@@ -447,7 +447,7 @@ def _grid_sums(psi: HelicityAmplitude, grid: SpatialGrid, t: float):
     ends = np.array([[t, *(g[i] for g in axes)] for i in (0, -1)])
     npts, phase_range = (v.max() for v in _field_rule(psi, element.origin_point(ends - element.a)))
     box, omega, C = _node_coefficients(psi, npts=int(npts))
-    nq, s = box.npts, -1.0 if element.flipped else 1.0  # k.x = q.(s x): module docstring
+    nq, s = box.npts, -1.0 if element.flipped else 1.0  # M^{-1} x = (x^0, s x) here
     Ax, Ay, Az = (np.exp(1j * np.outer(k, s * g)) for k, g in zip(box.axes(), axes))
     clock = np.exp(-1j * omega * t) if t != 0.0 else None
 
@@ -625,7 +625,7 @@ def narrowband_energy_momentum(
 
 def energy_expectation(psi: HelicityAmplitude) -> float:
     """Mean energy sum_lam int |psi_lam|^2 omega d^3k (momentum-space route)."""
-    return float(expectation_momentum(psi, warn=False)[0])
+    return float(expectation_momentum(psi)[0])
 
 
 def sipe_energy_integral(psi: HelicityAmplitude, grid: SpatialGrid, t: float = 0.0) -> float:

@@ -97,13 +97,6 @@ class BoxQuadrature:
             shell = edge[planes, None, None] | face
             yield columns.reshape(3, -1).T, w.reshape(-1), shell.reshape(-1)
 
-    def same_box(self, other: "BoxQuadrature") -> bool:
-        return (
-            self.npts == other.npts
-            and np.array_equal(self.center, other.center)
-            and np.array_equal(self.halfwidth, other.halfwidth)
-        )
-
 
 def union_box(a: BoxQuadrature, b: BoxQuadrature) -> BoxQuadrature:
     """Smallest axis-aligned box containing both quadrature boxes, at the finer npts."""

@@ -264,7 +264,7 @@ def _suite_wigner(rng, trials: int) -> list[PropertyResult]:
 def _suite_amplitudes(rng, trials: int) -> list[PropertyResult]:
     kappa, sigma = 1.0, 0.05
     psi = gaussian_wavepacket([0.0, 0.0, kappa], sigma, 1)
-    base_norm = norm_squared(psi, warn=False)
+    base_norm = norm_squared(psi)
 
     results = [
         PropertyResult("gaussian_norm", abs(base_norm - 1.0), 1e-9),
@@ -289,7 +289,7 @@ def _suite_amplitudes(rng, trials: int) -> list[PropertyResult]:
             worst = max(worst, abs(_carried_integrals(op(psi))[0] - base_norm))
         results.append(PropertyResult(name, worst, 1e-6))
 
-    p_base = expectation_momentum(psi, warn=False)
+    p_base = expectation_momentum(psi)
     worst = 0.0
     for _ in range(reps):
         r = _random_axis_angle(rng)

@@ -23,7 +23,7 @@ from photonamp.amplitudes import (
     op_from_json,
     replay,
 )
-from photonamp.fields import positive_frequency_field
+from photonamp.fields import energy_expectation, positive_frequency_field
 from photonamp.lorentz import (
     IDENTITY2,
     IDENTITY4,
@@ -153,7 +153,7 @@ class TestTransformations:
             packet.time_reverse(),
         ]
         for variant in variants:
-            assert norm_squared(variant, warn=False) == pytest.approx(base, abs=1e-6)
+            assert norm_squared(variant) == pytest.approx(base, abs=1e-6)
 
     def test_superluminal_boost_rejected(self, packet):
         with pytest.raises(ValueError, match="superluminal"):
@@ -297,9 +297,8 @@ class TestDescriptors:
         psi = from_descriptor(dict(self.BENCH, sigma_k=sigma))
         manual = gaussian_wavepacket([0, 0, 1.0], sigma, 1, npts=48)
         assert psi.quad.npts == 48
-        assert norm_squared(psi, warn=False) == norm_squared(manual, warn=False)
-        assert np.array_equal(expectation_momentum(psi, warn=False),
-                              expectation_momentum(manual, warn=False))
+        assert norm_squared(psi) == norm_squared(manual)
+        assert np.array_equal(expectation_momentum(psi), expectation_momentum(manual))
 
     def test_units_required(self):
         with pytest.raises(ValueError, match="units"):
@@ -363,6 +362,27 @@ class TestRefusedInput:
     def test_amplitude_needs_a_component(self, packet):
         with pytest.raises(ValueError, match="at least one helicity component"):
             HelicityAmplitude(None, None, packet.quad)
+
+    @pytest.mark.parametrize("args, message", [
+        (lambda p: (p.psi_plus, None, None), "quad must be a BoxQuadrature, not None"),
+        (lambda p: (p.psi_plus, None, "box"), "quad must be a BoxQuadrature, not 'box'"),
+        (lambda p: (p.psi_plus, 2.0, p.quad), "psi_minus must be callable or None, not 2.0"),
+    ], ids=["no-box", "string-box", "number-component"])
+    def test_amplitude_refuses_a_bad_box_or_component(self, packet, args, message):
+        # each was taken, and failed only at the first observable or evaluation
+        with pytest.raises(TypeError, match=message):
+            HelicityAmplitude(*args(packet))
+
+    @pytest.mark.parametrize("kappa, sigma_k, field", [
+        ([0, 0, 1], 1e-170, "sigma_k"), ([0, 0, 1], 1e-120, "sigma_k"),
+        ([0, 0, 1], 1e300, "sigma_k"), ([1e300, 0, 0], 0.05, "kappa"),
+    ], ids=["sigma-1e-170", "sigma-1e-120", "sigma-1e300", "kappa-1e300"])
+    def test_gaussian_wavepacket_refuses_a_packet_beyond_the_float_range(
+        self, kappa, sigma_k, field
+    ):
+        # these raised ZeroDivisionError or OverflowError, or summed a norm that is not finite
+        with pytest.raises(ValueError, match=f"{field} is beyond the float range"):
+            gaussian_wavepacket(kappa, sigma_k, 1)
 
     @pytest.mark.parametrize("keyword", ["record", "origin"])
     def test_amplitude_takes_no_record_or_origin(self, packet, keyword):
@@ -709,19 +729,19 @@ class TestDensityPass:
 
         base = HelicityAmplitude(counted, None, packet.quad)
         amp = base.boost([0.0, 0.0, 0.3])
-        norm = norm_squared(amp, warn=False)
-        p = expectation_momentum(amp, warn=False)
+        norm = norm_squared(amp)
+        p = expectation_momentum(amp)
         assert sum(nodes) == packet.quad.npts ** 3
-        assert norm_squared(amp, warn=False) == norm
-        assert np.array_equal(expectation_momentum(amp, warn=False), p)
+        assert norm_squared(amp) == norm
+        assert np.array_equal(expectation_momentum(amp), p)
         assert sum(nodes) == packet.quad.npts ** 3
         record = mixed_record(np.random.default_rng(590), 32)
         other = HelicityAmplitude(counted, None, packet.quad)
         for origin in (base, other):
             for length in range(33):
                 prefix = replay(origin, record[:length])
-                norm_squared(prefix, warn=False)
-                expectation_momentum(prefix, warn=False)
+                norm_squared(prefix)
+                expectation_momentum(prefix)
         assert sum(nodes) == 2 * packet.quad.npts ** 3
 
     def test_real_values_give_the_bits_of_complex_ones(self, packet):
@@ -783,8 +803,8 @@ class TestDensityPass:
             for lam in (1, -1):
                 calls[lam].clear()
             phases.clear()
-            norm = norm_squared(amp, warn=False)
-            p = expectation_momentum(amp, warn=False)
+            norm = norm_squared(amp)
+            p = expectation_momentum(amp)
             assert phases == []
             for lam in (1, -1):
                 passed[lam] += sum(calls[lam])
@@ -908,7 +928,7 @@ class TestColumnLayout:
         # the Gaussian's tails amplify a rounding-level change of q, so the
         # pointwise tolerance is relative to the peak; the norm is held to 1e-14
         assert_allclose(density, reference, rtol=1e-14, atol=1e-14 * reference.max())
-        assert_allclose(norm_squared(amp, warn=False), w @ reference, rtol=1e-14)
+        assert_allclose(norm_squared(amp), w @ reference, rtol=1e-14)
 
     def test_unmoved_density_pass_keeps_no_four_momentum(self):
         # the (N, 4) 4-momentum of a 48^3 box alone is 3.5 MB; a Gaussian origin's
@@ -925,11 +945,11 @@ class TestColumnLayout:
         record = [TransformOp("boost", {"beta": [0.0, 0.1, -0.6]}), TransformOp("parity", {}),
                   TransformOp("rotate", {"axis": [1.0, 0.0, 0.3], "angle": -0.7})]
         amp = replay(packet, record)
-        assert _traced_peak(lambda: expectation_momentum(amp, warn=False)) < 2.5e6
+        assert _traced_peak(lambda: expectation_momentum(amp)) < 2.5e6
 
     def test_inner_product_allocates_no_box_sized_array(self, packet):
         other = gaussian_wavepacket([0.04, -0.03, 0.95 * KAPPA], 1.3 * SIGMA, 1)
-        assert not packet.quad.same_box(other.quad)
+        assert not np.array_equal(packet.quad.center, other.quad.center)
         assert _traced_peak(lambda: inner_product(packet, other)) < 2.5e6
 
 
@@ -963,8 +983,8 @@ class TestSlabs:
         amp = replay(gaussian_wavepacket([0.3, -0.2, KAPPA], SIGMA, 1, npts=npts), record)
         pts, w = carried_nodes(amp)
         density, omega = amp.density(pts)
-        norm = norm_squared(amp, warn=False)
-        p = expectation_momentum(amp, warn=False)
+        norm = norm_squared(amp)
+        p = expectation_momentum(amp)
         assert_allclose(norm, w @ density, rtol=1e-14)
         assert_allclose(p, (w * density) @ np.column_stack((omega, pts)), rtol=1e-14)
         peak, boundary = amplitudes._carried_integrals(amp)[2:]
@@ -1060,8 +1080,8 @@ class TestOriginPass:
         fresh = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1)
         g = fresh.psi_plus
         fresh._base = (lambda k: calls.append(k) or g(k), None)
-        assert norm_squared(fresh, warn=False) == fresh._integrals[0]
-        expectation_momentum(fresh, warn=False)
+        assert norm_squared(fresh) == fresh._integrals[0]
+        expectation_momentum(fresh)
         assert nodes == [] and calls == []
 
 
@@ -1185,6 +1205,15 @@ class TestCarriedNodes:
         assert abs(carried_norm - norm) <= 1e-12
         assert np.max(np.abs(carried_p - p)) <= 1e-12 * mapped[0]
         assert np.max(np.abs(carried_p - mapped)) <= 1e-12 * mapped[0]
+
+    def test_a_clipping_box_warns_on_every_observable(self):
+        # normalized and energy_expectation read the norm and <k^0> with no clip check
+        clipped = gaussian_wavepacket([0, 0, KAPPA], SIGMA, 1, halfwidth_sigmas=3.0)
+        custom = HelicityAmplitude(lambda k: 2.0 * clipped.psi_plus(k), None, clipped.quad)
+        with pytest.warns(QuadratureDomainWarning, match="quadrature box may clip"):
+            custom.normalized()
+        with pytest.warns(QuadratureDomainWarning, match="quadrature box may clip"):
+            energy_expectation(custom)
 
     @pytest.mark.parametrize("record", [
         (README_OPS * 7)[:32],

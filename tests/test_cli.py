@@ -163,8 +163,8 @@ def test_transform_explicit_npts_keeps_the_bits_of_that_rule(tmp_path, capsys, n
     before = replay(gaussian_wavepacket([0.0, 0.0, 1.0], 0.05, 1, npts=npts), README_OPS[:2])
     after = replay(before, README_OPS[2:])
     for amp, summary in ((before, payload["before"]), (after, payload["after"])):
-        assert summary["norm_squared"] == norm_squared(amp, warn=False)
-        assert summary["momentum"] == list(expectation_momentum(amp, warn=False))
+        assert summary["norm_squared"] == norm_squared(amp)
+        assert summary["momentum"] == list(expectation_momentum(amp))
     assert payload["npts"] == npts
     # 24 nodes read the norm about 1.05e-9 off, just over the ladder's target
     assert (payload["quadrature_error"] <= 1e-9) == (npts == 48)
@@ -508,6 +508,20 @@ def test_transform_refuses_a_descriptor_that_is_not_finite(tmp_path, capsys, ove
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed descriptor" in captured.err
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"sigma_k": 1e-170}, "sigma_k"),
+    ({"sigma_k": 1e-120}, "sigma_k"),
+    ({"sigma_k": 1e300}, "sigma_k"),
+    ({"kappa": [1e300, 0, 0]}, "kappa"),
+], ids=["sigma-1e-170", "sigma-1e-120", "sigma-1e300", "kappa-1e300"])
+def test_transform_refuses_a_packet_beyond_the_float_range(tmp_path, capsys, overrides, field):
+    # each exited 1: a ZeroDivisionError or OverflowError traceback, or a result not finite
+    assert main(["transform", str(descriptor_file(tmp_path, **overrides))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"malformed descriptor: {field} is beyond the float range")
 
 
 @pytest.mark.parametrize("overrides, field", [

@@ -921,7 +921,7 @@ class TestGridMemory:
         # complex component is 4.4 MiB, so a second one kept alive fails
         spec = NarrowbandSpec(3.3, 0.08 * 3.3)
         psi = gaussian_wavepacket([0.0, 0.0, 3.3], spec.sigma_k, 1)
-        expectation_momentum(psi, warn=False)
+        expectation_momentum(psi)
         grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
         assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 28 * 2**20
 
@@ -930,7 +930,7 @@ class TestGridMemory:
         # 26.3 and 18.2 MiB with the six-column table; they trace 21.3 and 15.3 MiB
         # (the first one builds the table), and one complex component is 5.7 MiB
         psi = gaussian_wavepacket([0.0, 0.0, KAPPA], 0.01 * KAPPA, 1)
-        expectation_momentum(psi, warn=False)
+        expectation_momentum(psi)
         grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
         assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 22 * 2**20
         assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 16 * 2**20
@@ -943,14 +943,14 @@ class TestGridMemory:
         # fields-csv grid, 66^3, the fill traces 21.1 MiB, and a sum kept while
         # the next is formed adds one complex component, 4.4 MiB
         psi = _linear_wavepacket(KAPPA, 0.01 * KAPPA)
-        expectation_momentum(psi, warn=False)
+        expectation_momentum(psi)
         fields._node_coefficients(psi)
         grid = SpatialGrid.centered(5.0 / (2.0 * 0.01 * KAPPA), 72)
         assert _traced_peak(lambda: sipe_energy_integral(psi, grid)) < 18 * 2**20
         assert _traced_peak(lambda: bb_energy_integral(psi, grid)) < 16 * 2**20
         spec = NarrowbandSpec(3.3, 0.08 * 3.3)
         psi = _linear_wavepacket(3.3, spec.sigma_k)
-        expectation_momentum(psi, warn=False)
+        expectation_momentum(psi)
         fields._node_coefficients(psi)
         grid = SpatialGrid.centered(4 * spec.sigma_x, 66)
         assert _traced_peak(lambda: field_expectation_grid(psi, grid, 0.0)) < 22 * 2**20
@@ -1140,7 +1140,7 @@ class TestEnergyDensities:
         from photonamp.amplitudes import expectation_momentum
 
         assert energy_expectation(narrow_packet) == pytest.approx(
-            expectation_momentum(narrow_packet, warn=False)[0], rel=1e-12
+            expectation_momentum(narrow_packet)[0], rel=1e-12
         )
 
     def test_sipe_spatial_route_closes(self, narrow_packet):
